@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 
-from expanderlab import compare_strategies
+from expanderlab.planner import compare_strategies
 
 
 def main() -> int:

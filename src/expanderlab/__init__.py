@@ -4,103 +4,31 @@ The pipeline: pick the largest usable prime p below the target regularity
 k, build the (p+1)-regular LPS Ramanujan base graph, then close the gap
 k - p - 1 with perfect-matching increments (or Cartesian K2 products),
 certifying eigenvalues, bounds and (for small graphs) exact expansion at
-every stage.
+every stage.  Everything else is importable from its submodule.
 """
 
 from ._version import __version__
-from .bounds import (
-    TABLE_RANGES,
-    TRUDGIAN_MIN_K,
-    BoundModel,
-    delta_table,
-    gap_bound_bhp,
-    gap_bound_rh,
-    gap_bound_trudgian,
-    lambda2_bound_chain,
-    rh_exponent,
-    trudgian_valid,
-)
-from .errors import ConvergenceError, NoPerfectMatchingError, ValidationError
-from .expansion import (
-    MAX_EXACT_N,
-    boundary_size,
-    expanding_constant_exact,
-    isoperimetric_check,
-)
+from .bounds import TABLE_RANGES, delta_table
 from .graph_core import (
-    Graph,
-    Matching,
-    add_matching,
     cartesian_k2,
-    complement,
-    from_edge_list,
     graph_from_text,
     graph_to_text,
     is_bipartite,
     is_connected,
     load_graph,
     regularity,
-    remove_matching,
     save_graph,
 )
-from .matching import (
-    decrement_regularity,
-    increment_regularity,
-    maximum_matching,
-    perfect_matching,
-)
-from .numtheory import (
-    FourSquareTuple,
-    PrimePlan,
-    delta_k,
-    four_square_generators,
-    is_prime,
-    legendre,
-    max_delta_in_range,
-    next_prime,
-    prev_prime,
-    sqrt_mod,
-)
-from .planner import (
-    BuildPlan,
-    certify,
-    choose_q,
-    compare_strategies,
-    construct,
-    plan,
-    replay,
-)
-from .ramanujan_base import LpsParams, build_lps, lps_params, small_ramanujan
-from .spectral import (
-    DENSE_THRESHOLD,
-    Spectrum,
-    SpectralCertificate,
-    bottom_eigs,
-    extreme_eigs,
-    is_ramanujan,
-    product_spectrum_oracle,
-    spectral_gap,
-    spectrum,
-    top_eigs,
-    weyl_check,
-)
+from .matching import increment_regularity
+from .numtheory import max_delta_in_range
+from .planner import certify, choose_q, construct, plan, replay
+from .ramanujan_base import build_lps
+from .spectral import SpectralCertificate, extreme_eigs
 
 __all__ = [
-    "__version__",
-    "BoundModel", "BuildPlan", "ConvergenceError", "DENSE_THRESHOLD",
-    "FourSquareTuple", "Graph", "LpsParams", "MAX_EXACT_N", "Matching",
-    "NoPerfectMatchingError", "PrimePlan", "SpectralCertificate", "Spectrum",
-    "TABLE_RANGES", "TRUDGIAN_MIN_K", "ValidationError",
-    "add_matching", "bottom_eigs", "boundary_size", "build_lps",
-    "cartesian_k2", "certify", "choose_q", "compare_strategies", "complement",
-    "construct", "decrement_regularity", "delta_k", "delta_table",
-    "expanding_constant_exact", "extreme_eigs", "four_square_generators",
-    "from_edge_list", "gap_bound_bhp", "gap_bound_rh", "gap_bound_trudgian",
-    "graph_from_text", "graph_to_text", "increment_regularity", "is_bipartite",
-    "is_connected", "is_prime", "is_ramanujan", "lambda2_bound_chain",
-    "legendre", "load_graph", "lps_params", "max_delta_in_range",
-    "maximum_matching", "next_prime", "perfect_matching", "plan",
-    "prev_prime", "product_spectrum_oracle", "regularity", "remove_matching",
-    "replay", "rh_exponent", "save_graph", "small_ramanujan", "spectral_gap",
-    "spectrum", "sqrt_mod", "top_eigs", "trudgian_valid", "weyl_check",
+    "TABLE_RANGES", "SpectralCertificate", "build_lps", "cartesian_k2",
+    "certify", "choose_q", "construct", "delta_table", "extreme_eigs",
+    "graph_from_text", "graph_to_text", "increment_regularity",
+    "is_bipartite", "is_connected", "load_graph", "max_delta_in_range",
+    "plan", "regularity", "replay", "save_graph",
 ]

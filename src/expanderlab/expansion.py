@@ -101,11 +101,12 @@ def isoperimetric_check(x: Graph, *, tol: float = 1e-9) -> dict:
     k = regularity(x)
     if k is None:
         raise ValidationError("isoperimetric check requires a regular graph")
-    _, lam2, _, res, _ = extreme_eigs(x)
+    s = extreme_eigs(x)
+    lam2 = s.lambda2
     h, witness = expanding_constant_exact(x)
     lower = (k - lam2) / 2.0
     upper = math.sqrt(2.0 * k * max(k - lam2, 0.0))
-    pad = tol + res
+    pad = tol + s.residual
     return {
         "n": x.n,
         "k": k,

@@ -229,16 +229,6 @@ def cartesian_k2(x: Graph) -> Graph:
     return Graph(2 * n, _canonical(2 * n, raw))
 
 
-def complement(x: Graph) -> Graph:
-    """Simple complement; input must itself be simple."""
-    if not x.is_simple():
-        raise ValidationError("complement is defined for simple graphs only")
-    present = set(x.edges)
-    raw = [(u, v) for u in range(x.n) for v in range(u + 1, x.n)
-           if (u, v) not in present]
-    return Graph(x.n, tuple(raw))
-
-
 def add_matching(x: Graph, m: Matching) -> Graph:
     """Union with a perfect matching disjoint from the current edge set."""
     if not m.is_perfect(x.n):

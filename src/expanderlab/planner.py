@@ -28,13 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bounds import (
-    TRUDGIAN_MIN_K,
-    gap_bound_bhp,
-    gap_bound_rh,
-    gap_bound_trudgian,
-    lambda2_bound_chain,
-)
+from .bounds import BoundModel
 from .errors import ValidationError
 from .expansion import MAX_EXACT_N, expanding_constant_exact
 from .graph_core import Graph, cartesian_k2, regularity
@@ -120,16 +114,29 @@ def _library_graph(k: int, min_vertices: int) -> tuple[Graph, str]:
         f"has {candidates[-1][1]} vertices; cannot reach {min_vertices}")
 
 
+# (certificate entry name, BoundModel kind, bounds lambda_2), in certificate
+# order.  lambda_2 entries also carry a capped value and apply only to a
+# graph anchored at p = prev_prime(k); gap entries apply to any graph built
+# by matching increments.
+_CERT_BOUNDS = (
+    ("lambda2_chain_intermediate", "ChainIntermediate", True),
+    ("lambda2_chain_normalized", "DeltaExact", True),
+    ("gap_trudgian", "Trudgian", False),
+    ("gap_bhp", "BHP", False),
+    ("gap_rh", "CramerRH", False),
+)
+
+
 def _bound_entries(k: int, strategy: str | None, build: BuildPlan | None,
                    rh_constant: float, bhp_threshold: int | None) -> list[dict]:
     """Bound lines for a certificate.
 
     valid on a lambda_2 entry means: the inequality provably applies to
     the certified graph (built by matching increments from the cited base).
-    valid on a gap entry additionally requires the model's own domain
-    (Trudgian onset, a caller-supplied BHP onset).  Values above the
-    trivial ceiling lambda_2 <= k are still reported, alongside the capped
-    version, so the reader sees both.
+    valid on every other entry additionally requires BoundModel.is_valid,
+    the model's own domain (Trudgian onset, a caller-supplied BHP onset).
+    Values above the trivial ceiling lambda_2 <= k are still reported,
+    alongside the capped version, so the reader sees both.
     """
     entries: list[dict] = []
     by_matching = strategy == "matching"
@@ -145,41 +152,19 @@ def _bound_entries(k: int, strategy: str | None, build: BuildPlan | None,
     if k >= 3:
         anchored = (by_matching and build is not None
                     and build.source == "lps" and build.p_star == prev_prime(k))
-        intermediate, normalized = lambda2_bound_chain(k)
-        entries.append({
-            "model": "lambda2_chain_intermediate",
-            "value": intermediate,
-            "value_capped": min(intermediate, float(k)),
-            "valid": anchored,
-            "conditional": False,
-        })
-        entries.append({
-            "model": "lambda2_chain_normalized",
-            "value": normalized,
-            "value_capped": min(normalized, float(k)),
-            "valid": anchored,
-            "conditional": False,
-        })
-        entries.append({
-            "model": "gap_trudgian",
-            "value": gap_bound_trudgian(k),
-            "valid": by_matching and k >= TRUDGIAN_MIN_K,
-            "conditional": False,
-        })
-        entries.append({
-            "model": "gap_bhp",
-            "value": gap_bound_bhp(k),
-            "valid": (by_matching and bhp_threshold is not None
-                      and k >= bhp_threshold),
-            "conditional": False,
-        })
-        entries.append({
-            "model": "gap_rh",
-            "value": gap_bound_rh(k, rh_constant),
-            "rh_constant": rh_constant,
-            "valid": by_matching,
-            "conditional": True,
-        })
+        for name, kind, on_lambda2 in _CERT_BOUNDS:
+            model = BoundModel(kind, bhp_threshold=bhp_threshold,
+                               rh_constant=rh_constant)
+            value = model.evaluate(k)
+            entry = {"model": name, "value": value}
+            if on_lambda2:
+                entry["value_capped"] = min(value, float(k))
+            if kind == "CramerRH":
+                entry["rh_constant"] = rh_constant
+            gate = anchored if on_lambda2 else by_matching
+            entry["valid"] = gate and model.is_valid(k)
+            entry["conditional"] = model.conditional
+            entries.append(entry)
     return entries
 
 
@@ -294,7 +279,7 @@ def compare_strategies(p: int, q: int, target_k: int) -> dict:
         raise ValidationError(
             f"target_k={target_k} is below the base regularity {base_k}")
     x = build_lps(p, q)
-    _, lam2, _, _, _ = extreme_eigs(x)
+    lam2 = extreme_eigs(x).lambda2
     rows = [{
         "k": base_k,
         "matching": {"n": x.n, "lambda2": lam2, "gap": base_k - lam2},
@@ -307,8 +292,8 @@ def compare_strategies(p: int, q: int, target_k: int) -> dict:
         xm, _ = increment_regularity(xm)
         xp = cartesian_k2(xp)
         prev_m, prev_p = lam2_m, lam2_p
-        _, lam2_m, _, _, _ = extreme_eigs(xm)
-        _, lam2_p, _, _, _ = extreme_eigs(xp)
+        lam2_m = extreme_eigs(xm).lambda2
+        lam2_p = extreme_eigs(xp).lambda2
         rows.append({
             "k": k_now,
             "matching": {"n": xm.n, "lambda2": lam2_m, "gap": k_now - lam2_m,

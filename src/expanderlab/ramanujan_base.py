@@ -34,10 +34,6 @@ from .errors import ValidationError
 from .graph_core import Graph, from_edge_list
 from .numtheory import four_square_generators, is_prime, legendre, sqrt_mod
 
-# Up to this modulus, enumerating all normalized matrices and filtering by
-# determinant class is cheaper than group closure; beyond it, closure wins.
-_FILTER_MAX_Q = 31
-
 _MatT = tuple[int, int, int, int]
 
 
@@ -127,23 +123,6 @@ def _enumerate_by_filter(q: int, want_square_det: bool) -> list[_MatT]:
     return out
 
 
-def _enumerate_by_closure(gens: list[_MatT], q: int, inv: list[int]) -> list[_MatT]:
-    """Group closure of the generator set, starting from the identity."""
-    identity: _MatT = (1, 0, 0, 1)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for s in gens:
-                h = _normalize(_mul(s, g, q), q, inv)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    return list(seen)
-
-
 def build_lps(p: int, q: int) -> Graph:
     """Construct X^{p,q} with deterministic vertex numbering.
 
@@ -157,11 +136,8 @@ def build_lps(p: int, q: int) -> Graph:
     for a in range(1, q):
         inv[a] = pow(a, q - 2, q)
     gens = _generator_set(p, q, inv)
-    if q <= _FILTER_MAX_Q:
-        verts = _enumerate_by_filter(q, want_square_det=(params.legendre_sign == 1))
-    else:
-        verts = _enumerate_by_closure(gens, q, inv)
-    verts.sort()
+    verts = sorted(_enumerate_by_filter(
+        q, want_square_det=(params.legendre_sign == 1)))
     if len(verts) != params.n:
         raise AssertionError(
             f"enumerated {len(verts)} vertices for ({p}, {q}), "

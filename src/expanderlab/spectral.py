@@ -1,12 +1,14 @@
-"""Adjacency spectra, residual-checked eigensolves, and certificates.
+"""Residual-checked extreme eigenvalues and spectral certificates.
 
-Two solver paths share one contract.  The dense path (numpy.linalg.eigh,
-LAPACK) returns the full spectrum and is the default up to DENSE_THRESHOLD
-vertices.  The iterative path (scipy ARPACK) extracts a few extreme
-eigenvalues of the sparse adjacency with a fixed, seeded starting vector so
-repeated runs agree bit for bit.  Every eigenpair is accepted only after an
-explicit residual check |Av - lambda v| / |v| <= tol; failures raise
-ConvergenceError rather than degrading silently.
+extreme_eigs is the one eigensolver entry point: it returns lambda_1,
+lambda_2 and lambda_n of a graph's adjacency as a Spectrum.  Two solver
+paths share one contract.  The dense path (numpy.linalg.eigh, LAPACK)
+solves the full spectrum and serves graphs up to DENSE_THRESHOLD vertices.
+The iterative path (scipy ARPACK) extracts the extreme eigenvalues of the
+sparse adjacency with a fixed, seeded starting vector so repeated runs
+agree bit for bit.  Every eigenpair is accepted only after an explicit
+residual check against tol; failures raise ConvergenceError rather than
+degrading silently.
 
 Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 >= ... >= lambda_n, so lambda_2 of a k-regular connected graph is the
@@ -26,7 +28,7 @@ from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from ._version import __version__
 from .errors import ConvergenceError, ValidationError
-from .graph_core import Graph, cartesian_k2, is_bipartite, is_connected, regularity
+from .graph_core import Graph, is_bipartite, is_connected, regularity
 
 DENSE_THRESHOLD = 4096
 DEFAULT_TOL = 1e-8
@@ -35,47 +37,29 @@ DEFAULT_TOL = 1e-8
 _V0_SEED = 1717
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Spectrum:
-    """Adjacency eigenvalues as a non-increasing multiset.
+    """The extreme adjacency eigenvalues lambda_1 >= lambda_2 and lambda_n.
 
     residual is the worst per-pair residual accepted by the solver, method
     names the solver path that produced the values.
     """
 
-    values: np.ndarray
+    lambda1: float
+    lambda2: float
+    lambda_n: float
     residual: float
     method: str
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
 
 def _dense_eigs(x: Graph, tol: float) -> tuple[np.ndarray, float]:
     a = x.adjacency_matrix()
     w, vecs = np.linalg.eigh(a)
-    res = float(np.abs(a @ vecs - vecs * w).max()) if x.n else 0.0
+    res = float(np.abs(a @ vecs - vecs * w).max())
     # eigh returns ascending order with unit-norm columns.
-    if res > max(tol, 1e-6):
+    if res > tol:
         raise ConvergenceError(f"dense eigensolve residual {res:.3e} > {tol:.3e}")
     return w[::-1].copy(), res
-
-
-def spectrum(x: Graph, *, dense_threshold: int = DENSE_THRESHOLD,
-             tol: float = DEFAULT_TOL) -> Spectrum:
-    """Full adjacency spectrum via the dense path.
-
-    Guarded by dense_threshold: beyond it the O(n^3) solve and the O(n^2)
-    matrix stop being reasonable, use top_eigs instead.
-    """
-    if x.n < 1:
-        raise ValidationError("spectrum requires at least one vertex")
-    if x.n > dense_threshold:
-        raise ValidationError(
-            f"n={x.n} exceeds the dense-path limit {dense_threshold}; "
-            "use top_eigs for extreme eigenvalues")
-    values, res = _dense_eigs(x, tol)
-    return Spectrum(values=values, residual=res, method="dense")
 
 
 def _iterative_extremes(x: Graph, count: int, which: str,
@@ -104,149 +88,20 @@ def _iterative_extremes(x: Graph, count: int, which: str,
     return vals, res
 
 
-def top_eigs(x: Graph, count: int, *, tol: float = DEFAULT_TOL) -> list[float]:
-    """The count largest eigenvalues, non-increasing, residual-checked.
+def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
+    """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
-    Uses ARPACK on the sparse adjacency; small graphs fall back to the
-    dense path (ARPACK needs room for its Krylov basis).
+    The dense path serves n <= DENSE_THRESHOLD, ARPACK the larger graphs.
     """
-    if not 1 <= count <= 4:
-        raise ValidationError(f"count must be in 1..4, got {count}")
-    if x.n < 1:
-        raise ValidationError("top_eigs requires at least one vertex")
-    if count >= x.n:
-        raise ValidationError(f"count={count} needs n > count, got n={x.n}")
-    if x.n <= 64:
-        values, _ = _dense_eigs(x, tol)
-        return [float(t) for t in values[:count]]
-    vals, _ = _iterative_extremes(x, count, "LA", tol)
-    return vals
-
-
-def bottom_eigs(x: Graph, count: int, *, tol: float = DEFAULT_TOL) -> list[float]:
-    """The count smallest eigenvalues, non-decreasing, residual-checked."""
-    if not 1 <= count <= 4:
-        raise ValidationError(f"count must be in 1..4, got {count}")
-    if x.n < 1:
-        raise ValidationError("bottom_eigs requires at least one vertex")
-    if count >= x.n:
-        raise ValidationError(f"count={count} needs n > count, got n={x.n}")
-    if x.n <= 64:
-        values, _ = _dense_eigs(x, tol)
-        return [float(t) for t in values[::-1][:count]]
-    vals, _ = _iterative_extremes(x, count, "SA", tol)
-    return vals
-
-
-def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL
-                 ) -> tuple[float, float, float, float, str]:
-    """(lambda_1, lambda_2, lambda_n, residual, method) with path dispatch."""
     if x.n < 2:
         raise ValidationError("need at least two vertices for lambda_2")
     if x.n <= DENSE_THRESHOLD:
         values, res = _dense_eigs(x, tol)
-        return (float(values[0]), float(values[1]), float(values[-1]),
-                res, "dense")
+        return Spectrum(float(values[0]), float(values[1]), float(values[-1]),
+                        res, "dense")
     top, res_t = _iterative_extremes(x, 2, "LA", tol)
     bot, res_b = _iterative_extremes(x, 1, "SA", tol)
-    return top[0], top[1], bot[0], max(res_t, res_b), "iterative"
-
-
-def spectral_gap(x: Graph, *, tol: float = DEFAULT_TOL) -> float:
-    """k - lambda_2 for a connected k-regular graph."""
-    k = regularity(x)
-    if k is None:
-        raise ValidationError("spectral gap is defined for regular graphs")
-    if not is_connected(x):
-        raise ValidationError("spectral gap requires a connected graph")
-    _, lam2, _, _, _ = extreme_eigs(x, tol=tol)
-    return k - lam2
-
-
-def ramanujan_slack(k: int, lam2: float, residual: float,
-                    tol: float = DEFAULT_TOL) -> float:
-    """2*sqrt(k-1) + residual + tol - lambda_2; >= 0 means Ramanujan."""
-    return 2.0 * math.sqrt(k - 1) + residual + tol - lam2
-
-
-def is_ramanujan(x: Graph, *, tol: float = DEFAULT_TOL) -> bool:
-    """Non-strict test lambda_2 <= 2*sqrt(k-1), padded by the residual.
-
-    Only lambda_2 enters the test; the most negative eigenvalue is reported
-    elsewhere but never disqualifies (bipartite graphs have lambda_n = -k).
-    """
-    k = regularity(x)
-    if k is None:
-        raise ValidationError("Ramanujan certification requires a regular graph")
-    if not is_connected(x):
-        raise ValidationError("Ramanujan certification requires a connected graph")
-    if k < 1:
-        raise ValidationError("Ramanujan certification requires k >= 1")
-    _, lam2, _, res, _ = extreme_eigs(x, tol=tol)
-    return ramanujan_slack(k, lam2, res, tol) >= 0.0
-
-
-def product_spectrum_oracle(x: Graph, *, tol: float = DEFAULT_TOL) -> dict:
-    """Compare the spectrum of X x K2 with {lambda +- 1} directly.
-
-    The product's second eigenvalue is max(lambda_2 + 1, lambda_1 - 1), not
-    lambda_2 + 1: whenever lambda_1 - 1 > lambda_2 + 1 (a spectral gap above
-    2), the shifted copy of lambda_1 overtakes.  The report carries all
-    three quantities so callers can see which branch is active.
-    """
-    if x.n < 2:
-        raise ValidationError("product oracle needs at least two vertices")
-    if 2 * x.n > DENSE_THRESHOLD:
-        raise ValidationError(
-            f"product oracle is dense-only: 2n={2 * x.n} exceeds {DENSE_THRESHOLD}")
-    s = spectrum(x, tol=tol)
-    sp = spectrum(cartesian_k2(x), tol=tol)
-    predicted = np.sort(np.concatenate([s.values + 1.0, s.values - 1.0]))[::-1]
-    deviation = float(np.abs(predicted - sp.values).max())
-    lam1, lam2 = float(s.values[0]), float(s.values[1])
-    return {
-        "n": x.n,
-        "max_deviation": deviation,
-        "lambda2_product": float(sp.values[1]),
-        "lambda2_plus_one": lam2 + 1.0,
-        "lambda1_minus_one": lam1 - 1.0,
-        "product_law_lambda2": max(lam2 + 1.0, lam1 - 1.0),
-        "residual": max(s.residual, sp.residual),
-    }
-
-
-def weyl_check(a: np.ndarray, b: np.ndarray, i: int) -> dict:
-    """Slack in Weyl's inequalities for lambda_i(A + B), eigenvalues descending.
-
-    lambda_i(A) + lambda_n(B) <= lambda_i(A+B) <= lambda_i(A) + lambda_1(B).
-    Both slacks are reported; holds is true when neither is meaningfully
-    negative at dense-solver accuracy.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError(f"A must be square, got shape {a.shape}")
-    if a.shape != b.shape:
-        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if not np.array_equal(a, a.T) or not np.array_equal(b, b.T):
-        raise ValidationError("weyl_check requires exactly symmetric matrices")
-    n = a.shape[0]
-    if not 1 <= i <= n:
-        raise ValidationError(f"index i must be in 1..{n}, got {i}")
-    ea = np.linalg.eigvalsh(a)[::-1]
-    eb = np.linalg.eigvalsh(b)[::-1]
-    es = np.linalg.eigvalsh(a + b)[::-1]
-    upper = ea[i - 1] + eb[0]
-    lower = ea[i - 1] + eb[-1]
-    scale = max(1.0, float(np.abs(ea).max() + np.abs(eb).max()))
-    atol = 1e-9 * scale
-    return {
-        "i": i,
-        "value": float(es[i - 1]),
-        "upper_slack": float(upper - es[i - 1]),
-        "lower_slack": float(es[i - 1] - lower),
-        "holds": bool(upper - es[i - 1] >= -atol and es[i - 1] - lower >= -atol),
-    }
+    return Spectrum(top[0], top[1], bot[0], max(res_t, res_b), "iterative")
 
 
 @dataclass(frozen=True)
@@ -324,20 +179,22 @@ def certificate_for(x: Graph, *, provenance: tuple[dict, ...] = (),
         raise ValidationError("certificates require a regular graph")
     if not is_connected(x):
         raise ValidationError("certificates require a connected graph")
-    lam1, lam2, lam_n, res, method = extreme_eigs(x, tol=tol)
+    s = extreme_eigs(x, tol=tol)
     return SpectralCertificate(
         version=__version__,
         k=k,
         n=x.n,
         provenance=tuple(provenance),
-        lambda1=lam1,
-        lambda2=lam2,
-        lambda_n=lam_n,
-        spectral_gap=k - lam2,
-        ramanujan=ramanujan_slack(k, lam2, res, tol) >= 0.0,
+        lambda1=s.lambda1,
+        lambda2=s.lambda2,
+        lambda_n=s.lambda_n,
+        spectral_gap=k - s.lambda2,
+        # Non-strict Ramanujan test, padded by the solver residual; lambda_n
+        # never disqualifies (bipartite graphs have lambda_n = -k).
+        ramanujan=2.0 * math.sqrt(k - 1) + s.residual + tol - s.lambda2 >= 0.0,
         bipartite=is_bipartite(x),
-        residual=res,
-        method=method,
+        residual=s.residual,
+        method=s.method,
         bounds=tuple(bounds),
         expansion=expansion,
     )

@@ -1,8 +1,15 @@
-import pytest
-from hypothesis import HealthCheck, settings
+import os
 
-from expanderlab import build_lps
-from helpers import sieve_primes
+# LAPACK's eigh rounds differently with more than one OpenBLAS thread; the
+# reference outputs under out/ are the single-threaded result.  The variable
+# only takes effect if it is set before numpy is first imported.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import pytest  # noqa: E402
+from hypothesis import HealthCheck, settings  # noqa: E402
+
+from expanderlab import build_lps  # noqa: E402
+from helpers import sieve_primes  # noqa: E402
 
 settings.register_profile(
     "suite",

@@ -13,7 +13,9 @@ from itertools import combinations
 import networkx as nx
 import numpy as np
 
-from expanderlab import Graph, from_edge_list
+from expanderlab import cartesian_k2
+from expanderlab.errors import ValidationError
+from expanderlab.graph_core import Graph, from_edge_list
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -138,6 +140,108 @@ def brute_force_expansion(x: Graph) -> tuple[Fraction, tuple[int, ...]]:
                 minimizers.append(subset)
     assert best is not None
     return best, min(minimizers)
+
+
+def eigvalsh(x: Graph) -> np.ndarray:
+    """The full adjacency spectrum, non-increasing, by numpy's dense solver."""
+    return np.linalg.eigvalsh(x.adjacency_matrix())[::-1]
+
+
+def complement(x: Graph) -> Graph:
+    """Simple complement; input must itself be simple."""
+    if not x.is_simple():
+        raise ValidationError("complement is defined for simple graphs only")
+    present = set(x.edges)
+    return from_edge_list(x.n, [(u, v) for u in range(x.n)
+                                for v in range(u + 1, x.n)
+                                if (u, v) not in present])
+
+
+def lps_closure(gens: list[tuple[int, int, int, int]],
+                q: int) -> list[tuple[int, int, int, int]]:
+    """The projective group generated by gens, by breadth-first closure.
+
+    Matrices are row-major 4-tuples mod q, each scaled so that its first
+    nonzero entry is 1; the walk starts at the identity.
+    """
+    def normalize(m):
+        m = [e % q for e in m]
+        s = pow(next(e for e in m if e), -1, q)
+        return tuple(e * s % q for e in m)
+
+    def mul(a, b):
+        return normalize((a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+                          a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3]))
+
+    identity = (1, 0, 0, 1)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s in gens:
+                h = mul(s, g)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    return sorted(seen)
+
+
+def product_spectrum_oracle(x: Graph) -> dict:
+    """Compare the spectrum of X x K2 with {lambda +- 1} directly.
+
+    The product's second eigenvalue is max(lambda_2 + 1, lambda_1 - 1), not
+    lambda_2 + 1: whenever lambda_1 - 1 > lambda_2 + 1 (a spectral gap above
+    2), the shifted copy of lambda_1 overtakes.  The report carries all
+    three quantities so callers can see which branch is active.
+    """
+    s = eigvalsh(x)
+    sp = eigvalsh(cartesian_k2(x))
+    predicted = np.sort(np.concatenate([s + 1.0, s - 1.0]))[::-1]
+    lam1, lam2 = float(s[0]), float(s[1])
+    return {
+        "n": x.n,
+        "max_deviation": float(np.abs(predicted - sp).max()),
+        "lambda2_product": float(sp[1]),
+        "lambda2_plus_one": lam2 + 1.0,
+        "lambda1_minus_one": lam1 - 1.0,
+        "product_law_lambda2": max(lam2 + 1.0, lam1 - 1.0),
+    }
+
+
+def weyl_check(a: np.ndarray, b: np.ndarray, i: int) -> dict:
+    """Slack in Weyl's inequalities for lambda_i(A + B), eigenvalues descending.
+
+    lambda_i(A) + lambda_n(B) <= lambda_i(A+B) <= lambda_i(A) + lambda_1(B).
+    Both slacks are reported; holds is true when neither is meaningfully
+    negative at dense-solver accuracy.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValidationError(f"A must be square, got shape {a.shape}")
+    if a.shape != b.shape:
+        raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
+    if not np.array_equal(a, a.T) or not np.array_equal(b, b.T):
+        raise ValidationError("weyl_check requires exactly symmetric matrices")
+    n = a.shape[0]
+    if not 1 <= i <= n:
+        raise ValidationError(f"index i must be in 1..{n}, got {i}")
+    ea = np.linalg.eigvalsh(a)[::-1]
+    eb = np.linalg.eigvalsh(b)[::-1]
+    es = np.linalg.eigvalsh(a + b)[::-1]
+    upper = ea[i - 1] + eb[0]
+    lower = ea[i - 1] + eb[-1]
+    scale = max(1.0, float(np.abs(ea).max() + np.abs(eb).max()))
+    atol = 1e-9 * scale
+    return {
+        "i": i,
+        "value": float(es[i - 1]),
+        "upper_slack": float(upper - es[i - 1]),
+        "lower_slack": float(es[i - 1] - lower),
+        "holds": bool(upper - es[i - 1] >= -atol and es[i - 1] - lower >= -atol),
+    }
 
 
 def brute_force_bipartite(x: Graph) -> bool:

@@ -18,24 +18,19 @@ import numpy as np
 import pytest
 
 from expanderlab import (
-    NoPerfectMatchingError,
-    decrement_regularity,
     delta_table,
-    extreme_eigs,
-    gap_bound_bhp,
-    gap_bound_rh,
-    gap_bound_trudgian,
     increment_regularity,
     is_bipartite,
     is_connected,
     load_graph,
-    product_spectrum_oracle,
     regularity,
     replay,
-    weyl_check,
 )
+from expanderlab.bounds import gap_bound_bhp, gap_bound_rh, gap_bound_trudgian
 from expanderlab.cli import main
+from expanderlab.errors import NoPerfectMatchingError
 from expanderlab.expansion import isoperimetric_check
+from expanderlab.matching import decrement_regularity
 from expanderlab.planner import certify
 
 from helpers import (
@@ -44,7 +39,9 @@ from helpers import (
     k4,
     parallel_k2,
     petersen,
+    product_spectrum_oracle,
     random_regular,
+    weyl_check,
 )
 
 mpmath.mp.dps = 50

@@ -10,19 +10,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expanderlab import (
-    BoundModel,
+from expanderlab import delta_table
+from expanderlab.bounds import (
     TRUDGIAN_MIN_K,
-    ValidationError,
-    delta_table,
+    BoundModel,
     gap_bound_bhp,
     gap_bound_rh,
     gap_bound_trudgian,
     lambda2_bound_chain,
-    prev_prime,
     rh_exponent,
     trudgian_valid,
 )
+from expanderlab.errors import ValidationError
+from expanderlab.numtheory import prev_prime
 
 mpmath.mp.dps = 50
 

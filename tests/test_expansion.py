@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expanderlab import (
-    ValidationError,
+from expanderlab.errors import ValidationError
+from expanderlab.expansion import (
+    MAX_EXACT_N,
     boundary_size,
     expanding_constant_exact,
-    from_edge_list,
     isoperimetric_check,
 )
-from expanderlab.expansion import MAX_EXACT_N
+from expanderlab.graph_core import from_edge_list
 
 from helpers import (
     brute_force_expansion,

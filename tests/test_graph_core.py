@@ -5,24 +5,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expanderlab import (
-    Graph,
-    Matching,
-    ValidationError,
-    add_matching,
     cartesian_k2,
-    complement,
-    from_edge_list,
     graph_from_text,
     graph_to_text,
     is_bipartite,
     is_connected,
     load_graph,
     regularity,
-    remove_matching,
     save_graph,
+)
+from expanderlab.errors import ValidationError
+from expanderlab.graph_core import (
+    Matching,
+    add_matching,
+    from_edge_list,
+    remove_matching,
 )
 from helpers import (
     brute_force_bipartite,
+    complement,
     cycle,
     k4,
     path,

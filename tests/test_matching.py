@@ -4,18 +4,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expanderlab import (
-    Matching,
-    NoPerfectMatchingError,
-    ValidationError,
     cartesian_k2,
-    decrement_regularity,
-    from_edge_list,
     increment_regularity,
     is_connected,
+    regularity,
+)
+from expanderlab.errors import NoPerfectMatchingError, ValidationError
+from expanderlab.graph_core import Matching, from_edge_list, remove_matching
+from expanderlab.matching import (
+    decrement_regularity,
     maximum_matching,
     perfect_matching,
-    regularity,
-    remove_matching,
 )
 from helpers import (
     cycle,

@@ -8,15 +8,15 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expanderlab import (
+from expanderlab import max_delta_in_range
+from expanderlab.errors import ValidationError
+from expanderlab.numtheory import (
     FourSquareTuple,
     PrimePlan,
-    ValidationError,
     delta_k,
     four_square_generators,
     is_prime,
     legendre,
-    max_delta_in_range,
     next_prime,
     prev_prime,
     sqrt_mod,

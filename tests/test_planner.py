@@ -3,22 +3,24 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
 from expanderlab import (
-    ValidationError,
     certify,
     choose_q,
-    compare_strategies,
     construct,
     graph_to_text,
-    is_bipartite,
     plan,
     replay,
 )
+from expanderlab.errors import ValidationError
+from expanderlab.planner import compare_strategies
 
 from helpers import k4, path, petersen, two_triangles
+
+_REFERENCE = Path(__file__).resolve().parent.parent / "out"
 
 # ---------------------------------------------------------------------------
 # module-scope builds shared by several tests
@@ -243,6 +245,14 @@ def test_certify_large_graph_skips_expansion(x513):
 # ---------------------------------------------------------------------------
 # determinism and replay
 # ---------------------------------------------------------------------------
+
+
+def test_construct_k7_matches_committed_reference(k7):
+    x, cert = k7
+    assert graph_to_text(x).encode("ascii") == (
+        _REFERENCE / "k7_n2184.txt").read_bytes()
+    assert cert.to_json().encode("ascii") == (
+        _REFERENCE / "k7_n2184.json").read_bytes()
 
 
 def test_construct_is_deterministic(k7):

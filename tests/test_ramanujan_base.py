@@ -8,25 +8,23 @@ import mpmath
 import pytest
 
 from expanderlab import (
-    ValidationError,
     build_lps,
+    certify,
     extreme_eigs,
     is_bipartite,
     is_connected,
-    is_ramanujan,
-    lps_params,
     regularity,
-    small_ramanujan,
-    spectrum,
 )
-from expanderlab.numtheory import sqrt_mod
+from expanderlab.errors import ValidationError
+from expanderlab.numtheory import four_square_generators, sqrt_mod
 from expanderlab.ramanujan_base import (
-    _enumerate_by_closure,
     _enumerate_by_filter,
     _generator_set,
-    _mul,
     _normalize,
+    lps_params,
+    small_ramanujan,
 )
+from helpers import eigvalsh, lps_closure
 
 mpmath.mp.dps = 50
 
@@ -111,7 +109,6 @@ def test_generator_images_have_determinant_p():
     i = sqrt_mod(q - 1, q)
     assert i * i % q == q - 1
     # Before normalization the matrix determinant is a0^2+a1^2+a2^2+a3^2 = p.
-    from expanderlab import four_square_generators
     for a0, a1, a2, a3 in four_square_generators(p):
         m = ((a0 + i * a1) % q, (a2 + i * a3) % q,
              (-a2 + i * a3) % q, (a0 - i * a1) % q)
@@ -120,20 +117,22 @@ def test_generator_images_have_determinant_p():
 
 
 def test_enumeration_paths_agree():
-    for p, q in ((5, 13), (13, 17)):
+    # (5, 37): the first modulus above 31, past which builds once used closure.
+    for p, q in ((5, 13), (13, 17), (5, 37)):
         params = lps_params(p, q)
         inv = [pow(a, q - 2, q) if a else 0 for a in range(q)]
         gens = _generator_set(p, q, inv)
         by_filter = sorted(_enumerate_by_filter(
             q, want_square_det=(params.legendre_sign == 1)))
-        by_closure = sorted(_enumerate_by_closure(gens, q, inv))
+        by_closure = lps_closure(gens, q)
         assert by_filter == by_closure
         assert len(by_filter) == params.n
 
 
 def test_closure_reaches_whole_group_at_5_29():
-    # q = 29 exceeds the filter cutoff, so the build uses closure; check a
-    # closure-built graph agrees with the predicted group order.
+    # The predicted group order; build_lps(5, 29) asserts that it enumerates
+    # exactly this many vertices, and certifying the graph requires it to be
+    # connected, so its generators reach the whole group.
     params = lps_params(5, 29)
     assert params.group == "PSL2"
     assert params.n == 29 * (29 * 29 - 1) // 2 == 12180
@@ -151,33 +150,33 @@ def test_build_is_deterministic():
 
 
 def test_x513_is_ramanujan(x513):
-    lam1, lam2, lam_n, res, method = extreme_eigs(x513)
-    assert method == "dense"
-    assert lam1 == pytest.approx(6.0, abs=1e-9)
-    assert lam2 <= 2.0 * math.sqrt(5) + 1e-6
-    assert lam_n == pytest.approx(-6.0, abs=1e-9)  # bipartite mirror
-    assert res <= 1e-8
-    assert is_ramanujan(x513)
+    s = extreme_eigs(x513)
+    assert s.method == "dense"
+    assert s.lambda1 == pytest.approx(6.0, abs=1e-9)
+    assert s.lambda2 <= 2.0 * math.sqrt(5) + 1e-6
+    assert s.lambda_n == pytest.approx(-6.0, abs=1e-9)  # bipartite mirror
+    assert s.residual <= 1e-8
+    assert certify(x513).ramanujan
 
 
 def test_x1317_is_ramanujan(x1317):
-    lam1, lam2, lam_n, res, _ = extreme_eigs(x1317)
-    assert lam1 == pytest.approx(14.0, abs=1e-9)
-    assert lam2 <= 2.0 * math.sqrt(13) + 1e-6
-    assert lam_n > -14.0 + 1e-6  # non-bipartite
-    assert is_ramanujan(x1317)
+    s = extreme_eigs(x1317)
+    assert s.lambda1 == pytest.approx(14.0, abs=1e-9)
+    assert s.lambda2 <= 2.0 * math.sqrt(13) + 1e-6
+    assert s.lambda_n > -14.0 + 1e-6  # non-bipartite
+    assert certify(x1317).ramanujan
 
 
 def test_x529_is_ramanujan_iterative():
     # n = 12180 > dense threshold, so this exercises the ARPACK path.
     x = build_lps(5, 29)
-    lam1, lam2, lam_n, res, method = extreme_eigs(x)
-    assert method == "iterative"
-    assert lam1 == pytest.approx(6.0, abs=1e-7)
-    assert lam2 <= 2.0 * math.sqrt(5) + 1e-6
-    assert lam_n > -6.0 + 1e-6
-    assert res <= 1e-8
-    assert is_ramanujan(x)
+    s = extreme_eigs(x)
+    assert s.method == "iterative"
+    assert s.lambda1 == pytest.approx(6.0, abs=1e-7)
+    assert s.lambda2 <= 2.0 * math.sqrt(5) + 1e-6
+    assert s.lambda_n > -6.0 + 1e-6
+    assert s.residual <= 1e-8
+    assert certify(x).ramanujan
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def test_petersen_shape_and_spectrum():
     x = small_ramanujan("petersen")
     assert x.n == 10
     assert regularity(x) == 3
-    w = spectrum(x).values
+    w = eigvalsh(x)
     assert w[0] == pytest.approx(3.0)
     assert w[1] == pytest.approx(1.0)
     assert w[-1] == pytest.approx(-2.0)
@@ -197,7 +196,7 @@ def test_petersen_shape_and_spectrum():
 
 def test_complete_graph_spectrum():
     x = small_ramanujan("complete(4)")
-    w = spectrum(x).values
+    w = eigvalsh(x)
     assert w[0] == pytest.approx(3.0)
     assert all(v == pytest.approx(-1.0) for v in w[1:])
     assert small_ramanujan("complete(2)").num_edges == 1
@@ -205,7 +204,7 @@ def test_complete_graph_spectrum():
 
 def test_cycle_second_eigenvalue():
     x = small_ramanujan("cycle(7)")
-    lam2 = spectrum(x).values[1]
+    lam2 = eigvalsh(x)[1]
     expected = float(2 * mpmath.cos(2 * mpmath.pi / 7))
     assert lam2 == pytest.approx(expected, abs=1e-9)
 
@@ -213,7 +212,7 @@ def test_cycle_second_eigenvalue():
 def test_library_graphs_meet_the_bound():
     for name in ("petersen", "complete(4)", "complete(6)", "cycle(5)",
                  "cycle(12)"):
-        assert is_ramanujan(small_ramanujan(name)), name
+        assert certify(small_ramanujan(name)).ramanujan, name
 
 
 def test_library_name_errors():

@@ -4,45 +4,46 @@ import numpy as np
 import pytest
 
 from expanderlab import (
-    ConvergenceError,
     SpectralCertificate,
-    ValidationError,
-    bottom_eigs,
     cartesian_k2,
     certify,
     extreme_eigs,
-    from_edge_list,
     is_bipartite,
-    is_ramanujan,
-    product_spectrum_oracle,
     regularity,
-    spectral_gap,
-    spectrum,
-    top_eigs,
+)
+from expanderlab.errors import ConvergenceError, ValidationError
+from expanderlab.graph_core import from_edge_list
+from expanderlab.spectral import DEFAULT_TOL, _iterative_extremes
+from helpers import (
+    cycle,
+    eigvalsh,
+    k4,
+    path,
+    petersen,
+    product_spectrum_oracle,
+    random_regular,
+    two_triangles,
     weyl_check,
 )
-from helpers import cycle, k4, path, petersen, random_regular, two_triangles
 
 
 # -- spectrum: known values -----------------------------------------------------
 
 
 def test_spectrum_k4():
-    s = spectrum(k4())
-    assert np.allclose(s.values, [3, -1, -1, -1], atol=1e-9)
+    assert np.allclose(eigvalsh(k4()), [3, -1, -1, -1], atol=1e-9)
+    s = extreme_eigs(k4())
     assert s.method == "dense"
     assert s.residual <= 1e-8
 
 
 def test_spectrum_c6():
-    s = spectrum(cycle(6))
-    assert np.allclose(s.values, [2, 1, 1, -1, -1, -2], atol=1e-9)
+    assert np.allclose(eigvalsh(cycle(6)), [2, 1, 1, -1, -1, -2], atol=1e-9)
 
 
 def test_spectrum_petersen():
-    s = spectrum(petersen())
     want = [3] + [1] * 5 + [-2] * 4
-    assert np.allclose(s.values, want, atol=1e-9)
+    assert np.allclose(eigvalsh(petersen()), want, atol=1e-9)
 
 
 def test_petersen_charpoly_crosscheck():
@@ -57,96 +58,102 @@ def test_petersen_charpoly_crosscheck():
 
 def test_spectrum_invariants():
     for x in (k4(), cycle(6), petersen(), cartesian_k2(petersen())):
-        s = spectrum(x)
-        assert all(a >= b - 1e-12 for a, b in zip(s.values, s.values[1:]))
-        assert abs(s.values.sum()) <= 1e-8 * max(1, x.n)
-        assert len(s.values) == x.n
+        values = eigvalsh(x)
+        assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
+        assert abs(values.sum()) <= 1e-8 * max(1, x.n)
+        assert len(values) == x.n
+        s = extreme_eigs(x)
+        assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
+            (values[0], values[1], values[-1]), abs=1e-9)
 
 
 def test_spectrum_guards():
     with pytest.raises(ValidationError):
-        spectrum(from_edge_list(0, []))
-    with pytest.raises(ValidationError):
-        spectrum(petersen(), dense_threshold=8)
+        extreme_eigs(from_edge_list(0, []))
 
 
-# -- top/bottom eigs ---------------------------------------------------------------
+# -- extreme_eigs --------------------------------------------------------------------
 
 
-def test_top_eigs_small_dense_fallback():
-    assert np.allclose(top_eigs(k4(), 2), [3, -1], atol=1e-9)
-    assert np.allclose(top_eigs(cycle(6), 3), [2, 1, 1], atol=1e-9)
-    assert np.allclose(bottom_eigs(cycle(6), 3), [-2, -1, -1], atol=1e-9)
+def test_extreme_eigs_small_graphs():
+    s = extreme_eigs(k4())
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((3, -1, -1), abs=1e-9)
+    s = extreme_eigs(cycle(6))
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((2, 1, -2), abs=1e-9)
 
 
-def test_top_eigs_iterative_agrees_with_dense(x513):
-    dense = spectrum(x513)
-    top = top_eigs(x513, 2)
-    assert abs(top[0] - dense.values[0]) <= 1e-8
-    assert abs(top[1] - dense.values[1]) <= 1e-8
-    bot = bottom_eigs(x513, 1)
-    assert abs(bot[0] - dense.values[-1]) <= 1e-8
+def test_iterative_agrees_with_dense(x513):
+    dense = eigvalsh(x513)
+    top, _ = _iterative_extremes(x513, 2, "LA", DEFAULT_TOL)
+    assert abs(top[0] - dense[0]) <= 1e-8
+    assert abs(top[1] - dense[1]) <= 1e-8
+    bot, _ = _iterative_extremes(x513, 1, "SA", DEFAULT_TOL)
+    assert abs(bot[0] - dense[-1]) <= 1e-8
 
 
 def test_top_eigs_guards():
+    # lambda_2 needs at least two vertices; K2 is the smallest graph accepted.
     with pytest.raises(ValidationError):
-        top_eigs(k4(), 0)
-    with pytest.raises(ValidationError):
-        top_eigs(k4(), 5)
-    with pytest.raises(ValidationError):
-        top_eigs(from_edge_list(2, [(0, 1)]), 2)
+        extreme_eigs(from_edge_list(1, []))
+    s = extreme_eigs(from_edge_list(2, [(0, 1)]))
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((1, -1, -1), abs=1e-9)
 
 
 def test_iterative_unreachable_tolerance_raises():
-    x = cartesian_k2(cycle(40))  # n = 80, iterative path
+    x = cartesian_k2(cycle(40))  # n = 80
     with pytest.raises(ConvergenceError):
-        top_eigs(x, 2, tol=1e-300)
+        _iterative_extremes(x, 2, "LA", 1e-300)
+
+
+def test_dense_unreachable_tolerance_raises():
+    with pytest.raises(ConvergenceError):
+        extreme_eigs(petersen(), tol=1e-300)
 
 
 def test_extreme_eigs_dispatch(x513):
-    lam1, lam2, lam_n, res, method = extreme_eigs(petersen())
-    assert method == "dense"
-    assert (lam1, lam2, lam_n) == pytest.approx((3, 1, -2), abs=1e-9)
-    lam1, lam2, lam_n, res, method = extreme_eigs(x513)
-    assert method == "dense"  # 2184 <= 4096
-    assert lam1 == pytest.approx(6, abs=1e-9)
-    assert lam_n == pytest.approx(-6, abs=1e-9)
+    s = extreme_eigs(petersen())
+    assert s.method == "dense"
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((3, 1, -2), abs=1e-9)
+    s = extreme_eigs(x513)
+    assert s.method == "dense"  # 2184 <= 4096
+    assert s.lambda1 == pytest.approx(6, abs=1e-9)
+    assert s.lambda_n == pytest.approx(-6, abs=1e-9)
 
 
-# -- spectral_gap / is_ramanujan ------------------------------------------------------
+# -- spectral gap / Ramanujan verdict of the certificate -------------------------------
 
 
 def test_spectral_gap_examples():
-    assert spectral_gap(k4()) == pytest.approx(4, abs=1e-9)
-    assert spectral_gap(petersen()) == pytest.approx(2, abs=1e-9)
-    assert spectral_gap(cycle(4)) == pytest.approx(2, abs=1e-9)
+    assert certify(k4()).spectral_gap == pytest.approx(4, abs=1e-9)
+    assert certify(petersen()).spectral_gap == pytest.approx(2, abs=1e-9)
+    assert certify(cycle(4)).spectral_gap == pytest.approx(2, abs=1e-9)
 
 
 def test_spectral_gap_guards():
     with pytest.raises(ValidationError):
-        spectral_gap(path(3))
+        certify(path(3))
     with pytest.raises(ValidationError):
-        spectral_gap(two_triangles())
+        certify(two_triangles())
 
 
 def test_is_ramanujan_positive_cases():
     for x in (k4(), cycle(4), cycle(6), petersen(), cartesian_k2(k4())):
-        assert is_ramanujan(x)
+        assert certify(x).ramanujan
 
 
 def test_is_ramanujan_negative_case():
     # Prism over C24: lambda_2 = 2*cos(pi/12) + 1 > 2*sqrt(2).
     x = cartesian_k2(cycle(24))
-    lam2 = extreme_eigs(x)[1]
+    lam2 = extreme_eigs(x).lambda2
     assert lam2 > 2 * math.sqrt(2) + 1e-6
-    assert not is_ramanujan(x)
+    assert not certify(x).ramanujan
 
 
 def test_is_ramanujan_guards():
     with pytest.raises(ValidationError):
-        is_ramanujan(path(3))
+        certify(path(3))
     with pytest.raises(ValidationError):
-        is_ramanujan(two_triangles())
+        certify(two_triangles())
 
 
 # -- product law ---------------------------------------------------------------------
@@ -246,7 +253,7 @@ def test_lambda_n_is_minus_k_iff_bipartite(x513, x1317):
              x513, x1317]
     for x in cases:
         k = regularity(x)
-        lam_n = extreme_eigs(x)[2]
+        lam_n = extreme_eigs(x).lambda_n
         assert (abs(lam_n + k) <= 1e-6) == is_bipartite(x)
 
 
