@@ -10,11 +10,17 @@ the measured lambda_2 stays below 2*sqrt(5) + 1.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import time
 from pathlib import Path
 
-from expanderlab import construct, plan, replay, save_graph
+# The reference under out/ is the single-threaded OpenBLAS result: the
+# certificate's last digits change with the thread count.  The variable only
+# takes effect if it is set before numpy is first imported.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+from expanderlab import construct, plan, replay, save_graph  # noqa: E402
 
 OUT_DIR = Path(__file__).resolve().parent.parent / "out"
 

@@ -11,17 +11,5 @@ class ValidationError(ValueError):
     """Input violates a documented precondition."""
 
 
-class NoPerfectMatchingError(ValidationError):
-    """Raised when a perfect matching was requested but none exists.
-
-    Carries the maximum matching found so callers can report how far
-    the search got.
-    """
-
-    def __init__(self, message, maximum_matching):
-        super().__init__(message)
-        self.maximum_matching = maximum_matching
-
-
 class ConvergenceError(RuntimeError):
     """An iterative eigensolve failed to reach the requested residual."""

@@ -130,13 +130,6 @@ class Matching:
     def __repr__(self) -> str:
         return f"Matching(size={len(self.pairs)})"
 
-    def vertices(self) -> set[int]:
-        out: set[int] = set()
-        for u, v in self.pairs:
-            out.add(u)
-            out.add(v)
-        return out
-
     def is_perfect(self, n: int) -> bool:
         return 2 * len(self.pairs) == n
 
@@ -239,22 +232,6 @@ def add_matching(x: Graph, m: Matching) -> Graph:
         if pair in present:
             raise ValidationError(f"matching pair {pair} already an edge")
     return Graph(x.n, _canonical(x.n, list(x.edges) + list(m.pairs)))
-
-
-def remove_matching(x: Graph, m: Matching) -> Graph:
-    """Delete one copy of each matching pair; every pair must be present."""
-    if not m.is_perfect(x.n):
-        raise ValidationError(
-            f"matching covers {2 * len(m)} of {x.n} vertices, not perfect")
-    mult = x.edge_multiset()
-    for pair in m:
-        if mult.get(pair, 0) == 0:
-            raise ValidationError(f"matching pair {pair} is not an edge")
-        mult[pair] -= 1
-    raw: list[Edge] = []
-    for e, c in mult.items():
-        raw.extend([e] * c)
-    return Graph(x.n, _canonical(x.n, raw))
 
 
 # -- serialization ---------------------------------------------------------

@@ -1,188 +1,88 @@
-"""Maximum matching and matching-based regularity steps.
+"""Regularity increments by a perfect matching of the complement.
 
-The search is Edmonds' blossom algorithm in its array form: a BFS forest of
-even vertices, blossom contraction by rebasing vertices onto the cycle's
-least common ancestor, and augmentation along parent pointers.  It is
-deterministic: adjacency is scanned in ascending order, the BFS queue is
-FIFO, and the greedy seed matching scans vertices in ascending order, so a
-given graph always yields the same matching.
+A k-regular graph on n >= 2k + 2 vertices has a complement of minimum
+degree n - 1 - k >= n/2, so by Dirac's theorem (1952) the complement has a
+Hamiltonian cycle and hence a perfect matching when n is even.  No general
+matching search is needed to find one:
 
-Regularity steps never trust the search: every matching is re-verified
-(disjointness, coverage, membership in the intended host graph) before it
-is applied.
+1. a greedy pass pairs each unmatched vertex v, in ascending order, with
+   the smallest unmatched complement neighbour u > v.  The result is
+   maximal, so any two vertices it leaves exposed are adjacent in the graph;
+2. an exchange pass repairs the exposed ones.  For the smallest exposed u,
+   walk the complement neighbours a of u in ascending order with
+   b = mate[a]; at the first b with an exposed complement neighbour w != u,
+   take the smallest such w and replace (a, b) by (u, a) and (w, b).  An
+   exchange always exists: two exposed vertices have complement degrees
+   summing to at least n > 2|M|, so some matched pair sees both of them.
+
+Both passes scan in ascending order, so a given graph always yields the
+same matching.  The exchange order is the order in which the Edmonds
+blossom search used by earlier releases found its augmenting paths from
+the same greedy seed, so increments, and the matchings recorded in their
+certificates, are unchanged.  The result is re-verified (coverage and
+membership in the complement) before it is applied.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Iterable
-
-from .errors import NoPerfectMatchingError, ValidationError
-from .graph_core import Graph, Matching, add_matching, regularity, remove_matching
-
-
-def _blossom(n: int, neigh: Callable[[int], Iterable[int]]) -> list[int]:
-    """Maximum matching on vertices 0..n-1 with adjacency given by neigh.
-
-    Returns the mate array (mate[v] = -1 for exposed vertices).  neigh must
-    yield neighbors in ascending order for deterministic output.
-    """
-    mate = [-1] * n
-    parent = [0] * n
-    base = [0] * n
-
-    for v in range(n):
-        if mate[v] == -1:
-            for u in neigh(v):
-                if mate[u] == -1:
-                    mate[v] = u
-                    mate[u] = v
-                    break
-
-    def lca(a: int, b: int) -> int:
-        flagged = [False] * n
-        while True:
-            a = base[a]
-            flagged[a] = True
-            if mate[a] == -1:
-                break
-            a = parent[mate[a]]
-        while True:
-            b = base[b]
-            if flagged[b]:
-                return b
-            b = parent[mate[b]]
-
-    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
-        while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[mate[v]]] = True
-            parent[v] = child
-            child = mate[v]
-            v = parent[mate[v]]
-
-    def find_augmenting(root: int) -> bool:
-        visited = [False] * n
-        for i in range(n):
-            parent[i] = -1
-            base[i] = i
-        visited[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for to in neigh(v):
-                if base[v] == base[to] or mate[v] == to:
-                    continue
-                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
-                    # Odd cycle: contract the blossom at its base.
-                    cur = lca(v, to)
-                    in_blossom = [False] * n
-                    mark_path(v, cur, to, in_blossom)
-                    mark_path(to, cur, v, in_blossom)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = cur
-                            if not visited[i]:
-                                visited[i] = True
-                                queue.append(i)
-                elif parent[to] == -1:
-                    parent[to] = v
-                    if mate[to] == -1:
-                        # Exposed vertex reached: augment along parents.
-                        u = to
-                        while u != -1:
-                            pv = parent[u]
-                            nxt = mate[pv]
-                            mate[u] = pv
-                            mate[pv] = u
-                            u = nxt
-                        return True
-                    visited[mate[to]] = True
-                    queue.append(mate[to])
-        return False
-
-    for v in range(n):
-        if mate[v] == -1:
-            find_augmenting(v)
-    return mate
-
-
-def _mate_to_matching(mate: list[int]) -> Matching:
-    return Matching((v, mate[v]) for v in range(len(mate))
-                    if mate[v] != -1 and v < mate[v])
-
-
-def _recheck(n: int, m: Matching, is_pair: Callable[[int, int], bool],
-             where: str) -> None:
-    # Independent of the search: coverage and membership are re-derived
-    # from the pairs themselves.  Disjointness is enforced by Matching.
-    if not m.is_perfect(n):
-        raise AssertionError(f"{where}: matching is not perfect after search")
-    for u, v in m:
-        if not is_pair(u, v):
-            raise AssertionError(f"{where}: pair ({u}, {v}) not admissible")
-
-
-def maximum_matching(x: Graph) -> Matching:
-    """Deterministic maximum matching of x."""
-    adj = x.neighbor_lists()
-    mate = _blossom(x.n, lambda v: adj[v])
-    return _mate_to_matching(mate)
-
-
-def perfect_matching(x: Graph) -> Matching:
-    """Perfect matching of x, or NoPerfectMatchingError with the best found."""
-    if x.n % 2 == 1:
-        raise NoPerfectMatchingError(
-            f"odd vertex count {x.n} admits no perfect matching",
-            maximum_matching(x))
-    m = maximum_matching(x)
-    if not m.is_perfect(x.n):
-        raise NoPerfectMatchingError(
-            f"maximum matching has size {len(m)} < {x.n // 2}", m)
-    present = set(x.edges)
-    _recheck(x.n, m, lambda u, v: (u, v) in present, "perfect_matching")
-    return m
+from .errors import ValidationError
+from .graph_core import Graph, Matching, add_matching, regularity
 
 
 def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     """Raise regularity by one by adding a perfect matching of the complement.
 
-    The complement is never materialized: the search walks an implicit
+    The complement is never materialized: both passes walk an implicit
     adjacency view, which keeps the memory footprint linear in x.
     """
     k = regularity(x)
     if k is None:
         raise ValidationError("increment requires a regular graph")
-    if x.n % 2 == 1:
-        raise ValidationError(f"odd vertex count {x.n}: no perfect matching exists")
+    n = x.n
+    if n % 2 == 1:
+        raise ValidationError(f"odd vertex count {n}: no perfect matching exists")
     if not x.is_simple():
         raise ValidationError("increment requires a simple graph")
-    adj_sets = [set(nbrs) for nbrs in x.neighbor_lists()]
+    if n < 2 * k + 2:
+        raise ValidationError(f"cannot increment: n={n} < 2k+2={2 * k + 2}")
+    adj = [set(nbrs) for nbrs in x.neighbor_lists()]
+    mate = [-1] * n
+    # free[i] leads, by path halving, to the smallest unmatched vertex >= i.
+    free = list(range(n + 1))
 
-    def co_neigh(v: int):
-        s = adj_sets[v]
-        return (u for u in range(x.n) if u != v and u not in s)
+    def first_free(i: int) -> int:
+        while free[i] != i:
+            free[i] = free[free[i]]
+            i = free[i]
+        return i
 
-    mate = _blossom(x.n, co_neigh)
-    m = _mate_to_matching(mate)
-    if not m.is_perfect(x.n):
-        raise NoPerfectMatchingError(
-            f"complement has no perfect matching (best size {len(m)})", m)
-    _recheck(x.n, m,
-             lambda u, v: u != v and v not in adj_sets[u],
-             "increment_regularity")
+    for v in range(n):
+        if mate[v] != -1:
+            continue
+        u = first_free(v + 1)
+        while u < n and u in adj[v]:
+            u = first_free(u + 1)
+        if u < n:
+            mate[v], mate[u] = u, v
+            free[v], free[u] = v + 1, u + 1
+
+    exposed = [v for v in range(n) if mate[v] == -1]
+    while exposed:
+        u = exposed[0]
+        a, w = next((a, w) for a in range(n) if a != u and a not in adj[u]
+                    for w in exposed if w != u and w not in adj[mate[a]])
+        b = mate[a]
+        mate[u], mate[a], mate[w], mate[b] = a, u, b, w
+        exposed.remove(u)
+        exposed.remove(w)
+
+    m = Matching((v, mate[v]) for v in range(n) if v < mate[v])
+    # Independent of both passes: coverage and membership are re-derived
+    # from the pairs themselves.  Disjointness is enforced by Matching.
+    if not m.is_perfect(n):
+        raise AssertionError("increment_regularity: matching is not perfect")
+    for u, v in m:
+        if v in adj[u]:
+            raise AssertionError(
+                f"increment_regularity: pair ({u}, {v}) is already an edge")
     return add_matching(x, m), m
-
-
-def decrement_regularity(x: Graph) -> tuple[Graph, Matching]:
-    """Lower regularity by one by deleting a perfect matching of x."""
-    k = regularity(x)
-    if k is None:
-        raise ValidationError("decrement requires a regular graph")
-    if k < 1:
-        raise ValidationError("cannot decrement a 0-regular graph")
-    if x.n % 2 == 1:
-        raise ValidationError(f"odd vertex count {x.n}: no perfect matching exists")
-    m = perfect_matching(x)
-    return remove_matching(x, m), m

@@ -104,11 +104,11 @@ _LIBRARY_BY_K = {
 }
 
 
-def _library_graph(k: int, min_vertices: int) -> tuple[Graph, str]:
+def _library_name(k: int, min_vertices: int) -> str:
     candidates = _LIBRARY_BY_K.get(k, ((f"complete({k + 1})", k + 1),))
     for name, n in candidates:
         if n >= min_vertices:
-            return small_ramanujan(name), name
+            return name
     raise ValidationError(
         f"regularity {k} is served from a fixed library whose largest graph "
         f"has {candidates[-1][1]} vertices; cannot reach {min_vertices}")
@@ -178,6 +178,12 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     validity flags resolved against the construction strategy; exact
     expansion data is included whenever the graph is small enough.
     """
+    # Both tests read only n and m, so a hostile header fails here, before
+    # anything of size n is allocated.
+    if x.n == 0 or 2 * x.num_edges % x.n:
+        raise ValidationError("certificates require a regular graph")
+    if x.num_edges < x.n - 1:
+        raise ValidationError("certificates require a connected graph")
     k = regularity(x)
     if k is None:
         raise ValidationError("certificates require a regular graph")
@@ -206,30 +212,48 @@ def construct(k: int, min_vertices: int, strategy: str = "matching", *,
     if min_vertices < 1:
         raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
     _, build = plan(k)
-    provenance: list[dict] = []
     if build.source == "library":
-        x, name = _library_graph(k, min_vertices)
-        provenance.append({"step": "library", "name": name})
+        base = {"step": "library", "name": _library_name(k, min_vertices)}
     else:
-        q = choose_q(build.p_star, min_vertices, q_max)
-        x = build_lps(build.p_star, q)
-        provenance.append({"step": "lps", "p": build.p_star, "q": q})
+        base = {"step": "lps", "p": build.p_star,
+                "q": choose_q(build.p_star, min_vertices, q_max)}
+    x, step = _apply_step(None, base)
+    provenance = [step]
+    op = "matching_increment" if strategy == "matching" else "k2_product"
     for _ in range(build.increments):
-        if strategy == "matching":
-            cur = regularity(x)
-            if x.n < 2 * cur + 2:
-                raise ValidationError(
-                    f"cannot increment: n={x.n} < 2k+2={2 * cur + 2}")
-            x, m = increment_regularity(x)
-            provenance.append({"step": "matching_increment",
-                               "matching": m.to_text()})
-        else:
-            x = cartesian_k2(x)
-            provenance.append({"step": "k2_product"})
+        x, step = _apply_step(x, {"step": op})
+        provenance.append(step)
     cert = certify(x, provenance=tuple(provenance), strategy=strategy,
                    build=build, tol=tol, rh_constant=rh_constant,
                    bhp_threshold=bhp_threshold)
     return x, cert
+
+
+def _apply_step(x: Graph | None, step: dict) -> tuple[Graph, dict]:
+    """Run one provenance step on x; return the new graph and the step run.
+
+    The step run by a matching increment records the matching it added; a
+    matching already recorded in step must equal the recomputed one.
+    """
+    op = step.get("step")
+    if op == "library":
+        return small_ramanujan(step["name"]), step
+    if op == "lps":
+        return build_lps(step["p"], step["q"]), step
+    if op == "matching_increment":
+        if x is None:
+            raise ValidationError("increment step before any base step")
+        x, m = increment_regularity(x)
+        recorded = step.get("matching")
+        if recorded is not None and recorded != m.to_text():
+            raise ValidationError(
+                "replayed matching differs from the recorded one")
+        return x, {"step": op, "matching": m.to_text()}
+    if op == "k2_product":
+        if x is None:
+            raise ValidationError("product step before any base step")
+        return cartesian_k2(x), step
+    raise ValidationError(f"unknown provenance step {step!r}")
 
 
 def replay(provenance) -> Graph:
@@ -241,25 +265,7 @@ def replay(provenance) -> Graph:
     """
     x: Graph | None = None
     for step in provenance:
-        op = step.get("step")
-        if op == "library":
-            x = small_ramanujan(step["name"])
-        elif op == "lps":
-            x = build_lps(step["p"], step["q"])
-        elif op == "matching_increment":
-            if x is None:
-                raise ValidationError("increment step before any base step")
-            x, m = increment_regularity(x)
-            recorded = step.get("matching")
-            if recorded is not None and recorded != m.to_text():
-                raise ValidationError(
-                    "replayed matching differs from the recorded one")
-        elif op == "k2_product":
-            if x is None:
-                raise ValidationError("product step before any base step")
-            x = cartesian_k2(x)
-        else:
-            raise ValidationError(f"unknown provenance step {step!r}")
+        x, _ = _apply_step(x, step)
     if x is None:
         raise ValidationError("empty provenance chain")
     return x

@@ -2,20 +2,25 @@
 
 Everything here is deliberately naive: sieves, exhaustive enumeration,
 brute force over subsets.  None of it shares code with the package, so an
-agreement between the two is evidence, not tautology.
+agreement between the two is evidence, not tautology.  The one exception in
+kind is blossom_mate, the general matching search that earlier releases ran
+for every regularity increment: it is kept as the reference those
+increments must still reproduce.
 """
 
 from __future__ import annotations
 
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
+from typing import Callable, Iterable
 
 import networkx as nx
 import numpy as np
 
 from expanderlab import cartesian_k2
 from expanderlab.errors import ValidationError
-from expanderlab.graph_core import Graph, from_edge_list
+from expanderlab.graph_core import Graph, Matching, from_edge_list
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -90,11 +95,15 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 # -- oracles -----------------------------------------------------------------
 
 
-def nx_max_matching_size(x: Graph) -> int:
+def _nx_matching(x: Graph) -> Matching:
     g = nx.Graph()
     g.add_nodes_from(range(x.n))
     g.add_edges_from(set(x.edges))
-    return len(nx.max_weight_matching(g, maxcardinality=True))
+    return Matching(nx.max_weight_matching(g, maxcardinality=True))
+
+
+def nx_max_matching_size(x: Graph) -> int:
+    return len(_nx_matching(x))
 
 
 def exhaustive_max_matching_size(x: Graph) -> int:
@@ -113,6 +122,134 @@ def exhaustive_max_matching_size(x: Graph) -> int:
 
     rec(0, 0, 0)
     return best
+
+
+def perfect_matching(x: Graph) -> Matching:
+    """A perfect matching of x by networkx; ValidationError if none exists."""
+    m = _nx_matching(x)
+    if not m.is_perfect(x.n):
+        raise ValidationError(
+            f"maximum matching has size {len(m)}, covering {2 * len(m)} of "
+            f"{x.n} vertices")
+    return m
+
+
+def remove_matching(x: Graph, m: Matching) -> Graph:
+    """Delete one copy of each matching pair; every pair must be present."""
+    left = Counter(x.edges)
+    for pair in m:
+        if left[pair] == 0:
+            raise ValidationError(f"matching pair {pair} is not an edge")
+        left[pair] -= 1
+    return from_edge_list(x.n, left.elements())
+
+
+def decrement_regularity(x: Graph) -> tuple[Graph, Matching]:
+    """Lower regularity by one by deleting a perfect matching of x."""
+    m = perfect_matching(x)
+    return remove_matching(x, m), m
+
+
+def blossom_mate(n: int, neigh: Callable[[int], Iterable[int]]) -> list[int]:
+    """Maximum matching on 0..n-1 by Edmonds' blossom search, as a mate array.
+
+    A greedy seed scans each vertex's neighbours in ascending order, then an
+    augmenting-path BFS (FIFO queue, ascending adjacency) runs from each
+    exposed vertex in turn; blossoms are contracted onto the cycle's least
+    common ancestor.  mate[v] is -1 for exposed vertices.
+    """
+    mate = [-1] * n
+    parent = [0] * n
+    base = [0] * n
+
+    for v in range(n):
+        if mate[v] == -1:
+            for u in neigh(v):
+                if mate[u] == -1:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+
+    def lca(a: int, b: int) -> int:
+        flagged = [False] * n
+        while True:
+            a = base[a]
+            flagged[a] = True
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if flagged[b]:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, b: int, child: int, in_blossom: list[bool]) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    def find_augmenting(root: int) -> None:
+        visited = [False] * n
+        for i in range(n):
+            parent[i] = -1
+            base[i] = i
+        visited[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in neigh(v):
+                if base[v] == base[to] or mate[v] == to:
+                    continue
+                if to == root or (mate[to] != -1 and parent[mate[to]] != -1):
+                    cur = lca(v, to)
+                    in_blossom = [False] * n
+                    mark_path(v, cur, to, in_blossom)
+                    mark_path(to, cur, v, in_blossom)
+                    for i in range(n):
+                        if in_blossom[base[i]]:
+                            base[i] = cur
+                            if not visited[i]:
+                                visited[i] = True
+                                queue.append(i)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if mate[to] == -1:
+                        u = to
+                        while u != -1:
+                            pv = parent[u]
+                            nxt = mate[pv]
+                            mate[u] = pv
+                            mate[pv] = u
+                            u = nxt
+                        return
+                    visited[mate[to]] = True
+                    queue.append(mate[to])
+
+    for v in range(n):
+        if mate[v] == -1:
+            find_augmenting(v)
+    return mate
+
+
+def _mate_to_matching(mate: list[int]) -> Matching:
+    return Matching((v, u) for v, u in enumerate(mate) if v < u)
+
+
+def maximum_matching(x: Graph) -> Matching:
+    """The blossom search's maximum matching of x."""
+    adj = x.neighbor_lists()
+    return _mate_to_matching(blossom_mate(x.n, lambda v: adj[v]))
+
+
+def blossom_increment_matching(x: Graph) -> Matching:
+    """The complement matching that earlier releases added to x."""
+    adj = [set(nbrs) for nbrs in x.neighbor_lists()]
+    return _mate_to_matching(blossom_mate(
+        x.n, lambda v: (u for u in range(x.n) if u != v and u not in adj[v])))
 
 
 def brute_force_expansion(x: Graph) -> tuple[Fraction, tuple[int, ...]]:

@@ -28,13 +28,13 @@ from expanderlab import (
 )
 from expanderlab.bounds import gap_bound_bhp, gap_bound_rh, gap_bound_trudgian
 from expanderlab.cli import main
-from expanderlab.errors import NoPerfectMatchingError
+from expanderlab.errors import ValidationError
 from expanderlab.expansion import isoperimetric_check
-from expanderlab.matching import decrement_regularity
 from expanderlab.planner import certify
 
 from helpers import (
     cycle,
+    decrement_regularity,
     doubled_cycle,
     k4,
     parallel_k2,
@@ -192,7 +192,7 @@ def test_criterion_4_increment_bound():
         try:
             down, _ = decrement_regularity(x)
             lam2_ref = lam2
-        except NoPerfectMatchingError:
+        except ValidationError:
             down, _ = decrement_regularity(up)  # up contains a perfect matching
             lam2_ref = lam2_up
         _, lam2_down = _lambda12(down)

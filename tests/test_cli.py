@@ -95,6 +95,15 @@ def test_certify_rejects_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_certify_rejects_hostile_header(tmp_path, capsys):
+    # Ten million vertices and no edges: rejected from the header alone.
+    gpath = tmp_path / "hostile.txt"
+    gpath.write_text("10000000 0")
+    assert main(["certify", "--graph", str(gpath),
+                 "--cert-out", str(tmp_path / "c.json")]) == 1
+    assert "connected graph" in capsys.readouterr().err
+
+
 def test_certify_rejects_missing_file(tmp_path, capsys):
     code = main(["certify", "--graph", str(tmp_path / "nope.txt"),
                  "--cert-out", str(tmp_path / "c.json")])

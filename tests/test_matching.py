@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,22 +10,23 @@ from expanderlab import (
     is_connected,
     regularity,
 )
-from expanderlab.errors import NoPerfectMatchingError, ValidationError
-from expanderlab.graph_core import Matching, from_edge_list, remove_matching
-from expanderlab.matching import (
-    decrement_regularity,
-    maximum_matching,
-    perfect_matching,
-)
+from expanderlab.errors import ValidationError
+from expanderlab.graph_core import Matching, from_edge_list
 from helpers import (
+    blossom_increment_matching,
     cycle,
+    decrement_regularity,
     exhaustive_max_matching_size,
     k4,
+    maximum_matching,
     nx_max_matching_size,
     path,
+    perfect_matching,
     petersen,
     random_gnp,
     random_regular,
+    remove_matching,
+    to_graph,
 )
 
 
@@ -43,7 +45,7 @@ def _assert_valid_matching(x, m):
         assert (u, v) in present
 
 
-# -- maximum_matching vs oracles -----------------------------------------------
+# -- the blossom reference (tests/helpers.py) vs oracles ------------------------
 
 
 @given(small_graphs())
@@ -86,7 +88,7 @@ def test_maximum_matching_deterministic():
     assert maximum_matching(x) == maximum_matching(x)
 
 
-# -- perfect_matching --------------------------------------------------------------
+# -- perfect_matching (networkx, tests/helpers.py) ------------------------------
 
 
 def test_perfect_matching_c4():
@@ -104,13 +106,12 @@ def test_perfect_matching_k4_minus_edge():
 
 def test_perfect_matching_star_fails_with_payload():
     star = from_edge_list(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(NoPerfectMatchingError) as exc:
+    with pytest.raises(ValidationError, match="size 1,"):
         perfect_matching(star)
-    assert len(exc.value.maximum_matching) == 1
 
 
 def test_perfect_matching_odd_n():
-    with pytest.raises(NoPerfectMatchingError):
+    with pytest.raises(ValidationError):
         perfect_matching(cycle(5))
 
 
@@ -130,11 +131,16 @@ def test_increment_c6():
     # the matching lives in the complement
     for pair in m:
         assert pair not in set(cycle(6).edges)
+    # n = 2k+2, the tight case: greedy pairs (0, 2) and (1, 3) and leaves
+    # {4, 5} exposed; the exchange swaps (0, 2) for (4, 0) and (5, 2).
+    assert m.pairs == ((0, 4), (1, 3), (2, 5))
 
 
 def test_increment_c4_gives_k4():
-    x, _ = increment_regularity(cycle(4))
-    assert x == k4()
+    # C4 plus its complement would be K4, but n = 4 < 2k+2 = 6 is outside
+    # the range where a complement matching is guaranteed.
+    with pytest.raises(ValidationError, match="n=4 < 2k\\+2=6"):
+        increment_regularity(cycle(4))
 
 
 def test_increment_petersen():
@@ -144,7 +150,7 @@ def test_increment_petersen():
 
 
 def test_increment_k4_fails():
-    with pytest.raises(NoPerfectMatchingError):
+    with pytest.raises(ValidationError, match="n=4 < 2k\\+2=8"):
         increment_regularity(k4())
 
 
@@ -162,6 +168,37 @@ def test_increment_deterministic():
     a1, m1 = increment_regularity(x)
     a2, m2 = increment_regularity(x)
     assert a1 == a2 and m1 == m2
+
+
+def _greedy_leaves_exposed(x):
+    adj = [set(nbrs) for nbrs in x.neighbor_lists()]
+    free = set(range(x.n))
+    for v in range(x.n):
+        if v in free:
+            u = min((u for u in free if u > v and u not in adj[v]), default=None)
+            if u is not None:
+                free -= {u, v}
+    return bool(free)
+
+
+def test_increment_matches_blossom_reference():
+    # Certificates record the matching of every increment and replay
+    # recomputes it, so the matchings must stay those of the blossom search
+    # that earlier releases ran.  Graphs need not be connected, and each is
+    # incremented for as long as n >= 2k+2 holds.
+    rng = np.random.default_rng(43)
+    steps = exchanged = 0
+    for seed in range(150):
+        n = 2 * int(rng.integers(3, 26))
+        k = int(rng.integers(0, n // 2))
+        x = to_graph(nx.random_regular_graph(k, n, seed=seed))
+        while x.n >= 2 * regularity(x) + 2:
+            exchanged += _greedy_leaves_exposed(x)
+            expected = blossom_increment_matching(x)
+            x, m = increment_regularity(x)
+            assert m == expected
+            steps += 1
+    assert steps > 1000 and exchanged > 500
 
 
 def test_increment_weyl_bound_random():
@@ -183,7 +220,7 @@ def test_increment_weyl_bound_random():
         assert np.abs(w_y - w_x).max() <= 1 + 1e-9
 
 
-# -- decrement_regularity --------------------------------------------------------------
+# -- decrement_regularity (networkx, tests/helpers.py) ------------------------------
 
 
 def test_decrement_k4():

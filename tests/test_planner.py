@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,7 @@ from expanderlab import (
     replay,
 )
 from expanderlab.errors import ValidationError
+from expanderlab.graph_core import from_edge_list
 from expanderlab.planner import compare_strategies
 
 from helpers import k4, path, petersen, two_triangles
@@ -236,6 +239,21 @@ def test_certify_requires_regular_connected():
         certify(two_triangles())
 
 
+def test_certify_rejects_hostile_sizes_before_allocating():
+    # 2m divisible by n and m >= n-1 are necessary for a connected regular
+    # graph and read only the header, so nothing of size n gets built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="connected graph"):
+            certify(from_edge_list(10**6, []))
+        with pytest.raises(ValidationError, match="regular graph"):
+            certify(from_edge_list(10**6, [(0, 1)]))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_certify_large_graph_skips_expansion(x513):
     cert = certify(x513)
     assert cert.expansion is None
@@ -260,6 +278,17 @@ def test_construct_is_deterministic(k7):
     x2, cert2 = construct(7, 1000)
     assert graph_to_text(x1) == graph_to_text(x2)
     assert cert1.to_json() == cert2.to_json()
+
+
+def test_construct_k29_exchange_steps_match_reference():
+    # X^{17,13} (n = 1092) plus 11 increments; seven of them leave vertices
+    # exposed after the greedy pass, some four, and so run the exchange.
+    # Digests of the output of the blossom search that earlier releases ran.
+    x, cert = construct(29, 1000)
+    assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
+        "5f172f7decb65d471d26a13b5c11ec584395741162078bf35a5297929b852f59")
+    assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
+        "901843c570ae64e5b41642dce2c44e2155ab3346c3bc974d827a97fba8a1212a")
 
 
 def test_replay_rebuilds_the_graph(k7):
