@@ -43,22 +43,17 @@ TABLE_RANGES = (
 )
 
 
-def lambda2_bound_chain(k: int, p: int | None = None) -> tuple[float, float]:
+def lambda2_bound_chain(k: int) -> tuple[float, float]:
     """(intermediate, normalized) upper bounds for lambda_2 at regularity k.
 
-    intermediate = 2*sqrt(p) + (k - p - 1) tracks the construction exactly;
-    normalized = 2*(1 + delta_k)*sqrt(k - 1) restates it against the
-    Ramanujan value.  intermediate <= normalized always.  p defaults to
-    prev_prime(k) and is rejected if it disagrees.
+    With p = prev_prime(k), intermediate = 2*sqrt(p) + (k - p - 1) tracks
+    the construction exactly; normalized = 2*(1 + delta_k)*sqrt(k - 1)
+    restates it against the Ramanujan value.  intermediate <= normalized
+    always.
     """
     if k < 3:
         raise ValidationError(f"chain bounds need k >= 3, got {k}")
-    expected = prev_prime(k)
-    if p is None:
-        p = expected
-    elif p != expected:
-        raise ValidationError(
-            f"p={p} is not the largest prime below k={k} (expected {expected})")
+    p = prev_prime(k)
     intermediate = 2.0 * math.sqrt(p) + (k - p - 1)
     normalized = 2.0 * (1.0 + delta_k(k)) * math.sqrt(k - 1)
     return intermediate, normalized
@@ -90,11 +85,17 @@ def gap_bound_bhp(k: float) -> float:
     return k - 2.0 * (1.0 + k**0.025) * math.sqrt(k - 1)
 
 
+def _check_rh_constant(c: float) -> None:
+    if not c > 0:
+        raise ValidationError(f"rh constant must be positive, got {c}")
+    if not math.isfinite(c):
+        raise ValidationError(f"rh constant must be finite, got {c}")
+
+
 def rh_exponent(k: float, c: float = 1.0) -> float:
     """r = ln(1 + c*ln(k-1)) / ln(k-1), the conditional gap exponent."""
     _check_k(k)
-    if not c > 0:
-        raise ValidationError(f"rh constant must be positive, got {c}")
+    _check_rh_constant(c)
     return math.log(1.0 + c * math.log(k - 1)) / math.log(k - 1)
 
 
@@ -105,7 +106,14 @@ def gap_bound_rh(k: float, c: float = 1.0) -> float:
     by construction.  Conditional on the Riemann hypothesis for every k.
     """
     r = rh_exponent(k, c)
-    return k - 2.0 * (k - 1.0) ** (0.5 + r)
+    try:
+        power = (k - 1.0) ** (0.5 + r)
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
+        raise ValidationError(
+            f"conditional gap bound overflows at k={k} for rh constant {c}")
+    return k - 2.0 * power
 
 
 def _ceil2(x: float) -> float:
@@ -150,9 +158,7 @@ class BoundModel:
         if self.kind not in _KINDS:
             raise ValidationError(
                 f"unknown bound kind {self.kind!r}; expected one of {_KINDS}")
-        if not self.rh_constant > 0:
-            raise ValidationError(
-                f"rh constant must be positive, got {self.rh_constant}")
+        _check_rh_constant(self.rh_constant)
 
     def evaluate(self, k) -> float:
         if self.kind == "DeltaExact":

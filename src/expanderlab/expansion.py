@@ -32,7 +32,8 @@ def boundary_size(x: Graph, subset: Iterable[int]) -> int:
     for v in fs:
         if not 0 <= v < x.n:
             raise ValidationError(f"vertex {v} out of range for n={x.n}")
-    return sum(1 for u, v in x.edges if (u in fs) != (v in fs))
+    inside = np.isin(x.edges, list(fs))
+    return int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
 
 
 def _cut_array(x: Graph) -> np.ndarray:
@@ -42,7 +43,8 @@ def _cut_array(x: Graph) -> np.ndarray:
     cut = np.zeros(size, dtype=np.int64)
     bit_u = np.empty(size, dtype=np.uint32)
     bit_v = np.empty(size, dtype=np.uint32)
-    for (u, v), w in x.edge_multiset().items():
+    pairs, mult = np.unique(x.edges, axis=0, return_counts=True)
+    for (u, v), w in zip(pairs.tolist(), mult.tolist()):
         np.right_shift(idx, np.uint32(u), out=bit_u)
         np.right_shift(idx, np.uint32(v), out=bit_v)
         np.bitwise_xor(bit_u, bit_v, out=bit_u)

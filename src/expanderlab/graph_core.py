@@ -1,10 +1,11 @@
 """Undirected multigraphs on vertex set {0..n-1} with a canonical edge order.
 
-Graphs are immutable: every constructor normalizes edge pairs to u < v and
-sorts the edge tuple lexicographically, so two graphs built from the same
-edge multiset compare equal and serialize byte-identically.  Loops are
-rejected everywhere; parallel edges are allowed and carry multiplicity in
-degrees, adjacency matrices and boundary counts.
+Graphs are immutable: edges are a read-only (m, 2) int64 array with u < v
+per row and rows sorted lexicographically, so two graphs built from the
+same edge multiset compare equal and serialize byte-identically.  The rest
+derives from one cached CSR adjacency.  Loops are rejected everywhere;
+parallel edges are allowed and carry multiplicity in degrees, adjacency
+matrices and boundary counts.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ValidationError
 
@@ -22,75 +24,45 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable undirected loop-free multigraph."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_csr")
 
-    def __init__(self, n: int, edges: tuple[Edge, ...]):
+    def __init__(self, n: int, edges: np.ndarray):
         # Internal constructor: edges must already be canonical.
         self.n = n
         self.edges = edges
-        self._adj: list[list[int]] | None = None
-
-    # -- basic queries ----------------------------------------------------
+        self._csr: sparse.csr_matrix | None = None
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-    def neighbor_lists(self) -> list[list[int]]:
-        """Adjacency lists in ascending order, repeated per multiplicity."""
-        if self._adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            for lst in adj:
-                lst.sort()
-            self._adj = adj
-        return self._adj
-
-    def edge_multiset(self) -> dict[Edge, int]:
-        mult: dict[Edge, int] = {}
-        for e in self.edges:
-            mult[e] = mult.get(e, 0) + 1
-        return mult
+    def degrees(self) -> np.ndarray:
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
     def is_simple(self) -> bool:
-        return len(set(self.edges)) == len(self.edges)
+        # Sorted rows put parallel edges next to each other.
+        return not (self.edges[1:] == self.edges[:-1]).all(axis=1).any()
 
-    def adjacency_matrix(self, dtype=np.float64) -> np.ndarray:
-        a = np.zeros((self.n, self.n), dtype=dtype)
-        for u, v in self.edges:
-            a[u, v] += 1
-            a[v, u] += 1
-        return a
+    def adjacency_matrix(self) -> np.ndarray:
+        return self.adjacency_sparse().toarray()
 
     def adjacency_sparse(self) -> sparse.csr_matrix:
-        m = len(self.edges)
-        if m == 0:
-            return sparse.csr_matrix((self.n, self.n), dtype=np.float64)
-        rows = np.empty(2 * m, dtype=np.int64)
-        cols = np.empty(2 * m, dtype=np.int64)
-        arr = np.asarray(self.edges, dtype=np.int64)
-        rows[:m], cols[:m] = arr[:, 0], arr[:, 1]
-        rows[m:], cols[m:] = arr[:, 1], arr[:, 0]
-        data = np.ones(2 * m, dtype=np.float64)
-        return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+        """CSR adjacency (multiplicities, sorted columns), shared: do not modify."""
+        if self._csr is None:
+            u, v = self.edges[:, 0], self.edges[:, 1]
+            rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+            self._csr = sparse.csr_matrix(
+                (np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+        return self._csr
 
     # -- identity ----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
-                and self.edges == other.edges)
+                and np.array_equal(self.edges, other.edges))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edges.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={len(self.edges)})"
@@ -138,22 +110,35 @@ class Matching:
         return "".join(f"{u} {v}\n" for u, v in self.pairs)
 
 
-def _canonical(n: int, raw: Iterable[Edge]) -> tuple[Edge, ...]:
-    out = []
-    for u, v in raw:
+def _canonical(n: int, raw) -> np.ndarray:
+    """(u, v) pairs, or the same ids flattened, as a canonical edge array.
+
+    Ids are compared with n before they are narrowed to int64, so the first
+    bad edge in input order is reported, however large its ids.
+    """
+    if n < 0:
+        raise ValidationError(f"vertex count must be >= 0, got {n}")
+    raw = raw if isinstance(raw, np.ndarray) else list(raw)
+    try:
+        e = np.asarray(raw, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:
+        e = np.array(raw, dtype=object).reshape(-1, 2)
+    bad = ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])
+    if bad.any():
+        u, v = e[bad.argmax()].tolist()
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValidationError(f"loop at vertex {u} rejected")
-        out.append((u, v) if u < v else (v, u))
-    out.sort()
-    return tuple(out)
+        raise ValidationError(f"loop at vertex {u} rejected")
+    if e.dtype == object:
+        raise ValidationError(f"vertex ids beyond int64 are unsupported (n={n})")
+    e = np.sort(e, axis=1)
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    e.flags.writeable = False
+    return e
 
 
 def from_edge_list(n: int, edges: Iterable[Edge]) -> Graph:
     """Build a graph from (u, v) pairs; duplicates become parallel edges."""
-    if n < 0:
-        raise ValidationError(f"vertex count must be >= 0, got {n}")
     return Graph(n, _canonical(n, edges))
 
 
@@ -162,46 +147,26 @@ def regularity(x: Graph) -> int | None:
     if x.n == 0:
         return None
     deg = x.degrees()
-    k = deg[0]
-    return k if all(d == k for d in deg) else None
+    return int(deg[0]) if (deg == deg[0]).all() else None
+
+
+def _components(a: sparse.csr_matrix) -> int:
+    return connected_components(a, directed=False, return_labels=False)
 
 
 def is_connected(x: Graph) -> bool:
-    if x.n == 0:
-        return False
-    adj = x.neighbor_lists()
-    seen = bytearray(x.n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == x.n
+    return _components(x.adjacency_sparse()) == 1
 
 
 def is_bipartite(x: Graph) -> bool:
-    """Two-colorability; parallel edges are irrelevant, loops never occur."""
-    adj = x.neighbor_lists()
-    color = [-1] * x.n
-    for s in range(x.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if color[v] == -1:
-                    color[v] = color[u] ^ 1
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
+    """Two-colorability, by the bipartite double cover (edges (u,i)-(v,1-i)).
+
+    A component of x lifts to two components of the cover when it is
+    bipartite and to one when it has an odd cycle.
+    """
+    a = x.adjacency_sparse()
+    cover = sparse.bmat([[None, a], [a, None]], format="csr")
+    return _components(cover) == 2 * _components(a)
 
 
 def cartesian_k2(x: Graph) -> Graph:
@@ -213,12 +178,8 @@ def cartesian_k2(x: Graph) -> Graph:
     if x.n == 0:
         raise ValidationError("cartesian product with K2 needs n >= 1")
     n = x.n
-    raw: list[Edge] = []
-    for u, v in x.edges:
-        raw.append((u, v))
-        raw.append((n + u, n + v))
-    for i in range(n):
-        raw.append((i, n + i))
+    i = np.arange(n)
+    raw = np.concatenate([x.edges, x.edges + n, np.column_stack([i, i + n])])
     return Graph(2 * n, _canonical(2 * n, raw))
 
 
@@ -227,11 +188,13 @@ def add_matching(x: Graph, m: Matching) -> Graph:
     if not m.is_perfect(x.n):
         raise ValidationError(
             f"matching covers {2 * len(m)} of {x.n} vertices, not perfect")
-    present = set(x.edges)
-    for pair in m:
-        if pair in present:
-            raise ValidationError(f"matching pair {pair} already an edge")
-    return Graph(x.n, _canonical(x.n, list(x.edges) + list(m.pairs)))
+    pairs = np.array(m.pairs, dtype=np.int64).reshape(-1, 2)
+    present = np.isin(pairs[:, 0] * x.n + pairs[:, 1],
+                      x.edges[:, 0] * x.n + x.edges[:, 1])
+    if present.any():
+        raise ValidationError(
+            f"matching pair {m.pairs[present.argmax()]} already an edge")
+    return Graph(x.n, _canonical(x.n, np.concatenate([x.edges, pairs])))
 
 
 # -- serialization ---------------------------------------------------------
@@ -244,7 +207,7 @@ def graph_to_text(x: Graph) -> str:
     parallel edges.  The output is newline-terminated and byte-stable.
     """
     lines = [f"{x.n} {len(x.edges)}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in x.edges)
+    lines.extend(f"{u} {v}\n" for u, v in x.edges.tolist())
     return "".join(lines)
 
 
@@ -262,19 +225,16 @@ def graph_from_text(text: str) -> Graph:
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != m:
         raise ValidationError(f"header promises {m} edges, found {len(body)}")
-    raw: list[Edge] = []
+    ids: list[int] = []
     for ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValidationError(f"bad edge line {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = map(int, ln.split())
         except ValueError as exc:
             raise ValidationError(f"bad edge line {ln!r}") from exc
         if not u < v:
             raise ValidationError(f"edge line {ln!r} must satisfy u < v")
-        raw.append((u, v))
-    return from_edge_list(n, raw)
+        ids += (u, v)
+    return Graph(n, _canonical(n, ids))
 
 
 def save_graph(x: Graph, path) -> None:

@@ -32,8 +32,9 @@ from .graph_core import Graph, Matching, add_matching, regularity
 def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     """Raise regularity by one by adding a perfect matching of the complement.
 
-    The complement is never materialized: both passes walk an implicit
-    adjacency view, which keeps the memory footprint linear in x.
+    The complement is never materialized: both passes test candidates
+    against x's neighbour sets, read from its CSR adjacency, which keeps
+    the memory footprint linear in x.
     """
     k = regularity(x)
     if k is None:
@@ -45,7 +46,9 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
         raise ValidationError("increment requires a simple graph")
     if n < 2 * k + 2:
         raise ValidationError(f"cannot increment: n={n} < 2k+2={2 * k + 2}")
-    adj = [set(nbrs) for nbrs in x.neighbor_lists()]
+    csr = x.adjacency_sparse()
+    nbrs, ptr = csr.indices.tolist(), csr.indptr.tolist()
+    adj = [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(n)]
     mate = [-1] * n
     # free[i] leads, by path halving, to the smallest unmatched vertex >= i.
     free = list(range(n + 1))

@@ -28,19 +28,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._version import __version__
 from .bounds import BoundModel
 from .errors import ValidationError
 from .expansion import MAX_EXACT_N, expanding_constant_exact
-from .graph_core import Graph, cartesian_k2, regularity
+from .graph_core import (
+    Graph,
+    cartesian_k2,
+    is_bipartite,
+    is_connected,
+    regularity,
+)
 from .matching import increment_regularity
 from .numtheory import PrimePlan, is_prime, prev_prime
 from .ramanujan_base import build_lps, lps_params, small_ramanujan
-from .spectral import (
-    DEFAULT_TOL,
-    SpectralCertificate,
-    certificate_for,
-    extreme_eigs,
-)
+from .spectral import DEFAULT_TOL, SpectralCertificate, extreme_eigs
 
 STRATEGIES = ("matching", "k2product")
 
@@ -174,12 +176,13 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
             bhp_threshold: int | None = None) -> SpectralCertificate:
     """Measure a regular connected graph and emit its certificate.
 
-    Spectral fields are always measured.  Bound entries are attached with
-    validity flags resolved against the construction strategy; exact
-    expansion data is included whenever the graph is small enough.
+    Spectral fields are always measured, never copied from claims.  Bound
+    entries are attached with validity flags resolved against the
+    construction strategy; exact expansion data is included whenever the
+    graph is small enough.
     """
-    # Both tests read only n and m, so a hostile header fails here, before
-    # anything of size n is allocated.
+    # The first two tests read only n and m, so a hostile header fails
+    # here, before anything of size n is allocated.
     if x.n == 0 or 2 * x.num_edges % x.n:
         raise ValidationError("certificates require a regular graph")
     if x.num_edges < x.n - 1:
@@ -187,17 +190,32 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     k = regularity(x)
     if k is None:
         raise ValidationError("certificates require a regular graph")
+    if not is_connected(x):
+        raise ValidationError("certificates require a connected graph")
     expansion = None
     if 2 <= x.n <= MAX_EXACT_N:
         h, witness = expanding_constant_exact(x)
         expansion = {"h": h, "witness": list(witness)}
-    return certificate_for(
-        x,
-        provenance=provenance,
-        bounds=tuple(_bound_entries(k, strategy, build, rh_constant,
-                                    bhp_threshold)),
+    bounds = tuple(_bound_entries(k, strategy, build, rh_constant,
+                                  bhp_threshold))
+    s = extreme_eigs(x, tol=tol)
+    return SpectralCertificate(
+        version=__version__,
+        k=k,
+        n=x.n,
+        provenance=tuple(provenance),
+        lambda1=s.lambda1,
+        lambda2=s.lambda2,
+        lambda_n=s.lambda_n,
+        spectral_gap=k - s.lambda2,
+        # Non-strict Ramanujan test, padded by the solver residual; lambda_n
+        # never disqualifies (bipartite graphs have lambda_n = -k).
+        ramanujan=2.0 * math.sqrt(k - 1) + s.residual + tol - s.lambda2 >= 0.0,
+        bipartite=is_bipartite(x),
+        residual=s.residual,
+        method=s.method,
+        bounds=bounds,
         expansion=expansion,
-        tol=tol,
     )
 
 

@@ -19,16 +19,14 @@ non-strict: equality counts as Ramanujan.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from ._version import __version__
 from .errors import ConvergenceError, ValidationError
-from .graph_core import Graph, is_bipartite, is_connected, regularity
+from .graph_core import Graph
 
 DENSE_THRESHOLD = 4096
 DEFAULT_TOL = 1e-8
@@ -163,38 +161,3 @@ class SpectralCertificate:
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(self.to_json())
-
-
-def certificate_for(x: Graph, *, provenance: tuple[dict, ...] = (),
-                    bounds: tuple[dict, ...] = (),
-                    expansion: dict | None = None,
-                    tol: float = DEFAULT_TOL) -> SpectralCertificate:
-    """Measure x and assemble the certificate skeleton.
-
-    Callers that know how x was built attach provenance and bound entries;
-    the spectral fields are always measured here, never copied from claims.
-    """
-    k = regularity(x)
-    if k is None:
-        raise ValidationError("certificates require a regular graph")
-    if not is_connected(x):
-        raise ValidationError("certificates require a connected graph")
-    s = extreme_eigs(x, tol=tol)
-    return SpectralCertificate(
-        version=__version__,
-        k=k,
-        n=x.n,
-        provenance=tuple(provenance),
-        lambda1=s.lambda1,
-        lambda2=s.lambda2,
-        lambda_n=s.lambda_n,
-        spectral_gap=k - s.lambda2,
-        # Non-strict Ramanujan test, padded by the solver residual; lambda_n
-        # never disqualifies (bipartite graphs have lambda_n = -k).
-        ramanujan=2.0 * math.sqrt(k - 1) + s.residual + tol - s.lambda2 >= 0.0,
-        bipartite=is_bipartite(x),
-        residual=s.residual,
-        method=s.method,
-        bounds=tuple(bounds),
-        expansion=expansion,
-    )

@@ -70,6 +70,20 @@ def parallel_k2(mult: int) -> Graph:
     return from_edge_list(2, [(0, 1)] * mult)
 
 
+def edge_pairs(x: Graph) -> tuple[tuple[int, int], ...]:
+    """x's edges in canonical order as (u, v) tuples of Python ints."""
+    return tuple(map(tuple, x.edges.tolist()))
+
+
+def neighbor_lists(x: Graph) -> list[list[int]]:
+    """Ascending adjacency lists, repeated per multiplicity, from the edges."""
+    adj: list[list[int]] = [[] for _ in range(x.n)]
+    for u, v in edge_pairs(x):
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(nbrs) for nbrs in adj]
+
+
 # -- random graphs via networkx ---------------------------------------------
 
 
@@ -98,7 +112,7 @@ def random_gnp(n: int, p: float, seed: int) -> Graph:
 def _nx_matching(x: Graph) -> Matching:
     g = nx.Graph()
     g.add_nodes_from(range(x.n))
-    g.add_edges_from(set(x.edges))
+    g.add_edges_from(set(edge_pairs(x)))
     return Matching(nx.max_weight_matching(g, maxcardinality=True))
 
 
@@ -108,7 +122,7 @@ def nx_max_matching_size(x: Graph) -> int:
 
 def exhaustive_max_matching_size(x: Graph) -> int:
     """Branch over edges; exact for small n."""
-    edges = sorted(set(x.edges))
+    edges = sorted(set(edge_pairs(x)))
     best = 0
 
     def rec(i: int, used: int, size: int) -> None:
@@ -136,7 +150,7 @@ def perfect_matching(x: Graph) -> Matching:
 
 def remove_matching(x: Graph, m: Matching) -> Graph:
     """Delete one copy of each matching pair; every pair must be present."""
-    left = Counter(x.edges)
+    left = Counter(edge_pairs(x))
     for pair in m:
         if left[pair] == 0:
             raise ValidationError(f"matching pair {pair} is not an edge")
@@ -241,13 +255,13 @@ def _mate_to_matching(mate: list[int]) -> Matching:
 
 def maximum_matching(x: Graph) -> Matching:
     """The blossom search's maximum matching of x."""
-    adj = x.neighbor_lists()
+    adj = neighbor_lists(x)
     return _mate_to_matching(blossom_mate(x.n, lambda v: adj[v]))
 
 
 def blossom_increment_matching(x: Graph) -> Matching:
     """The complement matching that earlier releases added to x."""
-    adj = [set(nbrs) for nbrs in x.neighbor_lists()]
+    adj = [set(nbrs) for nbrs in neighbor_lists(x)]
     return _mate_to_matching(blossom_mate(
         x.n, lambda v: (u for u in range(x.n) if u != v and u not in adj[v])))
 
@@ -262,7 +276,7 @@ def brute_force_expansion(x: Graph) -> tuple[Fraction, tuple[int, ...]]:
     Across sizes, candidates are collected and the least sorted tuple
     among exact minimizers is returned.
     """
-    mult = x.edge_multiset()
+    mult = Counter(edge_pairs(x))
     best: Fraction | None = None
     minimizers: list[tuple[int, ...]] = []
     for size in range(1, x.n // 2 + 1):
@@ -288,7 +302,7 @@ def complement(x: Graph) -> Graph:
     """Simple complement; input must itself be simple."""
     if not x.is_simple():
         raise ValidationError("complement is defined for simple graphs only")
-    present = set(x.edges)
+    present = set(edge_pairs(x))
     return from_edge_list(x.n, [(u, v) for u in range(x.n)
                                 for v in range(u + 1, x.n)
                                 if (u, v) not in present])
@@ -383,7 +397,8 @@ def weyl_check(a: np.ndarray, b: np.ndarray, i: int) -> dict:
 
 def brute_force_bipartite(x: Graph) -> bool:
     """Try all 2^n colorings; exact for small n."""
+    edges = edge_pairs(x)
     for mask in range(1 << x.n):
-        if all((mask >> u & 1) != (mask >> v & 1) for u, v in x.edges):
+        if all((mask >> u & 1) != (mask >> v & 1) for u, v in edges):
             return True
     return False

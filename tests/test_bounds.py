@@ -75,12 +75,7 @@ def test_chain_collapses_after_prime():
         assert intermediate == pytest.approx(2.0 * math.sqrt(p), abs=1e-12)
 
 
-def test_chain_p_must_match():
-    assert lambda2_bound_chain(12, 11) == lambda2_bound_chain(12)
-    with pytest.raises(ValidationError):
-        lambda2_bound_chain(12, 7)
-    with pytest.raises(ValidationError):
-        lambda2_bound_chain(12, 13)
+def test_chain_rejects_small_k():
     with pytest.raises(ValidationError):
         lambda2_bound_chain(2)
 

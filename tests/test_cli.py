@@ -104,6 +104,16 @@ def test_certify_rejects_hostile_header(tmp_path, capsys):
     assert "connected graph" in capsys.readouterr().err
 
 
+def test_certify_rejects_vertex_id_beyond_int64(tmp_path, capsys):
+    gpath = tmp_path / "hostile.txt"
+    gpath.write_text("3 1\n0 99999999999999999999\n")
+    assert main(["certify", "--graph", str(gpath),
+                 "--cert-out", str(tmp_path / "c.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: edge (0, 99999999999999999999) out of range "
+                   "for n=3\n")
+
+
 def test_certify_rejects_missing_file(tmp_path, capsys):
     code = main(["certify", "--graph", str(tmp_path / "nope.txt"),
                  "--cert-out", str(tmp_path / "c.json")])
@@ -164,6 +174,22 @@ def test_bounds_rh_constant(capsys):
     out = capsys.readouterr().out
     # k - 2*(1 + 2*ln(999))*sqrt(999)
     assert "gap >=" in out and "valid" in out
+
+
+def test_bounds_rejects_infinite_rh_constant(capsys):
+    assert main(["bounds", "--k", "7", "--model", "rh",
+                 "--rh-constant", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rh constant must be finite")
+
+
+def test_bounds_rejects_overflowing_rh_constant(capsys):
+    # 6**(1/2 + r) overflows a float for C = 1e308 (r is about 396).
+    assert main(["bounds", "--k", "7", "--rh-constant", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: conditional gap bound overflows")
+    assert "Traceback" not in captured.err
 
 
 def test_bounds_rejects_small_k(capsys):

@@ -3,7 +3,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from expanderlab import (
@@ -22,6 +22,7 @@ from helpers import (
     brute_force_bipartite,
     complement,
     cycle,
+    edge_pairs,
     k4,
     path,
     petersen,
@@ -42,18 +43,29 @@ def simple_graphs(draw, max_n=8):
     return from_edge_list(n, edges)
 
 
+# Random multigraph strategy: sparse, so many draws are disconnected or have
+# isolated vertices.
+@st.composite
+def multigraphs(draw, max_n=9):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)
+                 ) if pairs else []
+    return from_edge_list(n, edges)
+
+
 # -- construction and canonical form ------------------------------------------
 
 
 def test_from_edge_list_canonicalizes():
     x = from_edge_list(4, [(2, 0), (3, 1), (0, 1)])
-    assert x.edges == ((0, 1), (0, 2), (1, 3))
+    assert edge_pairs(x) == ((0, 1), (0, 2), (1, 3))
 
 
 def test_from_edge_list_multiedge():
     x = from_edge_list(3, [(0, 1), (1, 0), (1, 2)])
-    assert x.edges == ((0, 1), (0, 1), (1, 2))
-    assert x.degrees() == [2, 3, 1]
+    assert edge_pairs(x) == ((0, 1), (0, 1), (1, 2))
+    assert x.degrees().tolist() == [2, 3, 1]
     assert not x.is_simple()
 
 
@@ -64,6 +76,45 @@ def test_from_edge_list_rejects_loops_and_range():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(ValidationError):
         from_edge_list(-1, [])
+
+
+def test_from_edge_list_reports_first_bad_edge():
+    with pytest.raises(ValidationError, match=r"^loop at vertex 1 rejected$"):
+        from_edge_list(3, [(0, 1), (1, 1), (0, 5)])
+    with pytest.raises(ValidationError,
+                       match=r"^edge \(0, 5\) out of range for n=3$"):
+        from_edge_list(3, [(0, 1), (0, 5), (1, 1)])
+    with pytest.raises(ValidationError,
+                       match=r"^edge \(-1, 2\) out of range for n=3$"):
+        from_edge_list(3, [(-1, 2)])
+
+
+def test_vertex_ids_beyond_int64_rejected_cleanly():
+    huge = 99999999999999999999
+    with pytest.raises(ValidationError,
+                       match=rf"^edge \(0, {huge}\) out of range for n=3$"):
+        graph_from_text(f"3 1\n0 {huge}\n")
+    with pytest.raises(ValidationError, match=r"^loop at vertex 2 rejected$"):
+        from_edge_list(3, [(2, 2), (0, -huge)])
+    # A vertex count beyond int64 is kept as given, and so is the text.
+    text = f"{huge} 1\n0 1\n"
+    x = graph_from_text(text)
+    assert x.n == huge and x.num_edges == 1
+    assert graph_to_text(x) == text
+
+
+def test_in_range_vertex_ids_beyond_int64_unsupported():
+    huge = 99999999999999999999
+    with pytest.raises(ValidationError, match="beyond int64"):
+        from_edge_list(huge * huge, [(0, huge)])
+
+
+def test_edges_are_a_read_only_sorted_array():
+    x = from_edge_list(4, [(3, 1), (2, 0), (0, 1), (2, 0)])
+    assert x.edges.dtype == np.int64 and x.edges.shape == (4, 2)
+    assert edge_pairs(x) == ((0, 1), (0, 2), (0, 2), (1, 3))
+    with pytest.raises(ValueError):
+        x.edges[0, 0] = 3
 
 
 def test_graph_equality_and_hash():
@@ -106,9 +157,20 @@ def test_is_bipartite_prism_vs_brute_force():
     assert is_bipartite(prism) == brute_force_bipartite(prism) is True
 
 
-@given(simple_graphs())
+@given(st.one_of(simple_graphs(), multigraphs()))
 def test_is_bipartite_vs_brute_force(x):
     assert is_bipartite(x) == brute_force_bipartite(x)
+
+
+@given(st.one_of(simple_graphs(), multigraphs()))
+@example(from_edge_list(1, []))
+@example(from_edge_list(5, [(0, 1), (0, 1), (2, 3)]))
+@example(from_edge_list(4, [(0, 1), (1, 2), (1, 2), (0, 2)]))
+def test_is_connected_vs_networkx(x):
+    g = nx.MultiGraph()
+    g.add_nodes_from(range(x.n))
+    g.add_edges_from(edge_pairs(x))
+    assert is_connected(x) == nx.is_connected(g)
 
 
 # -- cartesian product ----------------------------------------------------------
@@ -117,14 +179,14 @@ def test_is_bipartite_vs_brute_force(x):
 def test_cartesian_k2_of_k2_is_c4():
     x = cartesian_k2(from_edge_list(2, [(0, 1)]))
     assert x.n == 4
-    assert x.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+    assert edge_pairs(x) == ((0, 1), (0, 2), (1, 3), (2, 3))
 
 
 def test_cartesian_k2_of_c4_is_q3():
     got = cartesian_k2(cycle(4))
     q3 = nx.hypercube_graph(3)
     g = nx.Graph()
-    g.add_edges_from(got.edges)
+    g.add_edges_from(edge_pairs(got))
     assert nx.is_isomorphic(g, q3)
 
 
@@ -146,8 +208,8 @@ def test_cartesian_k2_degree_and_bipartite():
 def test_cartesian_k2_multigraph():
     x = from_edge_list(2, [(0, 1), (0, 1)])
     prod = cartesian_k2(x)
-    assert prod.degrees() == [3, 3, 3, 3]
-    assert prod.edge_multiset()[(0, 1)] == 2
+    assert prod.degrees().tolist() == [3, 3, 3, 3]
+    assert Counter(edge_pairs(prod))[(0, 1)] == 2
 
 
 # -- complement -------------------------------------------------------------------
@@ -155,7 +217,7 @@ def test_cartesian_k2_multigraph():
 
 def test_complement_examples():
     assert complement(k4()).num_edges == 0
-    assert complement(cycle(4)).edges == ((0, 2), (1, 3))
+    assert edge_pairs(complement(cycle(4))) == ((0, 2), (1, 3))
     c6c = complement(cycle(6))
     assert regularity(c6c) == 3
 
@@ -217,7 +279,7 @@ def test_remove_matching_q3_cross():
 def test_remove_matching_multigraph_one_copy():
     x = from_edge_list(2, [(0, 1), (0, 1)])
     rest = remove_matching(x, Matching([(0, 1)]))
-    assert rest.edges == ((0, 1),)
+    assert edge_pairs(rest) == ((0, 1),)
 
 
 def test_remove_matching_missing_pair():
@@ -230,7 +292,7 @@ def test_add_remove_roundtrip():
     x = cycle(6)
     m = Matching([(0, 3), (1, 4), (2, 5)])
     y = add_matching(x, m)
-    assert Counter(y.edges) - Counter(m.pairs) == Counter(x.edges)
+    assert Counter(edge_pairs(y)) - Counter(m.pairs) == Counter(edge_pairs(x))
     assert y.num_edges == x.num_edges + len(m)
 
 
@@ -278,4 +340,4 @@ def test_save_load_roundtrip(tmp_path):
 def test_to_graph_helper_matches_networkx():
     g = nx.petersen_graph()
     assert to_graph(g) == petersen() or nx.is_isomorphic(
-        g, nx.Graph(list(petersen().edges)))
+        g, nx.Graph(list(edge_pairs(petersen()))))

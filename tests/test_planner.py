@@ -291,6 +291,18 @@ def test_construct_k29_exchange_steps_match_reference():
         "901843c570ae64e5b41642dce2c44e2155ab3346c3bc974d827a97fba8a1212a")
 
 
+def test_construct_k7_product_iterative_path_matches_reference(k7_product):
+    # n = 4368 is past the dense threshold, so this pins cartesian_k2 and
+    # the ARPACK path byte for byte; digests computed with one OpenBLAS
+    # thread, as the suite runs.
+    x, cert = k7_product
+    assert cert.method == "iterative"
+    assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
+        "2a5f0f0489332e31842584156186c81eecf3062ea681edbf224f420cec985916")
+    assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
+        "65490d76de50767e54628fdaad51afa26344084bf1833fe731988fbdb801d847")
+
+
 def test_replay_rebuilds_the_graph(k7):
     x, cert = k7
     assert replay(cert.provenance) == x
