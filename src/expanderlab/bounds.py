@@ -12,19 +12,22 @@ spectral gap k - lambda_2:
     Trudgian   gap >= k*(1 - 2/(111*ln^2(k-1))) - 2*sqrt(k-1),
                unconditional for k >= 2898239;
     BHP        gap >= k - 2*(1 + k**0.025)*sqrt(k-1), built from the
-               p' - p << p**0.525 prime-gap exponent, advisory because no
-               explicit onset threshold is published;
-    CramerRH   gap >= k - 2*(k-1)**(1/2 + r) with
+               p' - p << p**0.525 prime-gap exponent, advisory: valid
+               for no k, because no explicit onset is published;
+    RH         gap >= k - 2*(k-1)**(1/2 + r) with
                r = ln(1 + C*ln(k-1))/ln(k-1), conditional on the Riemann
-               hypothesis (C tunes the constant in the conjectured gap).
+               hypothesis (C tunes the constant in the conjectured gap),
+               valid for every k > 2.
 
-All logarithms are natural.
+gap_bounds is the one table of these models: every caller reads their
+values, validity and conditionality from it.  All logarithms are natural.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import ValidationError
 from .numtheory import delta_k, max_delta_in_range, prev_prime
@@ -70,16 +73,11 @@ def gap_bound_trudgian(k: float) -> float:
     return k * (1.0 - 2.0 / (111.0 * math.log(k - 1) ** 2)) - 2.0 * math.sqrt(k - 1)
 
 
-def trudgian_valid(k: float) -> bool:
-    return k >= TRUDGIAN_MIN_K
-
-
 def gap_bound_bhp(k: float) -> float:
     """k - 2*(1 + k**0.025)*sqrt(k - 1), from the 0.525 prime-gap exponent.
 
-    Advisory: the underlying theorem is asymptotic, with no explicit k from
-    which the inequality is guaranteed, so no validity threshold is baked
-    in.  Callers that trust an onset pass it to the BoundModel instead.
+    Advisory: the underlying theorem is asymptotic, with no explicit onset,
+    so gap_bounds marks it valid for no k.
     """
     _check_k(k)
     return k - 2.0 * (1.0 + k**0.025) * math.sqrt(k - 1)
@@ -116,10 +114,6 @@ def gap_bound_rh(k: float, c: float = 1.0) -> float:
     return k - 2.0 * power
 
 
-def _ceil2(x: float) -> float:
-    return math.ceil(x * 100.0) / 100.0
-
-
 def delta_table(ranges: tuple[tuple[int, int], ...] = TABLE_RANGES) -> list[dict]:
     """Worst normalized prime gap per range, ceiling-rounded to 2 decimals.
 
@@ -133,59 +127,35 @@ def delta_table(ranges: tuple[tuple[int, int], ...] = TABLE_RANGES) -> list[dict
             "lo": lo,
             "hi": hi,
             "max_delta": value,
-            "delta_ceil": _ceil2(value),
+            "delta_ceil": math.ceil(value * 100.0) / 100.0,
             "witness_k": witness,
         })
     return rows
 
 
-_KINDS = ("DeltaExact", "ChainIntermediate", "Trudgian", "BHP", "CramerRH")
+class GapBound(NamedTuple):
+    """One prime-gap model at regularity k.
 
-
-@dataclass(frozen=True)
-class BoundModel:
-    """One named bound with its domain predicate and conditionality.
-
-    DeltaExact and ChainIntermediate bound lambda_2 from above;
-    Trudgian, BHP and CramerRH bound the spectral gap from below.
+    value() is the lower bound on k - lambda_2, deferred so a bound that
+    overflows fails only when read; valid says whether the model's own
+    theorem covers k.
     """
 
-    kind: str
-    bhp_threshold: int | None = None
-    rh_constant: float = 1.0
+    name: str
+    value: Callable[[], float]
+    valid: bool
+    conditional: bool
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValidationError(
-                f"unknown bound kind {self.kind!r}; expected one of {_KINDS}")
-        _check_rh_constant(self.rh_constant)
 
-    def evaluate(self, k) -> float:
-        if self.kind == "DeltaExact":
-            return lambda2_bound_chain(k)[1]
-        if self.kind == "ChainIntermediate":
-            return lambda2_bound_chain(k)[0]
-        if self.kind == "Trudgian":
-            return gap_bound_trudgian(k)
-        if self.kind == "BHP":
-            return gap_bound_bhp(k)
-        return gap_bound_rh(k, self.rh_constant)
+def gap_bounds(k: int, rh_constant: float = 1.0) -> tuple[GapBound, ...]:
+    """The Trudgian, BHP and RH models at regularity k, in that order.
 
-    def is_valid(self, k) -> bool:
-        """Whether the bound's own theorem covers regularity k.
-
-        CramerRH is valid on its whole domain but remains conditional;
-        BHP has no published onset, so it is valid only when the caller
-        configured a threshold they trust.
-        """
-        if self.kind in ("DeltaExact", "ChainIntermediate"):
-            return k >= 3
-        if self.kind == "Trudgian":
-            return trudgian_valid(k)
-        if self.kind == "BHP":
-            return self.bhp_threshold is not None and k >= self.bhp_threshold
-        return k > 2
-
-    @property
-    def conditional(self) -> bool:
-        return self.kind == "CramerRH"
+    rh_constant is checked here, before any value is read.
+    """
+    _check_rh_constant(rh_constant)
+    return (
+        GapBound("trudgian", partial(gap_bound_trudgian, k),
+                 k >= TRUDGIAN_MIN_K, False),
+        GapBound("bhp", partial(gap_bound_bhp, k), False, False),
+        GapBound("rh", partial(gap_bound_rh, k, rh_constant), k > 2, True),
+    )

@@ -10,17 +10,12 @@ import argparse
 import sys
 
 from ._version import __version__
-from .bounds import (
-    TABLE_RANGES,
-    BoundModel,
-    delta_table,
-    lambda2_bound_chain,
-)
+from .bounds import TABLE_RANGES, delta_table, gap_bounds, lambda2_bound_chain
 from .errors import ConvergenceError, ValidationError
 from .expansion import boundary_size, expanding_constant_exact
 from .graph_core import load_graph, save_graph
-from .numtheory import prev_prime
-from .planner import certify, compare_strategies, construct, plan
+from .numtheory import PrimePlan, prev_prime
+from .planner import certify, compare_strategies, construct
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,12 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    theory, build = plan(args.k)
+    theory = PrimePlan.for_target(args.k)
     x, cert = construct(args.k, args.min_vertices, args.strategy)
     save_graph(x, args.graph_out)
     cert.save(args.cert_out)
-    if build.source == "lps":
-        base = f"base p*={build.p_star}, {build.increments} increment(s)"
+    steps = cert.provenance
+    if steps[0]["step"] == "lps":
+        base = f"base p*={steps[0]['p']}, {len(steps) - 1} increment(s)"
     else:
         base = "served from the named-graph library"
     print(f"k={cert.k} n={cert.n} strategy={args.strategy} ({base})")
@@ -160,18 +156,17 @@ def _cmd_bounds(args) -> int:
         p = prev_prime(k)
         print(f"chain      lambda2 <= {intermediate:.12g} "
               f"(= 2*sqrt({p}) + {k - p - 1}) <= {normalized:.12g}")
-    for name, kind in (("trudgian", "Trudgian"), ("bhp", "BHP"),
-                       ("rh", "CramerRH")):
-        if which in (None, name):
-            model = BoundModel(kind=kind, rh_constant=args.rh_constant)
-            value = model.evaluate(k)
-            tags = []
-            tags.append("valid" if model.is_valid(k) else "not-valid-here")
-            if model.conditional:
+    if which == "chain":
+        return 0
+    for bound in gap_bounds(k, args.rh_constant):
+        if which in (None, bound.name):
+            tags = ["valid" if bound.valid else "not-valid-here"]
+            if bound.conditional:
                 tags.append("conditional")
-            if kind == "BHP" and not model.is_valid(k):
-                tags.append("advisory")
-            print(f"{name:<10} gap >= {value:.12g} [{', '.join(tags)}]")
+            if bound.name == "bhp":
+                tags.append("advisory")  # valid for no k: no published onset
+            print(f"{bound.name:<10} gap >= {bound.value():.12g} "
+                  f"[{', '.join(tags)}]")
     return 0
 
 

@@ -11,14 +11,12 @@ toward the lexicographically least vertex set.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
-from .graph_core import Graph, regularity
-from .spectral import extreme_eigs
+from .graph_core import Graph
 
 MAX_EXACT_N = 24
 
@@ -92,30 +90,3 @@ def expanding_constant_exact(x: Graph) -> tuple[float, tuple[int, ...]]:
     mask = _lex_least_mask(cands)
     witness = tuple(v for v in range(x.n) if mask >> v & 1)
     return best / _LCM, witness
-
-
-def isoperimetric_check(x: Graph, *, tol: float = 1e-9) -> dict:
-    """Sandwich (k - lambda_2)/2 <= h(X) <= sqrt(2k(k - lambda_2)), exactly h.
-
-    Only defined for connected regular graphs small enough for the exact
-    search.  Returns every ingredient so failures are inspectable.
-    """
-    k = regularity(x)
-    if k is None:
-        raise ValidationError("isoperimetric check requires a regular graph")
-    s = extreme_eigs(x)
-    lam2 = s.lambda2
-    h, witness = expanding_constant_exact(x)
-    lower = (k - lam2) / 2.0
-    upper = math.sqrt(2.0 * k * max(k - lam2, 0.0))
-    pad = tol + s.residual
-    return {
-        "n": x.n,
-        "k": k,
-        "lambda2": lam2,
-        "h": h,
-        "witness": list(witness),
-        "lower": lower,
-        "upper": upper,
-        "holds": bool(lower - pad <= h <= upper + pad),
-    }

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from ._version import __version__
-from .bounds import BoundModel
+from .bounds import gap_bounds, lambda2_bound_chain
 from .errors import ValidationError
 from .expansion import MAX_EXACT_N, expanding_constant_exact
 from .graph_core import (
@@ -44,7 +44,8 @@ from .numtheory import PrimePlan, is_prime, prev_prime
 from .ramanujan_base import build_lps, lps_params, small_ramanujan
 from .spectral import DEFAULT_TOL, SpectralCertificate, extreme_eigs
 
-STRATEGIES = ("matching", "k2product")
+# Increment strategy -> the provenance step that runs one increment.
+STRATEGIES = {"matching": "matching_increment", "k2product": "k2_product"}
 
 DEFAULT_Q_MAX = 101
 
@@ -67,8 +68,8 @@ class BuildPlan:
 def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
     """(theoretical, buildable) plans for target regularity k >= 3."""
     theory = PrimePlan.for_target(k)
-    p = k - 1 if is_prime(k - 1) else (prev_prime(k - 1) if k >= 4 else None)
-    while p is not None and p >= 5:
+    p = theory.p
+    while p >= 5:
         if p % 4 == 1:
             return theory, BuildPlan(k=k, source="lps", p_star=p,
                                      increments=k - p - 1)
@@ -79,7 +80,7 @@ def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
              "named-graph library")
 
 
-def choose_q(p: int, min_vertices: int, q_max: int = DEFAULT_Q_MAX) -> int:
+def choose_q(p: int, min_vertices: int) -> int:
     """Smallest valid modulus q with at least min_vertices vertices.
 
     Valid means q prime, q = 1 (mod 4), q != p, q > 2*sqrt(p).  The n that
@@ -89,7 +90,7 @@ def choose_q(p: int, min_vertices: int, q_max: int = DEFAULT_Q_MAX) -> int:
     if min_vertices < 1:
         raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
     q = 5
-    while q <= q_max:
+    while q <= DEFAULT_Q_MAX:
         if q % 4 == 1 and q != p and q * q > 4 * p:
             if lps_params(p, q).n >= min_vertices:
                 return q
@@ -97,7 +98,7 @@ def choose_q(p: int, min_vertices: int, q_max: int = DEFAULT_Q_MAX) -> int:
         while not is_prime(q):
             q += 2
     raise ValidationError(
-        f"no modulus q <= {q_max} gives a base with {min_vertices} vertices "
+        f"no modulus q <= {DEFAULT_Q_MAX} gives a base with {min_vertices} vertices "
         f"at p={p}")
 
 
@@ -116,64 +117,47 @@ def _library_name(k: int, min_vertices: int) -> str:
         f"has {candidates[-1][1]} vertices; cannot reach {min_vertices}")
 
 
-# (certificate entry name, BoundModel kind, bounds lambda_2), in certificate
-# order.  lambda_2 entries also carry a capped value and apply only to a
-# graph anchored at p = prev_prime(k); gap entries apply to any graph built
-# by matching increments.
-_CERT_BOUNDS = (
-    ("lambda2_chain_intermediate", "ChainIntermediate", True),
-    ("lambda2_chain_normalized", "DeltaExact", True),
-    ("gap_trudgian", "Trudgian", False),
-    ("gap_bhp", "BHP", False),
-    ("gap_rh", "CramerRH", False),
-)
-
-
-def _bound_entries(k: int, strategy: str | None, build: BuildPlan | None,
-                   rh_constant: float, bhp_threshold: int | None) -> list[dict]:
+def _bound_entries(k: int, strategy: str | None,
+                   build: BuildPlan | None) -> list[dict]:
     """Bound lines for a certificate.
 
-    valid on a lambda_2 entry means: the inequality provably applies to
-    the certified graph (built by matching increments from the cited base).
-    valid on every other entry additionally requires BoundModel.is_valid,
-    the model's own domain (Trudgian onset, a caller-supplied BHP onset).
-    Values above the trivial ceiling lambda_2 <= k are still reported,
-    alongside the capped version, so the reader sees both.
+    valid on a lambda_2 entry means the inequality provably applies to the
+    certified graph: it was built by matching increments from the cited
+    base, and for the chain entries that base sits at p = prev_prime(k).
+    A gap entry needs the matching build and the validity that
+    bounds.gap_bounds gives its model.  Values above the trivial ceiling
+    lambda_2 <= k are still reported, alongside the capped version.
     """
-    entries: list[dict] = []
+    def lambda2_entry(model: str, v: float, valid: bool) -> dict:
+        return {"model": model, "value": v, "value_capped": min(v, float(k)),
+                "valid": valid, "conditional": False}
+
     by_matching = strategy == "matching"
-    if build is not None and build.source == "lps" and strategy is not None:
-        v = 2.0 * math.sqrt(build.p_star) + build.increments
-        entries.append({
-            "model": "lambda2_matching_chain",
-            "value": v,
-            "value_capped": min(v, float(k)),
-            "valid": by_matching,
-            "conditional": False,
-        })
+    lps = build is not None and build.source == "lps"
+    entries = []
+    if lps and strategy is not None:
+        entries.append(lambda2_entry(
+            "lambda2_matching_chain",
+            2.0 * math.sqrt(build.p_star) + build.increments, by_matching))
     if k >= 3:
-        anchored = (by_matching and build is not None
-                    and build.source == "lps" and build.p_star == prev_prime(k))
-        for name, kind, on_lambda2 in _CERT_BOUNDS:
-            model = BoundModel(kind, bhp_threshold=bhp_threshold,
-                               rh_constant=rh_constant)
-            value = model.evaluate(k)
-            entry = {"model": name, "value": value}
-            if on_lambda2:
-                entry["value_capped"] = min(value, float(k))
-            if kind == "CramerRH":
+        anchored = by_matching and lps and build.p_star == prev_prime(k)
+        for name, v in zip(("intermediate", "normalized"),
+                           lambda2_bound_chain(k)):
+            entries.append(lambda2_entry(f"lambda2_chain_{name}", v, anchored))
+        rh_constant = 1.0
+        for bound in gap_bounds(k, rh_constant):
+            entry = {"model": f"gap_{bound.name}", "value": bound.value(),
+                     "valid": by_matching and bound.valid,
+                     "conditional": bound.conditional}
+            if bound.name == "rh":
                 entry["rh_constant"] = rh_constant
-            gate = anchored if on_lambda2 else by_matching
-            entry["valid"] = gate and model.is_valid(k)
-            entry["conditional"] = model.conditional
             entries.append(entry)
     return entries
 
 
 def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
-            strategy: str | None = None, build: BuildPlan | None = None,
-            tol: float = DEFAULT_TOL, rh_constant: float = 1.0,
-            bhp_threshold: int | None = None) -> SpectralCertificate:
+            strategy: str | None = None,
+            build: BuildPlan | None = None) -> SpectralCertificate:
     """Measure a regular connected graph and emit its certificate.
 
     Spectral fields are always measured, never copied from claims.  Bound
@@ -196,9 +180,8 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     if 2 <= x.n <= MAX_EXACT_N:
         h, witness = expanding_constant_exact(x)
         expansion = {"h": h, "witness": list(witness)}
-    bounds = tuple(_bound_entries(k, strategy, build, rh_constant,
-                                  bhp_threshold))
-    s = extreme_eigs(x, tol=tol)
+    bounds = tuple(_bound_entries(k, strategy, build))
+    s = extreme_eigs(x)
     return SpectralCertificate(
         version=__version__,
         k=k,
@@ -210,7 +193,8 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
         spectral_gap=k - s.lambda2,
         # Non-strict Ramanujan test, padded by the solver residual; lambda_n
         # never disqualifies (bipartite graphs have lambda_n = -k).
-        ramanujan=2.0 * math.sqrt(k - 1) + s.residual + tol - s.lambda2 >= 0.0,
+        ramanujan=(2.0 * math.sqrt(k - 1) + s.residual + DEFAULT_TOL
+                   - s.lambda2 >= 0.0),
         bipartite=is_bipartite(x),
         residual=s.residual,
         method=s.method,
@@ -219,14 +203,13 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     )
 
 
-def construct(k: int, min_vertices: int, strategy: str = "matching", *,
-              q_max: int = DEFAULT_Q_MAX, tol: float = DEFAULT_TOL,
-              rh_constant: float = 1.0, bhp_threshold: int | None = None
+def construct(k: int, min_vertices: int, strategy: str = "matching"
               ) -> tuple[Graph, SpectralCertificate]:
     """Build a certified k-regular graph with at least min_vertices vertices."""
     if strategy not in STRATEGIES:
         raise ValidationError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
+            f"unknown strategy {strategy!r}; "
+            f"expected one of {tuple(STRATEGIES)}")
     if min_vertices < 1:
         raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
     _, build = plan(k)
@@ -234,17 +217,14 @@ def construct(k: int, min_vertices: int, strategy: str = "matching", *,
         base = {"step": "library", "name": _library_name(k, min_vertices)}
     else:
         base = {"step": "lps", "p": build.p_star,
-                "q": choose_q(build.p_star, min_vertices, q_max)}
+                "q": choose_q(build.p_star, min_vertices)}
     x, step = _apply_step(None, base)
     provenance = [step]
-    op = "matching_increment" if strategy == "matching" else "k2_product"
     for _ in range(build.increments):
-        x, step = _apply_step(x, {"step": op})
+        x, step = _apply_step(x, {"step": STRATEGIES[strategy]})
         provenance.append(step)
-    cert = certify(x, provenance=tuple(provenance), strategy=strategy,
-                   build=build, tol=tol, rh_constant=rh_constant,
-                   bhp_threshold=bhp_threshold)
-    return x, cert
+    return x, certify(x, provenance=tuple(provenance), strategy=strategy,
+                      build=build)
 
 
 def _apply_step(x: Graph | None, step: dict) -> tuple[Graph, dict]:
@@ -304,26 +284,19 @@ def compare_strategies(p: int, q: int, target_k: int) -> dict:
             f"target_k={target_k} is below the base regularity {base_k}")
     x = build_lps(p, q)
     lam2 = extreme_eigs(x).lambda2
-    rows = [{
-        "k": base_k,
-        "matching": {"n": x.n, "lambda2": lam2, "gap": base_k - lam2},
-        "k2product": {"n": x.n, "lambda2": lam2, "gap": base_k - lam2},
-    }]
-    xm = xp = x
-    lam2_m = lam2_p = lam2
-    for step in range(1, target_k - base_k + 1):
-        k_now = base_k + step
-        xm, _ = increment_regularity(xm)
-        xp = cartesian_k2(xp)
-        prev_m, prev_p = lam2_m, lam2_p
-        lam2_m = extreme_eigs(xm).lambda2
-        lam2_p = extreme_eigs(xp).lambda2
-        rows.append({
-            "k": k_now,
-            "matching": {"n": xm.n, "lambda2": lam2_m, "gap": k_now - lam2_m,
-                         "lambda2_prev_plus_one": prev_m + 1.0},
-            "k2product": {"n": xp.n, "lambda2": lam2_p, "gap": k_now - lam2_p,
-                          "lambda2_prev_plus_one": prev_p + 1.0},
-        })
+    rows = [{"k": base_k, **{
+        strategy: {"n": x.n, "lambda2": lam2, "gap": base_k - lam2}
+        for strategy in STRATEGIES}}]
+    graphs = dict.fromkeys(STRATEGIES, x)
+    for k_now in range(base_k + 1, target_k + 1):
+        row = {"k": k_now}
+        for strategy, op in STRATEGIES.items():
+            y, _ = _apply_step(graphs[strategy], {"step": op})
+            graphs[strategy] = y
+            lam2 = extreme_eigs(y).lambda2
+            row[strategy] = {
+                "n": y.n, "lambda2": lam2, "gap": k_now - lam2,
+                "lambda2_prev_plus_one": rows[-1][strategy]["lambda2"] + 1.0}
+        rows.append(row)
     return {"p": p, "q": q, "group": params.group, "base_k": base_k,
             "target_k": target_k, "rows": rows}

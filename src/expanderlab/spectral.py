@@ -19,7 +19,7 @@ non-strict: equality counts as Ramanujan.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -148,15 +148,32 @@ class SpectralCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "SpectralCertificate":
-        d = json.loads(text)
-        return cls(
-            version=d["version"], k=d["k"], n=d["n"],
-            provenance=tuple(d["provenance"]),
-            lambda1=d["lambda1"], lambda2=d["lambda2"], lambda_n=d["lambda_n"],
-            spectral_gap=d["spectral_gap"], ramanujan=d["ramanujan"],
-            bipartite=d["bipartite"], residual=d["residual"], method=d["method"],
-            bounds=tuple(d["bounds"]), expansion=d["expansion"],
-        )
+        """Parse to_json output; any other shape raises ValidationError.
+
+        The keys must be exactly the field names, and provenance, bounds
+        and expansion must hold the objects that to_dict copies.
+        """
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"certificate is not JSON: {exc}") from exc
+        if not isinstance(d, dict):
+            raise ValidationError("certificate must be a JSON object")
+        names = {f.name for f in fields(cls)}
+        if set(d) != names:
+            raise ValidationError(
+                f"certificate keys: missing {sorted(names - set(d))}, "
+                f"unknown {sorted(set(d) - names)}")
+        for name in ("provenance", "bounds"):
+            if not (isinstance(d[name], list)
+                    and all(isinstance(e, dict) for e in d[name])):
+                raise ValidationError(f"certificate {name} must be a list "
+                                      f"of objects")
+        if not isinstance(d["expansion"], (dict, type(None))):
+            raise ValidationError("certificate expansion must be an object "
+                                  "or null")
+        return cls(**{**d, "provenance": tuple(d["provenance"]),
+                      "bounds": tuple(d["bounds"])})
 
     def save(self, path) -> None:
         with open(path, "w", encoding="ascii") as fh:

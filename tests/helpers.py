@@ -5,11 +5,14 @@ brute force over subsets.  None of it shares code with the package, so an
 agreement between the two is evidence, not tautology.  The one exception in
 kind is blossom_mate, the general matching search that earlier releases ran
 for every regularity increment: it is kept as the reference those
-increments must still reproduce.
+increments must still reproduce.  isoperimetric_check is no oracle either:
+it checks the package's own spectrum and exact expansion against the
+Cheeger sandwich that ties them together.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
@@ -18,8 +21,9 @@ from typing import Callable, Iterable
 import networkx as nx
 import numpy as np
 
-from expanderlab import cartesian_k2
+from expanderlab import cartesian_k2, extreme_eigs, regularity
 from expanderlab.errors import ValidationError
+from expanderlab.expansion import expanding_constant_exact
 from expanderlab.graph_core import Graph, Matching, from_edge_list
 
 
@@ -296,6 +300,33 @@ def brute_force_expansion(x: Graph) -> tuple[Fraction, tuple[int, ...]]:
 def eigvalsh(x: Graph) -> np.ndarray:
     """The full adjacency spectrum, non-increasing, by numpy's dense solver."""
     return np.linalg.eigvalsh(x.adjacency_matrix())[::-1]
+
+
+def isoperimetric_check(x: Graph, *, tol: float = 1e-9) -> dict:
+    """Sandwich (k - lambda_2)/2 <= h(X) <= sqrt(2k(k - lambda_2)), exactly h.
+
+    Only defined for connected regular graphs small enough for the exact
+    search.  Returns every ingredient so failures are inspectable.
+    """
+    k = regularity(x)
+    if k is None:
+        raise ValidationError("isoperimetric check requires a regular graph")
+    s = extreme_eigs(x)
+    lam2 = s.lambda2
+    h, witness = expanding_constant_exact(x)
+    lower = (k - lam2) / 2.0
+    upper = math.sqrt(2.0 * k * max(k - lam2, 0.0))
+    pad = tol + s.residual
+    return {
+        "n": x.n,
+        "k": k,
+        "lambda2": lam2,
+        "h": h,
+        "witness": list(witness),
+        "lower": lower,
+        "upper": upper,
+        "holds": bool(lower - pad <= h <= upper + pad),
+    }
 
 
 def complement(x: Graph) -> Graph:

@@ -29,13 +29,13 @@ from expanderlab import (
 from expanderlab.bounds import gap_bound_bhp, gap_bound_rh, gap_bound_trudgian
 from expanderlab.cli import main
 from expanderlab.errors import ValidationError
-from expanderlab.expansion import isoperimetric_check
 from expanderlab.planner import certify
 
 from helpers import (
     cycle,
     decrement_regularity,
     doubled_cycle,
+    isoperimetric_check,
     k4,
     parallel_k2,
     petersen,

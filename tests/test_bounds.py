@@ -13,13 +13,12 @@ from hypothesis import strategies as st
 from expanderlab import delta_table
 from expanderlab.bounds import (
     TRUDGIAN_MIN_K,
-    BoundModel,
     gap_bound_bhp,
     gap_bound_rh,
     gap_bound_trudgian,
+    gap_bounds,
     lambda2_bound_chain,
     rh_exponent,
-    trudgian_valid,
 )
 from expanderlab.errors import ValidationError
 from expanderlab.numtheory import prev_prime
@@ -45,6 +44,10 @@ def _mp_rh(k, c):
 
 def _rel(a, b):
     return abs(a - b) / max(1.0, abs(b))
+
+
+def _table(k, c=1.0):
+    return {bound.name: bound for bound in gap_bounds(k, c)}
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +107,9 @@ def test_trudgian_magnitude_at_onset():
 
 
 def test_trudgian_validity_flag():
-    assert not trudgian_valid(TRUDGIAN_MIN_K - 1)
-    assert trudgian_valid(TRUDGIAN_MIN_K)
-    assert trudgian_valid(10**9)
+    assert not _table(TRUDGIAN_MIN_K - 1)["trudgian"].valid
+    assert _table(TRUDGIAN_MIN_K)["trudgian"].valid
+    assert _table(10**9)["trudgian"].valid
 
 
 def test_trudgian_domain():
@@ -132,11 +135,9 @@ def test_bhp_sign_flip():
 
 
 def test_bhp_model_needs_explicit_threshold():
-    model = BoundModel("BHP")
-    assert not model.is_valid(10**12)
-    trusted = BoundModel("BHP", bhp_threshold=10**6)
-    assert not trusted.is_valid(10**5)
-    assert trusted.is_valid(10**6)
+    # No explicit onset is published, so the table covers no k.
+    for k in (7, 10**6, 10**12):
+        assert not _table(k)["bhp"].valid
 
 
 # ---------------------------------------------------------------------------
@@ -204,36 +205,43 @@ def test_delta_table_row_shape():
 
 
 # ---------------------------------------------------------------------------
-# BoundModel
+# gap_bounds
 # ---------------------------------------------------------------------------
 
 
 def test_model_dispatch_matches_functions():
     k = 10**6
-    assert BoundModel("DeltaExact").evaluate(k) == lambda2_bound_chain(k)[1]
-    assert BoundModel("ChainIntermediate").evaluate(k) == lambda2_bound_chain(k)[0]
-    assert BoundModel("Trudgian").evaluate(k) == gap_bound_trudgian(k)
-    assert BoundModel("BHP").evaluate(k) == gap_bound_bhp(k)
-    assert BoundModel("CramerRH", rh_constant=2.0).evaluate(k) == gap_bound_rh(k, 2.0)
+    assert [bound.name for bound in gap_bounds(k)] == ["trudgian", "bhp", "rh"]
+    table = _table(k, 2.0)
+    assert table["trudgian"].value() == gap_bound_trudgian(k)
+    assert table["bhp"].value() == gap_bound_bhp(k)
+    assert table["rh"].value() == gap_bound_rh(k, 2.0)
 
 
 def test_model_validity():
-    assert BoundModel("DeltaExact").is_valid(3)
-    assert not BoundModel("DeltaExact").is_valid(2)
-    assert not BoundModel("Trudgian").is_valid(10**6)
-    assert BoundModel("Trudgian").is_valid(TRUDGIAN_MIN_K)
-    assert BoundModel("CramerRH").is_valid(7)
+    assert not _table(10**6)["trudgian"].valid
+    assert _table(TRUDGIAN_MIN_K)["trudgian"].valid
+    assert _table(3)["rh"].valid
+    assert _table(7)["rh"].valid
 
 
 def test_model_conditionality():
-    conditional = [kind for kind in
-                   ("DeltaExact", "ChainIntermediate", "Trudgian", "BHP", "CramerRH")
-                   if BoundModel(kind).conditional]
-    assert conditional == ["CramerRH"]
+    conditional = [bound.name for bound in gap_bounds(7) if bound.conditional]
+    assert conditional == ["rh"]
 
 
 def test_model_rejects_bad_config():
-    with pytest.raises(ValidationError):
-        BoundModel("Cramer")
-    with pytest.raises(ValidationError):
-        BoundModel("CramerRH", rh_constant=0.0)
+    for c in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            gap_bounds(7, c)
+
+
+def test_model_values_are_lazy():
+    # For C = 1e308, 6**(1/2 + r) overflows at k = 7 and r is infinite at
+    # k = 1000; only reading that value fails.
+    for k in (7, 1000):
+        table = _table(k, 1e308)
+        assert table["trudgian"].value() == gap_bound_trudgian(k)
+        assert table["bhp"].value() == gap_bound_bhp(k)
+        with pytest.raises(ValidationError, match="overflows"):
+            table["rh"].value()

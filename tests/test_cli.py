@@ -177,11 +177,18 @@ def test_bounds_rh_constant(capsys):
 
 
 def test_bounds_rejects_infinite_rh_constant(capsys):
-    assert main(["bounds", "--k", "7", "--model", "rh",
-                 "--rh-constant", "inf"]) == 1
+    # The constant is checked before any gap model is printed, even one
+    # that does not use it; the chain alone never reads it.
+    for model in ("rh", "trudgian"):
+        assert main(["bounds", "--k", "7", "--model", model,
+                     "--rh-constant", "inf"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: rh constant must be finite")
+    assert main(["bounds", "--k", "7", "--model", "chain",
+                 "--rh-constant", "inf"]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: rh constant must be finite")
+    assert captured.out.startswith("chain ") and captured.err == ""
 
 
 def test_bounds_rejects_overflowing_rh_constant(capsys):
@@ -190,6 +197,11 @@ def test_bounds_rejects_overflowing_rh_constant(capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: conditional gap bound overflows")
     assert "Traceback" not in captured.err
+    # Every line before the overflowing model is still printed.
+    assert captured.out == (
+        "chain      lambda2 <= 5.472135955 (= 2*sqrt(5) + 1) <= 9.28075994561\n"
+        "trudgian   gap >= 2.06173380632 [not-valid-here]\n"
+        "bhp        gap >= -3.04217544844 [not-valid-here, advisory]\n")
 
 
 def test_bounds_rejects_small_k(capsys):

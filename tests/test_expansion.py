@@ -14,7 +14,6 @@ from expanderlab.expansion import (
     MAX_EXACT_N,
     boundary_size,
     expanding_constant_exact,
-    isoperimetric_check,
 )
 from expanderlab.graph_core import from_edge_list
 
@@ -22,6 +21,7 @@ from helpers import (
     brute_force_expansion,
     cycle,
     doubled_cycle,
+    isoperimetric_check,
     k4,
     parallel_k2,
     path,

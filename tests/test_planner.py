@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from expanderlab import (
     choose_q,
     construct,
     graph_to_text,
+    load_graph,
     plan,
     replay,
 )
@@ -23,7 +26,8 @@ from expanderlab.planner import compare_strategies
 
 from helpers import k4, path, petersen, two_triangles
 
-_REFERENCE = Path(__file__).resolve().parent.parent / "out"
+_ROOT = Path(__file__).resolve().parent.parent
+_REFERENCE = _ROOT / "out"
 
 # ---------------------------------------------------------------------------
 # module-scope builds shared by several tests
@@ -202,6 +206,18 @@ def test_construct_library_routes():
         construct(4, 6)  # complete(5) is the only k=4 library entry
 
 
+def test_construct_library_route_matches_reference():
+    # A library base has no lambda2_matching_chain entry.
+    x, cert = construct(3, 1)
+    assert [b["model"] for b in cert.bounds] == [
+        "lambda2_chain_intermediate", "lambda2_chain_normalized",
+        "gap_trudgian", "gap_bhp", "gap_rh"]
+    assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
+        "9c3528d98663acb8787c1f08381b6591c46b657d1c4c0061ae09a1e908653f00")
+    assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
+        "905149e1d2740abdf98f22d2ddadb017b664d7c729a72339442c890a8b6a4ec6")
+
+
 def test_construct_rejections():
     with pytest.raises(ValidationError):
         construct(7, 1000, "productk2")
@@ -252,6 +268,16 @@ def test_certify_rejects_hostile_sizes_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_certify_loaded_graph_matches_reference():
+    # A loaded graph names no strategy, so no bound entry is valid.
+    cert = certify(load_graph(_REFERENCE / "k7_n2184.txt"),
+                   provenance=({"step": "load", "path": "out/k7_n2184.txt"},))
+    assert len(cert.bounds) == 5
+    assert not any(b["valid"] for b in cert.bounds)
+    assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
+        "4649c6c0f7e923aacba3f7dcdb787b61cd4e2f157202a1d46cf90404d1ae8be5")
 
 
 def test_certify_large_graph_skips_expansion(x513):
@@ -366,3 +392,13 @@ def test_compare_strategies_degenerate():
 def test_compare_strategies_rejects_low_target():
     with pytest.raises(ValidationError):
         compare_strategies(5, 13, 5)
+
+
+def test_strategy_faceoff_script_runs():
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "strategy_faceoff.py"), "7"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line for line in proc.stdout.splitlines()
+            if line.split("|")[0].strip().isdigit()]
+    assert [int(line.split("|")[0]) for line in rows] == [6, 7]

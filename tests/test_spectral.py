@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -268,3 +269,19 @@ def test_certificate_json_roundtrip_and_stability():
     back = SpectralCertificate.from_json(text1)
     assert back.to_json() == text1
     assert back.k == 3 and back.n == 10
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda d: "{", id="not-json"),
+    pytest.param(lambda d: {}, id="empty-object"),
+    pytest.param(lambda d: [], id="array"),
+    pytest.param(lambda d: {**d, "provenance": 5}, id="provenance-number"),
+    pytest.param(lambda d: {**d, "bounds": [1]}, id="bounds-entry-number"),
+    pytest.param(lambda d: {**d, "expansion": 5}, id="expansion-number"),
+    pytest.param(lambda d: {**d, "claim": "lambda2 <= 2"}, id="unknown-key"),
+])
+def test_certificate_from_json_rejects_malformed(edit):
+    bad = edit(json.loads(certify(k4()).to_json()))
+    text = bad if isinstance(bad, str) else json.dumps(bad)
+    with pytest.raises(ValidationError):
+        SpectralCertificate.from_json(text)
