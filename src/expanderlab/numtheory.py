@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -125,59 +124,7 @@ def legendre(a: int, q: int) -> int:
     return 1 if t == 1 else -1
 
 
-def sqrt_mod(a: int, q: int) -> int:
-    """Smaller square root of a modulo an odd prime q (Tonelli-Shanks).
-
-    Returns x with x^2 = a (mod q) and x <= q - x; raises if a is a
-    non-residue.
-    """
-    if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise ValidationError(f"sqrt_mod requires an odd prime modulus, got {q}")
-    a %= q
-    if a == 0:
-        return 0
-    if legendre(a, q) != 1:
-        raise ValidationError(f"{a} is not a quadratic residue mod {q}")
-    if q % 4 == 3:
-        x = pow(a, (q + 1) // 4, q)
-        return min(x, q - x)
-    # Tonelli-Shanks: write q - 1 = s * 2^e with s odd.
-    s, e = q - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    # Any non-residue serves as the 2^e-th root generator.
-    z = 2
-    while legendre(z, q) != -1:
-        z += 1
-    g = pow(z, s, q)
-    x = pow(a, (s + 1) // 2, q)
-    b = pow(a, s, q)
-    r = e
-    while b != 1:
-        # Find least m with b^(2^m) = 1; it satisfies 0 < m < r.
-        m, t = 0, b
-        while t != 1:
-            t = t * t % q
-            m += 1
-        gs = pow(g, 1 << (r - m - 1), q)
-        x = x * gs % q
-        g = gs * gs % q
-        b = b * g % q
-        r = m
-    return min(x, q - x)
-
-
-class FourSquareTuple(NamedTuple):
-    """Integer solution of a0^2 + a1^2 + a2^2 + a3^2 = p with a0 odd > 0."""
-
-    a0: int
-    a1: int
-    a2: int
-    a3: int
-
-
-def four_square_generators(p: int) -> list[FourSquareTuple]:
+def four_square_generators(p: int) -> list[tuple[int, int, int, int]]:
     """All four-square representations of p with a0 odd positive, a1..a3 even.
 
     For a prime p = 1 (mod 4) there are exactly p + 1 such tuples (Jacobi's
@@ -188,7 +135,7 @@ def four_square_generators(p: int) -> list[FourSquareTuple]:
     if p < 5 or p % 4 != 1 or not is_prime(p):
         raise ValidationError(f"need a prime p = 1 (mod 4) with p >= 5, got {p}")
     lim = math.isqrt(p)
-    found: set[FourSquareTuple] = set()
+    found = set()
     for a0 in range(1, lim + 1, 2):
         r0 = p - a0 * a0
         for a1 in range(0, lim + 1, 2):
@@ -204,7 +151,7 @@ def four_square_generators(p: int) -> list[FourSquareTuple]:
                     continue
                 signs = [(v, -v) if v else (0,) for v in (a1, a2, a3)]
                 for s1, s2, s3 in _iproduct(*signs):
-                    found.add(FourSquareTuple(a0, s1, s2, s3))
+                    found.add((a0, s1, s2, s3))
     tuples = sorted(found)
     if len(tuples) != p + 1:
         raise AssertionError(

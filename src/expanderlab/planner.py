@@ -41,13 +41,11 @@ from .graph_core import (
 )
 from .matching import increment_regularity
 from .numtheory import PrimePlan, is_prime, prev_prime
-from .ramanujan_base import build_lps, lps_params, small_ramanujan
+from .ramanujan_base import Q_MAX, build_lps, lps_params, small_ramanujan
 from .spectral import DEFAULT_TOL, SpectralCertificate, extreme_eigs
 
 # Increment strategy -> the provenance step that runs one increment.
 STRATEGIES = {"matching": "matching_increment", "k2product": "k2_product"}
-
-DEFAULT_Q_MAX = 101
 
 
 @dataclass(frozen=True)
@@ -83,14 +81,14 @@ def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
 def choose_q(p: int, min_vertices: int) -> int:
     """Smallest valid modulus q with at least min_vertices vertices.
 
-    Valid means q prime, q = 1 (mod 4), q != p, q > 2*sqrt(p).  The n that
+    Valid means q prime, q = 1 (mod 4), q != p and 2*sqrt(p) < q <= Q_MAX.  The n that
     goes with each q depends on the Legendre symbol, so candidates are
     checked in ascending order rather than solved in closed form.
     """
     if min_vertices < 1:
         raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
     q = 5
-    while q <= DEFAULT_Q_MAX:
+    while q <= Q_MAX:
         if q % 4 == 1 and q != p and q * q > 4 * p:
             if lps_params(p, q).n >= min_vertices:
                 return q
@@ -98,7 +96,7 @@ def choose_q(p: int, min_vertices: int) -> int:
         while not is_prime(q):
             q += 2
     raise ValidationError(
-        f"no modulus q <= {DEFAULT_Q_MAX} gives a base with {min_vertices} vertices "
+        f"no modulus q <= {Q_MAX} gives a base with {min_vertices} vertices "
         f"at p={p}")
 
 

@@ -1,8 +1,9 @@
 """Ramanujan base graphs: LPS Cayley graphs plus a small named library.
 
-For distinct primes p, q = 1 (mod 4) with q > 2*sqrt(p), the (p+1)-regular
-LPS graph X^{p,q} is the Cayley graph of PSL(2, q) or PGL(2, q) whose
-connection set comes from the p + 1 four-square representations
+For distinct primes p, q = 1 (mod 4) with 2*sqrt(p) < q <= Q_MAX, the
+(p+1)-regular LPS graph X^{p,q} is the Cayley graph of PSL(2, q) or
+PGL(2, q) whose connection set comes from the p + 1 four-square
+representations
 
     p = a0^2 + a1^2 + a2^2 + a3^2,   a0 odd positive, a1, a2, a3 even,
 
@@ -18,10 +19,13 @@ and loop-free.  These graphs meet the Ramanujan bound
 lambda_2 <= 2*sqrt(p), which downstream certification re-measures rather
 than assumes.
 
-Projective points are normalized by scaling so the first nonzero entry in
-row-major order is 1, and vertices are numbered by sorting the normalized
-4-tuples, so construction is deterministic regardless of how the group was
-enumerated.
+A projective point (a, b, c, d) is normalized by scaling its first nonzero
+entry to 1 and stored as the integer code ((a*q + b)*q + c)*q + d, whose
+order is the lexicographic order of the tuples.  Vertices are numbered by
+ascending code, so construction is deterministic, and each generator's
+images are found for all vertices at once by binary search over the codes.
+The cap q <= Q_MAX keeps n at most about 10^6 and every code and
+intermediate product below 2**31, so the arrays are int32.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ValidationError
 from .graph_core import Graph, from_edge_list
-from .numtheory import four_square_generators, is_prime, legendre, sqrt_mod
+from .numtheory import four_square_generators, is_prime, legendre
 
-_MatT = tuple[int, int, int, int]
+# Largest modulus of any LPS build: n <= 101*(101^2-1) = 1 030 200.
+Q_MAX = 101
 
 
 @dataclass(frozen=True)
@@ -43,115 +50,115 @@ class LpsParams:
 
     p: int
     q: int
-    legendre_sign: int
-    group: str          # "PSL2" or "PGL2"
+    group: str          # "PSL2" (non-bipartite) or "PGL2" (bipartite)
     n: int
-    bipartite: bool
 
 
 def lps_params(p: int, q: int) -> LpsParams:
-    """Validate (p, q) and resolve group, size and bipartiteness."""
+    """Validate (p, q) and resolve the group and its size."""
     for name, v in (("p", p), ("q", q)):
         if v < 5 or v % 4 != 1 or not is_prime(v):
             raise ValidationError(
                 f"{name}={v} must be a prime = 1 (mod 4), at least 5")
+    if q > Q_MAX:
+        raise ValidationError(f"q={q} exceeds the largest modulus {Q_MAX}")
     if p == q:
         raise ValidationError("p and q must be distinct")
     if q * q <= 4 * p:
         raise ValidationError(
             f"q={q} must exceed 2*sqrt(p)={2 * math.sqrt(p):.3f} "
             "for a simple loop-free graph")
-    sign = legendre(p, q)
-    if sign == 1:
-        return LpsParams(p=p, q=q, legendre_sign=1, group="PSL2",
-                         n=q * (q * q - 1) // 2, bipartite=False)
-    return LpsParams(p=p, q=q, legendre_sign=-1, group="PGL2",
-                     n=q * (q * q - 1), bipartite=True)
+    if legendre(p, q) == 1:
+        return LpsParams(p=p, q=q, group="PSL2", n=q * (q * q - 1) // 2)
+    return LpsParams(p=p, q=q, group="PGL2", n=q * (q * q - 1))
 
 
-def _normalize(m: _MatT, q: int, inv: list[int]) -> _MatT:
-    for entry in m:
-        if entry:
-            s = inv[entry]
-            return (m[0] * s % q, m[1] * s % q, m[2] * s % q, m[3] * s % q)
-    raise AssertionError("zero matrix cannot be normalized")
+def _decode(codes: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
+    return tuple(codes // q**e % q for e in (3, 2, 1, 0))
 
 
-def _mul(a: _MatT, b: _MatT, q: int) -> _MatT:
-    return ((a[0] * b[0] + a[1] * b[2]) % q,
-            (a[0] * b[1] + a[1] * b[3]) % q,
-            (a[2] * b[0] + a[3] * b[2]) % q,
-            (a[2] * b[1] + a[3] * b[3]) % q)
+def _normalize(m, q: int) -> np.ndarray:
+    """Codes of the invertible matrices m = (a, b, c, d), entries in [0, q).
 
-
-def _generator_set(p: int, q: int, inv: list[int]) -> list[_MatT]:
-    i = sqrt_mod(q - 1, q)
-    gens = []
-    for a0, a1, a2, a3 in four_square_generators(p):
-        m = ((a0 + i * a1) % q, (a2 + i * a3) % q,
-             (-a2 + i * a3) % q, (a0 - i * a1) % q)
-        gens.append(_normalize(m, q, inv))
-    distinct = sorted(set(gens))
-    if len(distinct) != p + 1:
-        raise AssertionError(
-            f"generator set for ({p}, {q}) collapsed to {len(distinct)} points")
-    return distinct
-
-
-def _enumerate_by_filter(q: int, want_square_det: bool) -> list[_MatT]:
-    """All normalized projective points, filtered by determinant class.
-
-    Scaling multiplies the determinant by a square, so 'determinant is a
-    nonzero square' is well defined on normalized representatives and picks
-    out PSL(2, q) inside PGL(2, q).
+    The first row of an invertible matrix is nonzero, so the entry scaled
+    to 1 is a where a != 0 and b elsewhere.
     """
-    squares = {x * x % q for x in range(1, q)}
-    out: list[_MatT] = []
-    for b in range(q):
-        for c in range(q):
-            for d in range(q):
-                det = (d - b * c) % q
-                if det == 0:
-                    continue
-                if not want_square_det or det in squares:
-                    out.append((1, b, c, d))
-    for c in range(1, q):
-        want = (-c) % q in squares
-        if not want_square_det or want:
-            for d in range(q):
-                out.append((0, 1, c, d))
-    return out
+    a, b, c, d = m
+    inv = np.array([0] + [pow(x, -1, q) for x in range(1, q)], dtype=np.int32)
+    s = inv[np.where(a != 0, a, b)]
+    return ((a * s % q * q + b * s % q) * q + c * s % q) * q + d * s % q
+
+
+def _vertices(q: int, square_det: bool) -> np.ndarray:
+    """Codes of the normalized points of PGL(2, q), or PSL(2, q), ascending.
+
+    Normalized matrices are (0, 1, c, d), codes q^2 + [0, q^2), and
+    (1, b, c, d), codes q^3 + [0, q^3); the invertible ones are kept.
+    Scaling multiplies the determinant by a square, so 'determinant is a
+    nonzero square' is well defined on them and picks out PSL(2, q).
+    """
+    codes = np.concatenate([q**2 + np.arange(q**2, dtype=np.int32),
+                            q**3 + np.arange(q**3, dtype=np.int32)])
+    a, b, c, d = _decode(codes, q)
+    det = (a * d - b * c) % q
+    squares = np.zeros(q, dtype=bool)
+    squares[np.arange(1, q) ** 2 % q] = True
+    return codes[squares[det] if square_det else det != 0]
+
+
+def _sqrt_minus_one(q: int) -> int:
+    """Smaller square root of -1 modulo a prime q = 1 (mod 4).
+
+    A non-residue z has z^((q-1)/2) = -1, so z^((q-1)/4) squares to -1.
+    """
+    z = 2
+    while legendre(z, q) != -1:
+        z += 1
+    i = pow(z, (q - 1) // 4, q)
+    return min(i, q - i)
+
+
+def _generators(p: int, q: int) -> np.ndarray:
+    """Codes of the p + 1 generators of X^{p,q}, ascending."""
+    i = _sqrt_minus_one(q)
+    a0, a1, a2, a3 = np.array(four_square_generators(p), dtype=np.int32).T
+    gens = np.unique(_normalize(((a0 + i * a1) % q, (a2 + i * a3) % q,
+                                 (i * a3 - a2) % q, (a0 - i * a1) % q), q))
+    if len(gens) != p + 1:
+        raise AssertionError(
+            f"generator set for ({p}, {q}) collapsed to {len(gens)} points")
+    return gens
 
 
 def build_lps(p: int, q: int) -> Graph:
     """Construct X^{p,q} with deterministic vertex numbering.
 
-    Vertices are the sorted normalized 4-tuples; vertex u is adjacent to
-    s*u for each generator s.  The generator set is closed under projective
-    inversion, so the relation is symmetric and every vertex has degree
-    p + 1.
+    Vertex j is the j-th smallest code; it is adjacent to s*j for each
+    generator s.  The generator set is closed under projective inversion,
+    so the relation is symmetric and every vertex has degree p + 1.
     """
     params = lps_params(p, q)
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = pow(a, q - 2, q)
-    gens = _generator_set(p, q, inv)
-    verts = sorted(_enumerate_by_filter(
-        q, want_square_det=(params.legendre_sign == 1)))
+    verts = _vertices(q, square_det=params.group == "PSL2")
     if len(verts) != params.n:
         raise AssertionError(
             f"enumerated {len(verts)} vertices for ({p}, {q}), "
             f"expected {params.n}")
-    index = {t: j for j, t in enumerate(verts)}
+    a, b, c, d = _decode(verts, q)
+    j = np.arange(params.n)
     edges = []
-    for j, g in enumerate(verts):
-        for s in gens:
-            h = index[_normalize(_mul(s, g, q), q, inv)]
-            if j < h:
-                edges.append((j, h))
-            elif j == h:
-                raise AssertionError(f"loop at vertex {j} in X^{{{p},{q}}}")
-    x = from_edge_list(params.n, edges)
+    for s0, s1, s2, s3 in zip(*_decode(_generators(p, q), q)):
+        image = _normalize(((s0 * a + s1 * c) % q, (s0 * b + s1 * d) % q,
+                            (s2 * a + s3 * c) % q, (s2 * b + s3 * d) % q), q)
+        h = np.searchsorted(verts, image)
+        missing = verts[np.minimum(h, params.n - 1)] != image
+        if missing.any():
+            raise AssertionError(f"vertex {missing.argmax()} of X^{{{p},{q}}} "
+                                 "has an image outside the group")
+        if (h == j).any():
+            raise AssertionError(
+                f"loop at vertex {(h == j).argmax()} in X^{{{p},{q}}}")
+        edges.append(np.column_stack([j[j < h], h[j < h]]))
+    x = from_edge_list(params.n, np.concatenate(edges))
     if len(x.edges) != params.n * (p + 1) // 2 or not x.is_simple():
         raise AssertionError(f"X^{{{p},{q}}} is not ({p + 1})-regular simple")
     return x

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, get_type_hints
 
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -150,8 +150,9 @@ class SpectralCertificate:
     def from_json(cls, text: str) -> "SpectralCertificate":
         """Parse to_json output; any other shape raises ValidationError.
 
-        The keys must be exactly the field names, and provenance, bounds
-        and expansion must hold the objects that to_dict copies.
+        The keys must be exactly the field names, each scalar field must
+        hold its declared type (a bool is not an int), and provenance,
+        bounds and expansion must hold the objects that to_dict copies.
         """
         try:
             d = json.loads(text)
@@ -164,6 +165,10 @@ class SpectralCertificate:
             raise ValidationError(
                 f"certificate keys: missing {sorted(names - set(d))}, "
                 f"unknown {sorted(set(d) - names)}")
+        for name, want in get_type_hints(cls).items():
+            if want in (str, int, float, bool) and type(d[name]) is not want:
+                raise ValidationError(f"certificate {name} must be of type "
+                                      f"{want.__name__}, got {d[name]!r}")
         for name in ("provenance", "bounds"):
             if not (isinstance(d[name], list)
                     and all(isinstance(e, dict) for e in d[name])):

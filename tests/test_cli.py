@@ -246,6 +246,9 @@ def test_compare_rejects_bad_params(capsys):
     assert main(["compare", "--p", "5", "--q", "13", "--target-k", "5"]) == 1
     assert main(["compare", "--p", "7", "--q", "13", "--target-k", "8"]) == 1
     capsys.readouterr()
+    # X^{5,109} would have 1 294 920 vertices; q above Q_MAX is refused.
+    assert main(["compare", "--p", "5", "--q", "109", "--target-k", "6"]) == 1
+    assert "q=109" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

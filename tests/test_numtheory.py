@@ -5,13 +5,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given
-from hypothesis import strategies as st
 
 from expanderlab import max_delta_in_range
 from expanderlab.errors import ValidationError
 from expanderlab.numtheory import (
-    FourSquareTuple,
     PrimePlan,
     delta_k,
     four_square_generators,
@@ -19,7 +16,6 @@ from expanderlab.numtheory import (
     legendre,
     next_prime,
     prev_prime,
-    sqrt_mod,
 )
 
 mp.mp.dps = 50
@@ -185,45 +181,6 @@ def test_legendre_domain():
             legendre(3, q)
 
 
-# -- sqrt_mod ------------------------------------------------------------------
-
-
-def test_sqrt_mod_examples():
-    assert sqrt_mod(-1, 13) == 5
-    assert sqrt_mod(4, 13) == 2
-    assert sqrt_mod(0, 13) == 0
-    with pytest.raises(ValidationError):
-        sqrt_mod(2, 13)
-
-
-def test_sqrt_mod_exhaustive():
-    for q in (5, 13, 17, 29, 37, 101):
-        for a in range(q):
-            if a == 0 or legendre(a, q) == 1:
-                x = sqrt_mod(a, q)
-                assert x * x % q == a % q
-                assert x <= q - x
-            else:
-                with pytest.raises(ValidationError):
-                    sqrt_mod(a, q)
-
-
-@given(st.sampled_from([13, 17, 29, 101, 1009, 99991]),
-       st.integers(min_value=1, max_value=10**9))
-def test_sqrt_mod_roundtrip(q, r):
-    a = r * r % q
-    x = sqrt_mod(a, q)
-    assert x * x % q == a
-    assert x <= q - x
-
-
-def test_sqrt_mod_domain():
-    with pytest.raises(ValidationError):
-        sqrt_mod(1, 8)
-    with pytest.raises(ValidationError):
-        sqrt_mod(1, 2)
-
-
 # -- four_square_generators ------------------------------------------------------
 
 
@@ -232,18 +189,18 @@ def test_four_square_p5_exact():
         (1, -2, 0, 0), (1, 0, -2, 0), (1, 0, 0, -2),
         (1, 0, 0, 2), (1, 0, 2, 0), (1, 2, 0, 0),
     ]
-    assert four_square_generators(5) == [FourSquareTuple(*t) for t in want]
+    assert four_square_generators(5) == want
 
 
 def test_four_square_p13_shapes():
     tuples = four_square_generators(13)
     assert len(tuples) == 14
-    with_three = [t for t in tuples if t.a0 == 3]
-    with_one = [t for t in tuples if t.a0 == 1]
+    with_three = [t for t in tuples if t[0] == 3]
+    with_one = [t for t in tuples if t[0] == 1]
     assert len(with_three) == 6      # (3, +-2, 0, 0) in each position
     assert len(with_one) == 8        # (1, +-2, +-2, +-2)
-    for t in with_one:
-        assert {abs(t.a1), abs(t.a2), abs(t.a3)} == {2}
+    for _, a1, a2, a3 in with_one:
+        assert {abs(a1), abs(a2), abs(a3)} == {2}
 
 
 def test_four_square_p17_count():
@@ -262,14 +219,14 @@ def test_four_square_properties_random(primes_1e6):
         assert tuples == sorted(tuples)
         seen = set(tuples)
         assert len(seen) == p + 1
-        for t in tuples:
-            assert t.a0 * t.a0 + t.a1 * t.a1 + t.a2 * t.a2 + t.a3 * t.a3 == p
-            assert t.a0 % 2 == 1 and t.a0 > 0
-            assert t.a1 % 2 == 0 and t.a2 % 2 == 0 and t.a3 % 2 == 0
+        for a0, a1, a2, a3 in tuples:
+            assert a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 == p
+            assert a0 % 2 == 1 and a0 > 0
+            assert a1 % 2 == 0 and a2 % 2 == 0 and a3 % 2 == 0
             # closure under sign flips of the even coordinates
-            assert FourSquareTuple(t.a0, -t.a1, t.a2, t.a3) in seen
-            assert FourSquareTuple(t.a0, t.a1, -t.a2, t.a3) in seen
-            assert FourSquareTuple(t.a0, t.a1, t.a2, -t.a3) in seen
+            assert (a0, -a1, a2, a3) in seen
+            assert (a0, a1, -a2, a3) in seen
+            assert (a0, a1, a2, -a3) in seen
 
 
 def test_four_square_domain():

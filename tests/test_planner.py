@@ -23,6 +23,7 @@ from expanderlab import (
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import from_edge_list
 from expanderlab.planner import compare_strategies
+from expanderlab.spectral import SpectralCertificate
 
 from helpers import k4, path, petersen, two_triangles
 
@@ -295,8 +296,10 @@ def test_construct_k7_matches_committed_reference(k7):
     x, cert = k7
     assert graph_to_text(x).encode("ascii") == (
         _REFERENCE / "k7_n2184.txt").read_bytes()
-    assert cert.to_json().encode("ascii") == (
-        _REFERENCE / "k7_n2184.json").read_bytes()
+    reference = (_REFERENCE / "k7_n2184.json").read_bytes()
+    assert cert.to_json().encode("ascii") == reference
+    loaded = SpectralCertificate.from_json(reference.decode("ascii"))
+    assert loaded.to_json().encode("ascii") == reference
 
 
 def test_construct_is_deterministic(k7):

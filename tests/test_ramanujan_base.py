@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import tracemalloc
 
 import mpmath
+import numpy as np
 import pytest
 
 from expanderlab import (
@@ -16,11 +19,15 @@ from expanderlab import (
     regularity,
 )
 from expanderlab.errors import ValidationError
-from expanderlab.numtheory import four_square_generators, sqrt_mod
+from expanderlab.graph_core import graph_to_text
+from expanderlab.numtheory import four_square_generators, is_prime
 from expanderlab.ramanujan_base import (
-    _enumerate_by_filter,
-    _generator_set,
+    Q_MAX,
+    _decode,
+    _generators,
     _normalize,
+    _sqrt_minus_one,
+    _vertices,
     lps_params,
     small_ramanujan,
 )
@@ -35,18 +42,14 @@ mpmath.mp.dps = 50
 
 def test_params_5_13():
     params = lps_params(5, 13)
-    assert params.legendre_sign == -1
     assert params.group == "PGL2"
     assert params.n == 13 * (13 * 13 - 1) == 2184
-    assert params.bipartite
 
 
 def test_params_13_17():
     params = lps_params(13, 17)
-    assert params.legendre_sign == 1
     assert params.group == "PSL2"
     assert params.n == 17 * (17 * 17 - 1) // 2 == 2448
-    assert not params.bipartite
 
 
 def test_params_5_17():
@@ -68,6 +71,22 @@ def test_params_rejections():
         lps_params(9, 13)         # not prime
     with pytest.raises(ValidationError):
         lps_params(5, 1)          # below 5
+    with pytest.raises(ValidationError):
+        lps_params(5, 1009)       # above Q_MAX
+    assert lps_params(5, Q_MAX).n == 101 * (101 * 101 - 1) // 2 == 515100
+
+
+def test_build_above_q_max_fails_before_allocating():
+    # X^{5,109} would have 1 294 920 vertices; the cap refuses it first.
+    assert Q_MAX < 109 and is_prime(109) and 109 % 4 == 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="q=109"):
+            build_lps(5, 109)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -92,22 +111,30 @@ def test_x1317_structure(x1317):
     assert not is_bipartite(x1317)
 
 
+def _tuples(codes, q):
+    return [tuple(int(e) for e in m) for m in zip(*_decode(codes, q))]
+
+
 def test_generators_closed_under_inversion():
     # The projective inverse of ((a,b),(c,d)) is its adjugate ((d,-b),(-c,a)).
     for p, q in ((5, 13), (13, 17), (5, 29)):
-        inv = [pow(a, q - 2, q) if a else 0 for a in range(q)]
-        gens = _generator_set(p, q, inv)
-        gen_set = set(gens)
-        assert len(gen_set) == p + 1
-        for a, b, c, d in gens:
-            adj = _normalize((d, (-b) % q, (-c) % q, a), q, inv)
-            assert adj in gen_set
+        gens = _generators(p, q)
+        assert len(gens) == p + 1 and (np.diff(gens) > 0).all()
+        a, b, c, d = _decode(gens, q)
+        adj = _normalize((d, -b % q, -c % q, a), q)
+        assert set(adj.tolist()) == set(gens.tolist())
+
+
+def test_sqrt_minus_one_is_the_smaller_root():
+    for q in range(5, 1000, 4):
+        if is_prime(q):
+            roots = [x for x in range(q) if x * x % q == q - 1]
+            assert _sqrt_minus_one(q) == min(roots), q
 
 
 def test_generator_images_have_determinant_p():
     p, q = 13, 17
-    i = sqrt_mod(q - 1, q)
-    assert i * i % q == q - 1
+    i = _sqrt_minus_one(q)
     # Before normalization the matrix determinant is a0^2+a1^2+a2^2+a3^2 = p.
     for a0, a1, a2, a3 in four_square_generators(p):
         m = ((a0 + i * a1) % q, (a2 + i * a3) % q,
@@ -120,12 +147,9 @@ def test_enumeration_paths_agree():
     # (5, 37): the first modulus above 31, past which builds once used closure.
     for p, q in ((5, 13), (13, 17), (5, 37)):
         params = lps_params(p, q)
-        inv = [pow(a, q - 2, q) if a else 0 for a in range(q)]
-        gens = _generator_set(p, q, inv)
-        by_filter = sorted(_enumerate_by_filter(
-            q, want_square_det=(params.legendre_sign == 1)))
-        by_closure = lps_closure(gens, q)
-        assert by_filter == by_closure
+        by_filter = _vertices(q, square_det=params.group == "PSL2")
+        by_closure = lps_closure(_tuples(_generators(p, q), q), q)
+        assert _tuples(by_filter, q) == by_closure
         assert len(by_filter) == params.n
 
 
@@ -142,6 +166,19 @@ def test_build_is_deterministic():
     a = build_lps(5, 13)
     b = build_lps(5, 13)
     assert a == b
+
+
+@pytest.mark.parametrize("p, q, digest", [
+    (13, 17, "184ea4b4ceb9945164d89326aa8ae74dc71d1747fe2d42a19cad751b44113102"),
+    (29, 13, "63cb6017c56a81464e2a1be7de8efed9b678c9178e637c00168af173af6dec4d"),
+    (5, 37, "1844d3048e3b3683e092154cadcaa94e9343306870ef9549574ad0a327b58e2d"),
+    (5, 53, "4e649b2450de11215df92ec61399059da34e43f94f9bed7b5416d0143bd9fd31"),
+])
+def test_build_lps_text_is_pinned(p, q, digest):
+    # PSL, a 30-generator set, and two PGL bases; vertex numbering and edge
+    # order are part of the graph text, so any change to them shows here.
+    text = graph_to_text(build_lps(p, q))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

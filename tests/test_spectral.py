@@ -279,6 +279,11 @@ def test_certificate_json_roundtrip_and_stability():
     pytest.param(lambda d: {**d, "bounds": [1]}, id="bounds-entry-number"),
     pytest.param(lambda d: {**d, "expansion": 5}, id="expansion-number"),
     pytest.param(lambda d: {**d, "claim": "lambda2 <= 2"}, id="unknown-key"),
+    pytest.param(lambda d: {**d, "k": "seven"}, id="k-string"),
+    pytest.param(lambda d: {**d, "n": True}, id="n-bool"),
+    pytest.param(lambda d: {**d, "lambda2": None}, id="lambda2-null"),
+    pytest.param(lambda d: {**d, "ramanujan": "yes"}, id="ramanujan-string"),
+    pytest.param(lambda d: {**d, "method": 3}, id="method-number"),
 ])
 def test_certificate_from_json_rejects_malformed(edit):
     bad = edit(json.loads(certify(k4()).to_json()))
