@@ -81,9 +81,10 @@ def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
 def choose_q(p: int, min_vertices: int) -> int:
     """Smallest valid modulus q with at least min_vertices vertices.
 
-    Valid means q prime, q = 1 (mod 4), q != p and 2*sqrt(p) < q <= Q_MAX.  The n that
-    goes with each q depends on the Legendre symbol, so candidates are
-    checked in ascending order rather than solved in closed form.
+    Valid means q prime, q = 1 (mod 4), q != p and 2*sqrt(p) < q <= Q_MAX.
+    The n that goes with each q depends on the Legendre symbol, so
+    candidates are checked in ascending order rather than solved in closed
+    form.
     """
     if min_vertices < 1:
         raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
