@@ -1,17 +1,23 @@
 """Exact integer arithmetic for prime-gap planning and Cayley generators.
 
-Everything here is deterministic and free of floating point except for the
-final division in ``delta_k``: prime tests use a fixed Miller-Rabin base set
-that is exact below 2**64, and the argmax in ``max_delta_in_range`` compares
-gap ratios by integer cross-multiplication so the winning prime never
-depends on rounding.
+Point queries (``is_prime``, ``prev_prime``, ``next_prime``, ``delta_k``)
+use a fixed Miller-Rabin base set that is exact below 2**64.  Ranges
+(``max_delta_in_range``) are swept by a segmented, odd-only numpy sieve of
+Eratosthenes, one fixed-size block at a time, so memory stays bounded by the
+block and by the base primes below sqrt(RANGE_MAX).  The argmax compares gap
+ratios by integer cross-multiplication, so the winning prime never depends
+on rounding; floating point enters only as a prefilter that keeps every
+exact maximizer, and in the final division.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import product as _iproduct
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -22,6 +28,14 @@ _MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _LIMIT = 2**63
+
+# Largest range end max_delta_in_range accepts: the base primes up to
+# sqrt(2**40) = 2**20 fit one 512 KB odd-only sieve.
+RANGE_MAX = 2**40
+
+# Odd numbers per sieve block (64 KB of flags); larger blocks run little
+# faster but raise the peak memory of a full delta_table by their temporaries.
+_BLOCK = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -65,8 +79,6 @@ def prev_prime(k: int) -> int:
         return 2
     n = k - 1
     if n % 2 == 0:
-        if n == 2:
-            return 2
         n -= 1
     while n >= 3:
         if is_prime(n):
@@ -93,22 +105,71 @@ def delta_k(k: int) -> float:
     return (next_prime(p) - p) / math.sqrt(p)
 
 
+def _prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
+    """The primes in [a, b), a >= 3, as ascending int64 arrays, one per block.
+
+    Odd n = 2i + 1 is tracked by its index i, and block j covers the indices
+    [j*_BLOCK, (j+1)*_BLOCK), so block boundaries do not depend on a.  The
+    base primes up to isqrt(b - 1) are sieved once; each block then strikes
+    the odd multiples of every base prime p from max(p*p, its first multiple
+    in the block) on.
+    """
+    r = math.isqrt(b - 1)
+    odd = np.ones((r + 1) // 2, dtype=bool)     # odd[i]: is 2i + 1 prime
+    odd[:1] = False
+    for i in range(1, (math.isqrt(r) + 1) // 2):
+        if odd[i]:
+            odd[(2 * i + 1) ** 2 // 2::2 * i + 1] = False
+    base = 2 * np.flatnonzero(odd) + 1
+    first, square = base // 2, base * base // 2     # indices of p and p*p
+    lo, hi = a // 2, b // 2
+    while lo < hi:
+        end = min((lo // _BLOCK + 1) * _BLOCK, hi)
+        flags = np.ones(end - lo, dtype=bool)
+        starts = np.maximum((first - lo) % base, square - lo)
+        for p, s in zip(base.tolist(), starts.tolist()):
+            flags[s::p] = False
+        yield 2 * (lo + np.flatnonzero(flags)) + 1
+        lo = end
+
+
 def max_delta_in_range(lo: int, hi: int) -> tuple[float, int]:
     """Maximum of delta_k over k in [lo, hi], with the smallest witness k.
 
-    delta_k is constant for k in (p, p'], so it suffices to walk the primes
-    p in [prev_prime(lo), prev_prime(hi)].  The argmax compares
-    gap/sqrt(p) > gap'/sqrt(p') via gap^2 * p' > gap'^2 * p exactly.
+    delta_k is constant for k in (p, p'], so it suffices to take the primes
+    p in [prev_prime(lo), prev_prime(hi)] and their successors, which the
+    segmented sieve yields from prev_prime(lo) up to next_prime(hi - 1), the
+    prime after the last one below hi.  The last prime of each block is
+    carried into the next, so gaps across a block boundary count.
+
+    The argmax compares gap/sqrt(p) > gap'/sqrt(p') via
+    gap^2 * p' > gap'^2 * p exactly, in ascending p with strict >, so ties go
+    to the smallest witness.  Only the primes whose float g^2/p is within a
+    relative 1e-9 of the block's float maximum reach that comparison: each
+    float ratio is within a few ulps (about 1e-16) of its exact value, so
+    every exact maximizer of a block passes the prefilter and the winner is
+    the one an exact scan over all primes would pick.
+
+    hi is capped at RANGE_MAX, which keeps the base-prime sieve within 1 MB;
+    a larger hi is refused before anything is allocated.
     """
     if not 3 <= lo <= hi:
         raise ValidationError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
-    p = prev_prime(lo)
+    if hi > RANGE_MAX:
+        raise ValidationError(f"hi={hi} exceeds the largest range end {RANGE_MAX}")
+    last = prev_prime(lo)
     best_p = best_gap = 0
-    while p < hi:
-        gap = next_prime(p) - p
-        if best_p == 0 or gap * gap * best_p > best_gap * best_gap * p:
-            best_p, best_gap = p, gap
-        p += gap
+    for primes in _prime_blocks(last + 1, next_prime(hi - 1) + 1):
+        if primes.size == 0:
+            continue
+        run = np.concatenate(([last], primes))
+        gaps = np.diff(run)
+        ratio = gaps.astype(np.float64) ** 2 / run[:-1]
+        keep = np.flatnonzero(ratio >= ratio.max() * (1.0 - 1e-9))
+        for p, gap in zip(run[keep].tolist(), gaps[keep].tolist()):
+            if best_p == 0 or gap * gap * best_p > best_gap * best_gap * p:
+                best_p, best_gap = p, gap
+        last = int(primes[-1])
     witness = max(lo, best_p + 1)
     return best_gap / math.sqrt(best_p), witness
 

@@ -5,9 +5,13 @@ brute force over subsets.  None of it shares code with the package, so an
 agreement between the two is evidence, not tautology.  The one exception in
 kind is blossom_mate, the general matching search that earlier releases ran
 for every regularity increment: it is kept as the reference those
-increments must still reproduce.  isoperimetric_check is no oracle either:
-it checks the package's own spectrum and exact expansion against the
-Cheeger sandwich that ties them together.
+increments must still reproduce.  walk_max_delta is kept the same way: it
+is the Miller-Rabin prime walk that max_delta_in_range ran before the
+segmented sieve, and the reference the sieve must reproduce, value and
+witness; it shares only the package's point queries prev_prime and
+next_prime.  isoperimetric_check is no oracle either: it checks the
+package's own spectrum and exact expansion against the Cheeger sandwich
+that ties them together.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from expanderlab import cartesian_k2, extreme_eigs, regularity
 from expanderlab.errors import ValidationError
 from expanderlab.expansion import expanding_constant_exact
 from expanderlab.graph_core import Graph, Matching, from_edge_list
+from expanderlab.numtheory import next_prime, prev_prime
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -35,6 +40,22 @@ def sieve_primes(limit: int) -> np.ndarray:
         if mask[i]:
             mask[i * i:: i] = False
     return np.flatnonzero(mask)
+
+
+def walk_max_delta(lo: int, hi: int) -> tuple[float, int]:
+    """max_delta_in_range(lo, hi) by walking the primes one point query at a time.
+
+    Walks p from prev_prime(lo) while p < hi, gap = next_prime(p) - p, and
+    keeps the first p with the largest gap^2/p by exact cross-multiplication.
+    """
+    p = prev_prime(lo)
+    best_p = best_gap = 0
+    while p < hi:
+        gap = next_prime(p) - p
+        if best_p == 0 or gap * gap * best_p > best_gap * best_gap * p:
+            best_p, best_gap = p, gap
+        p += gap
+    return best_gap / math.sqrt(best_p), max(lo, best_p + 1)
 
 
 # -- named graphs ------------------------------------------------------------

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -202,6 +205,15 @@ def test_delta_table_row_shape():
     assert set(rows[0]) == {"lo", "hi", "max_delta", "delta_ceil", "witness_k"}
     assert rows[0]["lo"] == 10 and rows[0]["hi"] == 100
     assert rows[0]["delta_ceil"] >= rows[0]["max_delta"]
+
+
+def test_reproduce_delta_table_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable,
+                           str(root / "scripts" / "reproduce_delta_table.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "ceiling column matches the published values" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

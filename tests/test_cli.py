@@ -147,6 +147,11 @@ def test_delta_table_rejects_bad_ranges(capsys):
     capsys.readouterr()
 
 
+def test_delta_table_rejects_range_above_cap(capsys):
+    assert main(["delta-table", "--ranges", "10:10000000000000"]) == 1
+    assert "exceeds the largest range end" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------

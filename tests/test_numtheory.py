@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -9,7 +10,10 @@ import sympy
 from expanderlab import max_delta_in_range
 from expanderlab.errors import ValidationError
 from expanderlab.numtheory import (
+    _BLOCK,
+    RANGE_MAX,
     PrimePlan,
+    _prime_blocks,
     delta_k,
     four_square_generators,
     is_prime,
@@ -17,6 +21,7 @@ from expanderlab.numtheory import (
     next_prime,
     prev_prime,
 )
+from helpers import walk_max_delta
 
 mp.mp.dps = 50
 
@@ -146,6 +151,48 @@ def test_max_delta_errors():
         max_delta_in_range(2, 100)
     with pytest.raises(ValidationError):
         max_delta_in_range(100, 10)
+
+
+def test_max_delta_matches_walk():
+    # Block j of the sieve holds the odd numbers in [2j*_BLOCK + 1,
+    # 2(j+1)*_BLOCK + 1), so its first two boundaries sit at these numbers.
+    b1, b2 = 2 * _BLOCK + 1, 4 * _BLOCK + 1
+    windows = [
+        (10, 10), (3, 3), (3, 4), (3, 100), (4, 4),   # lo = 3: prev_prime is 2
+        (113, 113), (127, 127), (127, 128), (1327, 1361), (1327, 1362),
+        (b1, b1), (b2, b2),          # the one gap spans a block boundary
+        (b1 - 2000, b1 + 2000), (b2 - 2000, b2 + 2000),
+        (b1 - 50, b2 + 50),          # crosses both boundaries
+        (RANGE_MAX - 2000, RANGE_MAX),
+    ]
+    assert is_prime(127) and is_prime(1361) and not is_prime(b1)
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        lo = int(rng.integers(3, 6 * _BLOCK))
+        windows.append((lo, lo + int(rng.integers(0, 4000))))
+    for lo, hi in windows:
+        assert max_delta_in_range(lo, hi) == walk_max_delta(lo, hi), (lo, hi)
+
+
+def test_prime_blocks_match_is_prime():
+    a, b = 2 * _BLOCK - 3000, 4 * _BLOCK + 3000
+    blocks = list(_prime_blocks(a, b))
+    assert len(blocks) == 3
+    assert np.concatenate(blocks).tolist() == [n for n in range(a, b) if is_prime(n)]
+    a, b = 10**7 - 10**4, 10**7 + 10**4
+    got = np.concatenate(list(_prime_blocks(a, b))).tolist()
+    assert got == [n for n in range(a, b) if is_prime(n)]
+
+
+def test_max_delta_above_cap_fails_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="exceeds the largest range end"):
+            max_delta_in_range(10, RANGE_MAX + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # -- legendre ------------------------------------------------------------------
