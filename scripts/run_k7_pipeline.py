@@ -15,9 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-# The reference under out/ is the single-threaded OpenBLAS result: the
-# certificate's last digits change with the thread count.  The variable only
-# takes effect if it is set before numpy is first imported.
+# The reference under out/ is written with one OpenBLAS thread, as the tests
+# run.  Its certificate comes from ARPACK and a Cholesky proof and has the
+# same bytes with two threads; the pin keeps the script on the tested
+# setting.  The variable only takes effect if it is set before numpy is
+# first imported.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from expanderlab import construct, plan, replay, save_graph  # noqa: E402

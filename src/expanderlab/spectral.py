@@ -1,14 +1,29 @@
 """Residual-checked extreme eigenvalues and spectral certificates.
 
 extreme_eigs is the one eigensolver entry point: it returns lambda_1,
-lambda_2 and lambda_n of a graph's adjacency as a Spectrum.  Two solver
-paths share one contract.  The dense path (numpy.linalg.eigh, LAPACK)
-solves the full spectrum and serves graphs up to DENSE_THRESHOLD vertices.
-The iterative path (scipy ARPACK) extracts the extreme eigenvalues of the
-sparse adjacency with a fixed, seeded starting vector so repeated runs
-agree bit for bit.  Every eigenpair is accepted only after an explicit
-residual check against tol; failures raise ConvergenceError rather than
-degrading silently.
+lambda_2 and lambda_n of a graph's adjacency as a Spectrum.  The method
+field names one of three size regimes:
+
+- "dense", n <= 64: numpy.linalg.eigh solves the full spectrum.
+- "iterative+inertia", 64 < n <= DENSE_THRESHOLD: ARPACK gives the values,
+  and two Cholesky factorizations prove that no eigenvalue was missed.
+- "iterative", n > DENSE_THRESHOLD: the ARPACK values alone.
+
+ARPACK runs on the sparse adjacency with a fixed, seeded starting vector,
+so repeated runs agree bit for bit.  Every eigenpair is accepted only after
+an explicit residual check against tol; failures raise ConvergenceError
+rather than degrading silently.
+
+The completeness proof.  A Ritz value is an eigenvalue within its residual,
+but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
+and lambda_n(A) <= lambda_n for the ARPACK values.  For any vector v and
+c >= 0, A - c v v^T is a rank-one positive semidefinite downdate of A, so
+by interlacing lambda_2(A) <= lambda_max(A - c v v^T).  Hence if
+(lambda2 + tol) I - A + c v1 v1^T, with v1 the lambda_1 Ritz vector and
+c = lambda1 - lambda2 + 1, has a Cholesky factorization (is positive
+definite), then lambda_2(A) < lambda2 + tol.  A poor v1 can only make the
+factorization fail, never let a wrong lambda2 pass.  Likewise a Cholesky
+factorization of A - (lambda_n - tol) I shows lambda_n(A) > lambda_n - tol.
 
 Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 >= ... >= lambda_n, so lambda_2 of a k-regular connected graph is the
@@ -23,6 +38,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any, get_type_hints
 
 import numpy as np
+from scipy.linalg import LinAlgError, blas, cholesky
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .errors import ConvergenceError, ValidationError
@@ -30,6 +46,9 @@ from .graph_core import Graph
 
 DENSE_THRESHOLD = 4096
 DEFAULT_TOL = 1e-8
+
+# Graphs up to this size are solved in full by a dense eigh.
+_DENSE_MAX_N = 64
 
 # Seed for the Lanczos starting vector; fixed so iterative runs reproduce.
 _V0_SEED = 1717
@@ -61,11 +80,12 @@ def _dense_eigs(x: Graph, tol: float) -> tuple[np.ndarray, float]:
 
 
 def _iterative_extremes(x: Graph, count: int, which: str,
-                        tol: float) -> tuple[list[float], float]:
+                        tol: float) -> tuple[list[float], float, np.ndarray]:
     """count extreme eigenvalues by ARPACK with residual verification.
 
     which is 'LA' (largest algebraic) or 'SA' (smallest).  Returns values
-    sorted non-increasing for 'LA' and non-decreasing for 'SA'.
+    sorted non-increasing for 'LA' and non-decreasing for 'SA', the worst
+    residual, and the Ritz vector of the first value.
     """
     a = x.adjacency_sparse()
     rng = np.random.default_rng(_V0_SEED)
@@ -83,23 +103,61 @@ def _iterative_extremes(x: Graph, count: int, which: str,
         raise ConvergenceError(
             f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
     vals = sorted((float(t) for t in w), reverse=(which == "LA"))
-    return vals, res
+    first = np.argmax(w) if which == "LA" else np.argmin(w)
+    return vals, res, vecs[:, first]
+
+
+def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
+                    lambda_n: float, v1: np.ndarray, tol: float) -> None:
+    """Check that no eigenvalue but one exceeds lambda2 + tol and none is
+    below lambda_n - tol; raise ConvergenceError otherwise.
+
+    Both claims are positive-definiteness tests, done by Cholesky in one
+    dense buffer: B = (lambda2 + tol) I - A + c v1 v1^T with
+    c = lambda1 - lambda2 + 1, then B = A - (lambda_n - tol) I.
+    """
+    a = x.adjacency_sparse()
+    # Fortran order lets LAPACK and BLAS work in the buffer without a copy.
+    buf = np.empty((x.n, x.n), order="F")
+    diag = buf.reshape(-1, order="F")[::x.n + 1]
+    a.toarray(out=buf)
+    np.negative(buf, out=buf)
+    diag += lambda2 + tol
+    # The rank-one update fills the upper triangle, the one cholesky reads.
+    blas.dsyr(lambda1 - lambda2 + 1.0, v1, a=buf, overwrite_a=True)
+    _factor(buf, f"an eigenvalue other than lambda_1 exceeds "
+                 f"lambda_2 + tol = {lambda2 + tol!r}")
+    a.toarray(out=buf)
+    diag -= lambda_n - tol
+    _factor(buf, f"an eigenvalue is below lambda_n - tol = {lambda_n - tol!r}")
+
+
+def _factor(buf: np.ndarray, claim: str) -> None:
+    try:
+        cholesky(buf, overwrite_a=True, check_finite=False)
+    except LinAlgError as exc:
+        raise ConvergenceError(f"{claim} ({exc})") from exc
 
 
 def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
-    The dense path serves n <= DENSE_THRESHOLD, ARPACK the larger graphs.
+    The dense path serves n <= _DENSE_MAX_N and ARPACK the larger graphs;
+    up to DENSE_THRESHOLD the ARPACK values are also proved complete.
     """
     if x.n < 2:
         raise ValidationError("need at least two vertices for lambda_2")
-    if x.n <= DENSE_THRESHOLD:
+    if x.n <= _DENSE_MAX_N:
         values, res = _dense_eigs(x, tol)
         return Spectrum(float(values[0]), float(values[1]), float(values[-1]),
                         res, "dense")
-    top, res_t = _iterative_extremes(x, 2, "LA", tol)
-    bot, res_b = _iterative_extremes(x, 1, "SA", tol)
-    return Spectrum(top[0], top[1], bot[0], max(res_t, res_b), "iterative")
+    top, res_t, v1 = _iterative_extremes(x, 2, "LA", tol)
+    bot, res_b, _ = _iterative_extremes(x, 1, "SA", tol)
+    method = "iterative"
+    if x.n <= DENSE_THRESHOLD:
+        _prove_extremes(x, top[0], top[1], bot[0], v1, tol)
+        method = "iterative+inertia"
+    return Spectrum(top[0], top[1], bot[0], max(res_t, res_b), method)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
 import os
 
-# LAPACK's eigh rounds differently with more than one OpenBLAS thread; the
-# reference outputs under out/ are the single-threaded result.  The variable
-# only takes effect if it is set before numpy is first imported.
+# The references under out/ were written with one OpenBLAS thread, and the
+# suite runs with one too.  Above 64 vertices a certificate comes from ARPACK
+# and a Cholesky proof and keeps its bytes with two threads (a test in
+# test_planner.py checks this on construct(7, 1000)); the dense eigh that
+# serves smaller graphs is not checked against the thread count.  The
+# variable only takes effect if it is set before numpy is first imported.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import pytest  # noqa: E402

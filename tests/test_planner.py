@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -278,7 +279,7 @@ def test_certify_loaded_graph_matches_reference():
     assert len(cert.bounds) == 5
     assert not any(b["valid"] for b in cert.bounds)
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "4649c6c0f7e923aacba3f7dcdb787b61cd4e2f157202a1d46cf90404d1ae8be5")
+        "b8c77be5f745b4091c146143f0a4d72dea1c22d37cb7fba9ed9491e4f8f31edc")
 
 
 def test_certify_large_graph_skips_expansion(x513):
@@ -302,6 +303,20 @@ def test_construct_k7_matches_committed_reference(k7):
     assert loaded.to_json().encode("ascii") == reference
 
 
+def test_construct_k7_reference_holds_with_two_blas_threads():
+    # n = 2184 is certified by ARPACK plus Cholesky, whose digits do not
+    # follow the OpenBLAS thread count the way a dense eigh's did.
+    code = ("import sys; from expanderlab import construct; "
+            "sys.stdout.write(construct(7, 1000)[1].to_json())")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (_REFERENCE / "k7_n2184.json").read_bytes()
+
+
 def test_construct_is_deterministic(k7):
     x1, cert1 = k7
     x2, cert2 = construct(7, 1000)
@@ -312,12 +327,13 @@ def test_construct_is_deterministic(k7):
 def test_construct_k29_exchange_steps_match_reference():
     # X^{17,13} (n = 1092) plus 11 increments; seven of them leave vertices
     # exposed after the greedy pass, some four, and so run the exchange.
-    # Digests of the output of the blossom search that earlier releases ran.
+    # The graph digest is the output of the blossom search that earlier
+    # releases ran.
     x, cert = construct(29, 1000)
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "5f172f7decb65d471d26a13b5c11ec584395741162078bf35a5297929b852f59")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "901843c570ae64e5b41642dce2c44e2155ab3346c3bc974d827a97fba8a1212a")
+        "f9882d04678612195d4c17482d929ca49fb33847a8589005516b75ce598c4015")
 
 
 def test_construct_k7_product_iterative_path_matches_reference(k7_product):

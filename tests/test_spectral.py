@@ -3,18 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expanderlab import (
     SpectralCertificate,
     cartesian_k2,
     certify,
+    construct,
     extreme_eigs,
     is_bipartite,
     regularity,
 )
 from expanderlab.errors import ConvergenceError, ValidationError
 from expanderlab.graph_core import from_edge_list
-from expanderlab.spectral import DEFAULT_TOL, _iterative_extremes
+from expanderlab.spectral import (
+    DEFAULT_TOL,
+    DENSE_THRESHOLD,
+    _DENSE_MAX_N,
+    _iterative_extremes,
+    _prove_extremes,
+)
 from helpers import (
     cycle,
     eigvalsh,
@@ -85,10 +94,10 @@ def test_extreme_eigs_small_graphs():
 
 def test_iterative_agrees_with_dense(x513):
     dense = eigvalsh(x513)
-    top, _ = _iterative_extremes(x513, 2, "LA", DEFAULT_TOL)
+    top, _, _ = _iterative_extremes(x513, 2, "LA", DEFAULT_TOL)
     assert abs(top[0] - dense[0]) <= 1e-8
     assert abs(top[1] - dense[1]) <= 1e-8
-    bot, _ = _iterative_extremes(x513, 1, "SA", DEFAULT_TOL)
+    bot, _, _ = _iterative_extremes(x513, 1, "SA", DEFAULT_TOL)
     assert abs(bot[0] - dense[-1]) <= 1e-8
 
 
@@ -116,9 +125,80 @@ def test_extreme_eigs_dispatch(x513):
     assert s.method == "dense"
     assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((3, 1, -2), abs=1e-9)
     s = extreme_eigs(x513)
-    assert s.method == "dense"  # 2184 <= 4096
+    assert s.method == "iterative+inertia"  # 64 < 2184 <= 4096
     assert s.lambda1 == pytest.approx(6, abs=1e-9)
     assert s.lambda_n == pytest.approx(-6, abs=1e-9)
+
+
+def test_inertia_path_matches_dense(x513, x1317):
+    graphs = (x513, x1317, construct(7, 1000)[0], construct(29, 1000)[0])
+    for x in graphs:
+        assert _DENSE_MAX_N < x.n <= DENSE_THRESHOLD
+        s = extreme_eigs(x)
+        assert s.method == "iterative+inertia"
+        w = eigvalsh(x)
+        assert abs(s.lambda1 - w[0]) <= 1e-12
+        assert abs(s.lambda2 - w[1]) <= 1e-12
+        assert abs(s.lambda_n - w[-1]) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def exact_pairs():
+    """A 5-regular graph on 128 vertices with its full eigendecomposition,
+    non-increasing."""
+    x = random_regular(5, 128, 7)
+    w, vecs = np.linalg.eigh(x.adjacency_matrix())
+    return x, w[::-1], vecs[:, ::-1]
+
+
+def test_proof_accepts_exact_extremes(exact_pairs):
+    x, w, vecs = exact_pairs
+    _prove_extremes(x, w[0], w[1], w[-1], vecs[:, 0], DEFAULT_TOL)
+
+
+def test_proof_rejects_low_lambda2(exact_pairs):
+    x, w, vecs = exact_pairs
+    with pytest.raises(ConvergenceError, match="lambda_2"):
+        _prove_extremes(x, w[0], w[1] - 1e-3, w[-1], vecs[:, 0], DEFAULT_TOL)
+
+
+def test_proof_rejects_third_distinct_eigenvalue(exact_pairs):
+    x, w, vecs = exact_pairs
+    distinct = [w[0]]
+    for t in w[1:]:
+        if t < distinct[-1] - 1e-6:
+            distinct.append(t)
+    with pytest.raises(ConvergenceError, match="lambda_2"):
+        _prove_extremes(x, w[0], distinct[2], w[-1], vecs[:, 0], DEFAULT_TOL)
+
+
+def test_proof_rejects_high_lambda_n(exact_pairs):
+    x, w, vecs = exact_pairs
+    with pytest.raises(ConvergenceError, match="lambda_n"):
+        _prove_extremes(x, w[0], w[1], w[-1] + 1e-3, vecs[:, 0], DEFAULT_TOL)
+
+
+def test_proof_random_vector_never_passes_wrong_lambda2(exact_pairs):
+    # Interlacing holds for any vector, so a poor v1 can only fail the proof.
+    x, w, _ = exact_pairs
+    rng = np.random.default_rng(59)
+    for _ in range(10):
+        v = rng.standard_normal(x.n)
+        v /= np.linalg.norm(v)
+        for wrong in (w[1] - 1e-3, w[2] - 1e-3):
+            with pytest.raises(ConvergenceError, match="lambda_2"):
+                _prove_extremes(x, w[0], wrong, w[-1], v, DEFAULT_TOL)
+
+
+@given(st.integers(3, 8), st.integers(65, 512), st.integers(0, 2**16))
+def test_extreme_eigs_random_regular_mid_size(k, n, seed):
+    n += (n * k) % 2
+    x = random_regular(k, n, seed)
+    s = extreme_eigs(x)
+    w = eigvalsh(x)
+    assert s.method == "iterative+inertia"
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
+        (w[0], w[1], w[-1]), abs=1e-9)
 
 
 # -- spectral gap / Ramanujan verdict of the certificate -------------------------------
