@@ -5,16 +5,18 @@ per row and rows sorted lexicographically, so two graphs built from the
 same edge multiset compare equal and serialize byte-identically.  The rest
 derives from one cached CSR adjacency.  Loops are rejected everywhere;
 parallel edges are allowed and carry multiplicity in degrees, adjacency
-matrices and boundary counts.
+matrices and boundary counts.  Connectivity and the 2-colouring come from
+one breadth-first search, cached beside the adjacency.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import ValidationError
 
@@ -24,13 +26,14 @@ Edge = tuple[int, int]
 class Graph:
     """Immutable undirected loop-free multigraph."""
 
-    __slots__ = ("n", "edges", "_csr")
+    __slots__ = ("n", "edges", "_csr", "_colouring")
 
     def __init__(self, n: int, edges: np.ndarray):
         # Internal constructor: edges must already be canonical.
         self.n = n
         self.edges = edges
         self._csr: sparse.csr_matrix | None = None
+        self._colouring: tuple[np.ndarray | None, bool] | None = None
 
     @property
     def num_edges(self) -> int:
@@ -132,7 +135,10 @@ def _canonical(n: int, raw) -> np.ndarray:
     if e.dtype == object:
         raise ValidationError(f"vertex ids beyond int64 are unsupported (n={n})")
     e = np.sort(e, axis=1)
-    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    step = np.diff(e, axis=0)
+    # Rows already in order, as in graph_to_text output, skip the lexsort.
+    if not ((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] >= 0))).all():
+        e = e[np.lexsort((e[:, 1], e[:, 0]))]
     e.flags.writeable = False
     return e
 
@@ -150,23 +156,77 @@ def regularity(x: Graph) -> int | None:
     return int(deg[0]) if (deg == deg[0]).all() else None
 
 
-def _components(a: sparse.csr_matrix) -> int:
-    return connected_components(a, directed=False, return_labels=False)
+def _depth_parity(pred: np.ndarray) -> np.ndarray:
+    """Depth mod 2 of every vertex of a forest given by parent pointers.
+
+    Roots are their own parents.  Pointer doubling keeps, for each vertex,
+    an ancestor and the parity of the path to it, and halves the remaining
+    depth per pass, so a forest of depth d takes about log2(d) passes.
+    """
+    anc = pred
+    parity = (pred != np.arange(len(pred))).astype(np.int8)
+    while True:
+        up = anc[anc]
+        if np.array_equal(up, anc):
+            return parity
+        parity ^= parity[anc]
+        anc = up
+
+
+def _colouring(x: Graph) -> tuple[np.ndarray | None, bool]:
+    """(sides, connected), cached on x.
+
+    One breadth-first search from vertex 0 colours each vertex by the
+    parity of its depth.  If it misses a vertex, a second search runs from
+    a virtual vertex n joined to the first vertex of every component, so
+    each component is coloured from its own root.  sides is that colouring
+    when every edge joins two colours, and None when x has an odd cycle.
+    """
+    if x._colouring is None:
+        a = x.adjacency_sparse()
+        sides, connected = np.zeros(0, dtype=np.int8), False
+        if x.n:
+            # a is symmetric, so the directed search follows every edge
+            # both ways without scipy building a symmetrized copy.
+            order, pred = breadth_first_order(a, 0, directed=True,
+                                              return_predecessors=True)
+            roots = np.zeros(1, dtype=np.int64)
+            connected = len(order) == x.n
+            if not connected:
+                _, labels = connected_components(a, directed=False)
+                roots = np.unique(labels, return_index=True)[1]
+                fan = sparse.csr_matrix(
+                    (np.ones(a.nnz + len(roots)),
+                     np.concatenate([a.indices, roots]),
+                     np.append(a.indptr, a.nnz + len(roots))),
+                    shape=(x.n + 1, x.n + 1))
+                _, pred = breadth_first_order(fan, x.n, directed=True,
+                                              return_predecessors=True)
+                pred = pred[:x.n]
+            pred[roots] = roots
+            sides = _depth_parity(pred)
+        u, v = x.edges[:, 0], x.edges[:, 1]
+        if (sides[u] == sides[v]).any():
+            sides = None
+        else:
+            sides.flags.writeable = False
+        x._colouring = (sides, connected)
+    return x._colouring
 
 
 def is_connected(x: Graph) -> bool:
-    return _components(x.adjacency_sparse()) == 1
+    return _colouring(x)[1]
+
+
+def bipartition(x: Graph) -> np.ndarray | None:
+    """Side (0 or 1) of every vertex in a proper 2-colouring of x, or None
+    when x has an odd cycle.  Vertex 0 and every component's lowest vertex
+    are on side 0.  Shared and read-only."""
+    return _colouring(x)[0]
 
 
 def is_bipartite(x: Graph) -> bool:
-    """Two-colorability, by the bipartite double cover (edges (u,i)-(v,1-i)).
-
-    A component of x lifts to two components of the cover when it is
-    bipartite and to one when it has an odd cycle.
-    """
-    a = x.adjacency_sparse()
-    cover = sparse.bmat([[None, a], [a, None]], format="csr")
-    return _components(cover) == 2 * _components(a)
+    return bipartition(x) is not None
 
 
 def cartesian_k2(x: Graph) -> Graph:
@@ -212,6 +272,61 @@ def graph_to_text(x: Graph) -> str:
 
 
 def graph_from_text(text: str) -> Graph:
+    """Parse edge-list text as graph_to_text writes it.
+
+    Canonical text is parsed with numpy over its bytes.  Any other text,
+    and canonical text with a line where u >= v, goes through the line
+    parser, which owns every error message and its order.
+    """
+    parsed = _parse_canonical(text)
+    if parsed is None:
+        return _parse_lines(text)
+    n, ids = parsed
+    return Graph(n, _canonical(n, ids))
+
+
+_HEADER = re.compile(r"([0-9]+) ([0-9]+)\n")
+
+# Longest id the byte parser reads: 10**18 - 1 < 2**63, so none overflows.
+_MAX_DIGITS = 18
+
+
+def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
+    """(n, edges as an (m, 2) int64 array) of canonical text, else None.
+
+    Canonical is an 'n m' header, then m lines 'u v' of ASCII decimal
+    digits, one space inside and a newline after each, with u < v.
+    """
+    head = _HEADER.match(text)
+    if head is None or not text.isascii():
+        return None
+    try:
+        n, m = int(head[1]), int(head[2])
+    except ValueError:  # beyond the interpreter's digit limit for int()
+        return None
+    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[head.end():]
+    # Token ends: the space and newline bytes, which must alternate.
+    ends = np.flatnonzero((b == ord(" ")) | (b == ord("\n")))
+    if len(ends) != 2 * m:
+        return None
+    if m == 0:
+        return (n, np.zeros((0, 2), dtype=np.int64)) if len(b) == 0 else None
+    if not (ends[-1] == len(b) - 1
+            and (b[ends[0::2]] == ord(" ")).all()
+            and (b[ends[1::2]] == ord("\n")).all()
+            and np.count_nonzero((b >= ord("0")) & (b <= ord("9")))
+            == len(b) - len(ends)):
+        return None
+    width = np.diff(ends, prepend=-1) - 1
+    if width.min() < 1 or width.max() > _MAX_DIGITS:
+        return None
+    # The bytes are checked, so numpy's own scanner reads every token.
+    ids = np.fromstring(text[head.end():], dtype=np.int64, sep=" ")
+    ids = ids.reshape(m, 2)
+    return (n, ids) if (ids[:, 0] < ids[:, 1]).all() else None
+
+
+def _parse_lines(text: str) -> Graph:
     lines = text.splitlines()
     if not lines:
         raise ValidationError("empty edge-list text")

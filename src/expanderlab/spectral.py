@@ -14,6 +14,20 @@ so repeated runs agree bit for bit.  Every eigenpair is accepted only after
 an explicit residual check against tol; failures raise ConvergenceError
 rather than degrading silently.
 
+Bipartite graphs.  Order the vertices of a bipartite graph side by side and
+its adjacency is A = [[0, B], [B^T, 0]], whose spectrum is the singular
+values of B and their negatives: (u, w) is an eigenvector for s exactly
+when (u, -w) is one for -s.  For a connected k-regular bipartite graph
+above 64 vertices this gives lambda_1 = k (the all-ones vector) and
+lambda_n = -k (+1 on one side, -1 on the other) exactly, with residual 0,
+and makes lambda_2 the largest singular value of B off the all-ones
+vector.  One ARPACK solve of half the size finds it: the largest
+eigenvalue mu of P (B B^T + I) P on one side, with P the projection that
+removes the mean, is lambda_2^2 + 1.  (The identity keeps the operator
+nonzero for complete bipartite graphs, where lambda_2 = 0.)  Its Ritz
+vector u lifts to (u, B^T u / lambda_2), and the residual is checked
+against A itself.
+
 The completeness proof.  A Ritz value is an eigenvalue within its residual,
 but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
 and lambda_n(A) <= lambda_n for the ARPACK values.  For any vector v and
@@ -24,6 +38,7 @@ c = lambda1 - lambda2 + 1, has a Cholesky factorization (is positive
 definite), then lambda_2(A) < lambda2 + tol.  A poor v1 can only make the
 factorization fail, never let a wrong lambda2 pass.  Likewise a Cholesky
 factorization of A - (lambda_n - tol) I shows lambda_n(A) > lambda_n - tol.
+For a bipartite graph v1 is the normalized all-ones vector.
 
 Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 >= ... >= lambda_n, so lambda_2 of a k-regular connected graph is the
@@ -34,15 +49,16 @@ non-strict: equality counts as Ramanujan.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any, get_type_hints
 
 import numpy as np
 from scipy.linalg import LinAlgError, blas, cholesky
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, ValidationError
-from .graph_core import Graph
+from .graph_core import Graph, bipartition, is_connected, regularity
 
 DENSE_THRESHOLD = 4096
 DEFAULT_TOL = 1e-8
@@ -107,6 +123,45 @@ def _iterative_extremes(x: Graph, count: int, which: str,
     return vals, res, vecs[:, first]
 
 
+def _bipartite_lambda2(x: Graph, sides: np.ndarray,
+                       tol: float) -> tuple[float, float]:
+    """lambda_2 of a connected regular bipartite graph and its residual.
+
+    sides is the graph's bipartition; the module docstring derives the
+    half-size operator P (B B^T + I) P solved here.
+    """
+    a = x.adjacency_sparse()
+    left, right = np.flatnonzero(sides == 0), np.flatnonzero(sides == 1)
+    b = a[left][:, right]
+    bt = b.T.tocsr()
+
+    def matvec(z: np.ndarray) -> np.ndarray:
+        z = np.ravel(z)
+        z = z - z.mean()
+        y = b @ (bt @ z)
+        return y - y.mean() + z
+
+    op = LinearOperator((len(left), len(left)), matvec=matvec,
+                        dtype=np.float64)
+    rng = np.random.default_rng(_V0_SEED)
+    v0 = rng.standard_normal(len(left))
+    try:
+        mu, vecs = eigsh(op, k=1, which="LA", v0=v0)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+    lambda2 = math.sqrt(max(float(mu[0]) - 1.0, 0.0))
+    u = vecs[:, 0]
+    v = np.zeros(x.n)
+    v[left] = u
+    if lambda2 > 0.0:
+        v[right] = bt @ u / lambda2
+    res = float(np.linalg.norm(a @ v - lambda2 * v) / np.linalg.norm(v))
+    if res > tol:
+        raise ConvergenceError(
+            f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
+    return lambda2, res
+
+
 def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
                     lambda_n: float, v1: np.ndarray, tol: float) -> None:
     """Check that no eigenvalue but one exceeds lambda2 + tol and none is
@@ -144,6 +199,8 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
 
     The dense path serves n <= _DENSE_MAX_N and ARPACK the larger graphs;
     up to DENSE_THRESHOLD the ARPACK values are also proved complete.
+    Above _DENSE_MAX_N a connected regular bipartite graph gets lambda_1
+    and lambda_n exactly and lambda_2 from one half-size solve.
     """
     if x.n < 2:
         raise ValidationError("need at least two vertices for lambda_2")
@@ -151,13 +208,21 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
         values, res = _dense_eigs(x, tol)
         return Spectrum(float(values[0]), float(values[1]), float(values[-1]),
                         res, "dense")
-    top, res_t, v1 = _iterative_extremes(x, 2, "LA", tol)
-    bot, res_b, _ = _iterative_extremes(x, 1, "SA", tol)
+    k = regularity(x)
+    sides = bipartition(x)
+    if k is not None and sides is not None and is_connected(x):
+        lambda2, res = _bipartite_lambda2(x, sides, tol)
+        top, bot = [float(k), lambda2], [-float(k)]
+        v1 = np.full(x.n, 1.0 / math.sqrt(x.n))
+    else:
+        top, res_t, v1 = _iterative_extremes(x, 2, "LA", tol)
+        bot, res_b, _ = _iterative_extremes(x, 1, "SA", tol)
+        res = max(res_t, res_b)
     method = "iterative"
     if x.n <= DENSE_THRESHOLD:
         _prove_extremes(x, top[0], top[1], bot[0], v1, tol)
         method = "iterative+inertia"
-    return Spectrum(top[0], top[1], bot[0], max(res_t, res_b), method)
+    return Spectrum(top[0], top[1], bot[0], res, method)
 
 
 @dataclass(frozen=True)

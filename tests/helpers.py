@@ -9,9 +9,12 @@ increments must still reproduce.  walk_max_delta is kept the same way: it
 is the Miller-Rabin prime walk that max_delta_in_range ran before the
 segmented sieve, and the reference the sieve must reproduce, value and
 witness; it shares only the package's point queries prev_prime and
-next_prime.  isoperimetric_check is no oracle either: it checks the
-package's own spectrum and exact expansion against the Cheeger sandwich
-that ties them together.
+next_prime.  line_parse_graph and double_cover_is_bipartite are kept the
+same way: the per-line text parser that graph_from_text still falls back
+to, and the component count that is_bipartite read before the
+breadth-first colouring.  isoperimetric_check is no oracle either: it
+checks the package's own spectrum and exact expansion against the Cheeger
+sandwich that ties them together.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from typing import Callable, Iterable
 
 import networkx as nx
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from expanderlab import cartesian_k2, extreme_eigs, regularity
 from expanderlab.errors import ValidationError
@@ -454,3 +459,57 @@ def brute_force_bipartite(x: Graph) -> bool:
         if all((mask >> u & 1) != (mask >> v & 1) for u, v in edges):
             return True
     return False
+
+
+def double_cover_is_bipartite(x: Graph) -> bool:
+    """Two-colourability by the bipartite double cover (edges (u,i)-(v,1-i)).
+
+    A component of x lifts to two components of the cover when it is
+    bipartite and to one when it has an odd cycle.
+    """
+    a = x.adjacency_sparse()
+    cover = sparse.bmat([[None, a], [a, None]], format="csr")
+    return (connected_components(cover, directed=False, return_labels=False)
+            == 2 * connected_components(a, directed=False, return_labels=False))
+
+
+def double_cover(x: Graph) -> Graph:
+    """The bipartite double cover of x: vertex (v, i) is v + i*n, and each
+    edge u-v becomes (u, 0)-(v, 1) and (v, 0)-(u, 1)."""
+    u, v = x.edges[:, 0], x.edges[:, 1]
+    return from_edge_list(2 * x.n, np.concatenate(
+        [np.column_stack([u, v + x.n]), np.column_stack([v, u + x.n])]))
+
+
+def complete_bipartite(h: int) -> Graph:
+    """K_{h,h}: sides 0..h-1 and h..2h-1."""
+    return from_edge_list(2 * h, [(u, h + v) for u in range(h)
+                                  for v in range(h)])
+
+
+def line_parse_graph(text: str) -> Graph:
+    """graph_from_text as it parsed every text before the byte parser: line
+    by line, each error reported for the first bad line."""
+    lines = text.splitlines()
+    if not lines:
+        raise ValidationError("empty edge-list text")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValidationError(f"bad header {lines[0]!r}, expected 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise ValidationError(f"bad header {lines[0]!r}") from exc
+    body = [ln for ln in lines[1:] if ln.strip()]
+    if len(body) != m:
+        raise ValidationError(f"header promises {m} edges, found {len(body)}")
+    ids: list[int] = []
+    for ln in body:
+        try:
+            u, v = map(int, ln.split())
+        except ValueError as exc:
+            raise ValidationError(f"bad edge line {ln!r}") from exc
+        if not u < v:
+            raise ValidationError(f"edge line {ln!r} must satisfy u < v")
+        ids += (u, v)
+    return from_edge_list(n, ids)

@@ -3,7 +3,7 @@ from collections import Counter
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from expanderlab import (
@@ -17,16 +17,26 @@ from expanderlab import (
     save_graph,
 )
 from expanderlab.errors import ValidationError
-from expanderlab.graph_core import Matching, add_matching, from_edge_list
+from expanderlab.graph_core import (
+    Matching,
+    _parse_canonical,
+    add_matching,
+    bipartition,
+    from_edge_list,
+)
 from helpers import (
     brute_force_bipartite,
     complement,
     cycle,
+    double_cover,
+    double_cover_is_bipartite,
     edge_pairs,
     k4,
+    line_parse_graph,
     path,
     petersen,
     random_gnp,
+    random_regular,
     remove_matching,
     to_graph,
     two_triangles,
@@ -157,9 +167,59 @@ def test_is_bipartite_prism_vs_brute_force():
     assert is_bipartite(prism) == brute_force_bipartite(prism) is True
 
 
+def _check_bipartition(x):
+    """bipartition against the double cover, and a proper colouring."""
+    sides = bipartition(x)
+    assert (sides is not None) == is_bipartite(x) == double_cover_is_bipartite(x)
+    if sides is not None:
+        assert sides.shape == (x.n,) and set(sides.tolist()) <= {0, 1}
+        assert (sides[x.edges[:, 0]] != sides[x.edges[:, 1]]).all()
+        assert x.n == 0 or sides[0] == 0
+
+
 @given(st.one_of(simple_graphs(), multigraphs()))
+@example(from_edge_list(0, []))
+@example(from_edge_list(7, [(1, 2), (1, 2), (4, 6), (5, 6)]))
 def test_is_bipartite_vs_brute_force(x):
     assert is_bipartite(x) == brute_force_bipartite(x)
+    _check_bipartition(x)
+
+
+def test_bipartition_vs_double_cover_random():
+    # Sparse G(n, p) draws are mostly disconnected; their double covers are
+    # bipartite, and doubling every edge makes multigraphs of both kinds.
+    rng = np.random.default_rng(61)
+    for seed in range(40):
+        n = int(rng.integers(1, 300))
+        x = random_gnp(n, float(rng.choice([0.002, 0.008, 0.03])), seed)
+        doubled = from_edge_list(n, np.concatenate([x.edges, x.edges]))
+        for y in (x, double_cover(x), doubled, double_cover(doubled)):
+            _check_bipartition(y)
+            g = nx.MultiGraph()
+            g.add_nodes_from(range(y.n))
+            g.add_edges_from(edge_pairs(y))
+            assert is_connected(y) == nx.is_connected(g)
+
+
+def test_bipartition_of_deep_graphs():
+    # Depth about n: the parity is found by pointer doubling, not a loop
+    # over the search order.
+    x = path(5000)
+    assert is_connected(x)
+    assert bipartition(x).tolist() == [v % 2 for v in range(5000)]
+    assert is_bipartite(cycle(5000)) and not is_bipartite(cycle(5001))
+    y = from_edge_list(4001, np.concatenate([cycle(4000).edges,
+                                             [[3999, 4000]]]))
+    assert is_connected(y) and is_bipartite(y)
+    assert not is_connected(from_edge_list(5000, path(4999).edges))
+
+
+def test_bipartition_is_read_only_and_cached():
+    x = double_cover(random_regular(3, 40, 2))
+    sides = bipartition(x)
+    assert sides is bipartition(x)
+    with pytest.raises(ValueError):
+        sides[0] = 1
 
 
 @given(st.one_of(simple_graphs(), multigraphs()))
@@ -328,6 +388,90 @@ def test_graph_from_text_errors():
                 "2 1\n0 2\n", "2 2\n0 1\n", "x y\n", "2 1\na b\n"]:
         with pytest.raises(ValidationError):
             graph_from_text(bad)
+
+
+# Tokens the byte parser must refuse, so the line parser decides them.
+_ODD_TOKENS = ("a", "", "1.0", "+3", "-2", "1_0", "\u0663", "0x1", "007",
+               "99999999999999999999", "1e3", "9" * 19, " 4")
+
+
+@st.composite
+def mutated_texts(draw):
+    """graph_to_text output with up to three edits of kinds the canonical
+    form excludes, or that a parser must reject."""
+    x = draw(multigraphs())
+    lines = graph_to_text(x).split("\n")[:-1]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        toks = lines[i].split(" ")
+        j = draw(st.integers(0, len(toks) - 1))
+        kind = draw(st.sampled_from(
+            ["token", "swap", "equal", "count", "range", "blank", "crlf",
+             "sign", "underscore", "spaces", "join", "drop", "extra"]))
+        if kind == "token":
+            toks[j] = draw(st.sampled_from(_ODD_TOKENS))
+        elif kind == "swap":
+            toks.reverse()
+        elif kind == "equal":
+            toks = [toks[0]] * len(toks)
+        elif kind == "count":
+            lines[0] = f"{x.n} {x.num_edges + draw(st.integers(-1, 2))}"
+        elif kind == "range":
+            toks[j] = str(x.n + draw(st.integers(0, 3)))
+        elif kind == "blank":
+            lines.insert(i + 1, draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "crlf":
+            toks[-1] += "\r"
+        elif kind == "sign":
+            toks[j] = draw(st.sampled_from("+-")) + toks[j]
+        elif kind == "underscore":
+            toks[j] = toks[j][:1] + "_" + toks[j][1:]
+        elif kind == "spaces":
+            toks = [" ".join(toks)]
+        elif kind == "join" and i + 1 < len(lines):
+            toks.append(lines.pop(i + 1))
+        elif kind == "drop":
+            toks = [] if i else toks
+        else:
+            toks.append(draw(st.sampled_from(["0", "1"])))
+        lines[i] = " ".join(toks)
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def _parse_outcome(parse, text):
+    try:
+        x = parse(text)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+    return x.n, edge_pairs(x)
+
+
+@settings(max_examples=300)
+@given(mutated_texts())
+@example("")
+@example("4 2\n0 3 1 2\n")
+@example("3 1\n0 99999999999999999999\n")
+@example(f"{10 ** 20} 1\n0 1\n")
+@example(f"{'9' * 5000} 0\n")
+@example("4 2\n0 3\n1 2")
+@example("4 2\n0 3\r\n1 2\n")
+@example("4 2\n2 3\n1 1\n")
+@example("4 2\n0 9\n2 1\n")
+def test_graph_from_text_matches_line_parser(text):
+    assert _parse_outcome(graph_from_text, text) == _parse_outcome(
+        line_parse_graph, text)
+
+
+def test_canonical_text_takes_the_byte_parser():
+    x = random_regular(5, 300, 3)
+    n, ids = _parse_canonical(graph_to_text(x))
+    assert n == 300 and np.array_equal(ids, x.edges)
+    assert _parse_canonical("4 2\n00 3\n1 2\n")[1].tolist() == [[0, 3], [1, 2]]
+    assert _parse_canonical("5 0\n")[1].shape == (0, 2)
+    for odd in ("4 2\n0 3\n1 2", "4 2\n0 3\r\n1 2\n", "4 2\n0 3\n\n1 2\n",
+                "4 2\n2 0\n1 2\n", "4  2\n0 3\n1 2\n", "4 2\n+0 3\n1 2\n",
+                "4 1\n0 3\n1 2\n", f"4 1\n0 {'1' * 19}\n", "4 0\n\n"):
+        assert _parse_canonical(odd) is None, odd
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -303,18 +303,21 @@ def test_construct_k7_matches_committed_reference(k7):
     assert loaded.to_json().encode("ascii") == reference
 
 
-def test_construct_k7_reference_holds_with_two_blas_threads():
-    # n = 2184 is certified by ARPACK plus Cholesky, whose digits do not
+def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
+    # n = 2184 is certified by ARPACK plus Cholesky, and the bipartite
+    # product (n = 4368) by one half-size ARPACK solve; neither's digits
     # follow the OpenBLAS thread count the way a dense eigh's did.
     code = ("import sys; from expanderlab import construct; "
-            "sys.stdout.write(construct(7, 1000)[1].to_json())")
+            "sys.stdout.write(construct(7, 1000)[1].to_json()); "
+            "sys.stdout.write(construct(7, 1000, 'k2product')[1].to_json())")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout == (_REFERENCE / "k7_n2184.json").read_bytes()
+    assert proc.stdout == ((_REFERENCE / "k7_n2184.json").read_bytes()
+                           + k7_product[1].to_json().encode("ascii"))
 
 
 def test_construct_is_deterministic(k7):
@@ -339,13 +342,15 @@ def test_construct_k29_exchange_steps_match_reference():
 def test_construct_k7_product_iterative_path_matches_reference(k7_product):
     # n = 4368 is past the dense threshold, so this pins cartesian_k2 and
     # the ARPACK path byte for byte; digests computed with one OpenBLAS
-    # thread, as the suite runs.
+    # thread, as the suite runs.  The product is bipartite, so lambda_1 and
+    # lambda_n are exact and lambda_2 comes from the half-size solve.
     x, cert = k7_product
     assert cert.method == "iterative"
+    assert (cert.lambda1, cert.lambda_n) == (7.0, -7.0)
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "2a5f0f0489332e31842584156186c81eecf3062ea681edbf224f420cec985916")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "65490d76de50767e54628fdaad51afa26344084bf1833fe731988fbdb801d847")
+        "bc9ccf10a97a71eebf425b89aa8ce805f220f317e098295ce554d1b3661e4278")
 
 
 def test_replay_rebuilds_the_graph(k7):

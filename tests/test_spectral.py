@@ -13,19 +13,23 @@ from expanderlab import (
     construct,
     extreme_eigs,
     is_bipartite,
+    is_connected,
     regularity,
 )
 from expanderlab.errors import ConvergenceError, ValidationError
-from expanderlab.graph_core import from_edge_list
+from expanderlab.graph_core import Graph, from_edge_list
 from expanderlab.spectral import (
     DEFAULT_TOL,
     DENSE_THRESHOLD,
     _DENSE_MAX_N,
+    Spectrum,
     _iterative_extremes,
     _prove_extremes,
 )
 from helpers import (
+    complete_bipartite,
     cycle,
+    double_cover,
     eigvalsh,
     k4,
     path,
@@ -336,6 +340,75 @@ def test_lambda_n_is_minus_k_iff_bipartite(x513, x1317):
         k = regularity(x)
         lam_n = extreme_eigs(x).lambda_n
         assert (abs(lam_n + k) <= 1e-6) == is_bipartite(x)
+
+
+# -- the bipartite route --------------------------------------------------------------
+
+
+def _bipartite_multigraph(h: int) -> Graph:
+    """4-regular bipartite circulant on 2h vertices with one doubled edge
+    per vertex."""
+    return from_edge_list(2 * h, [(i, h + (i + j) % h) for i in range(h)
+                                  for j in (0, 0, 1, 5)])
+
+
+@pytest.fixture(scope="module")
+def bipartite_route_graphs(x513):
+    """Connected regular bipartite graphs above the dense size, each with
+    its lambda_2 by a dense solve."""
+    graphs = [double_cover(random_regular(k, n, seed))
+              for k, n, seed in ((3, 34, 1), (4, 90, 2), (5, 128, 3),
+                                 (6, 256, 4))]
+    graphs += [cartesian_k2(double_cover(random_regular(3, 40, 5))),
+               complete_bipartite(33),         # lambda_2 = 0
+               _bipartite_multigraph(40)]
+    pairs = [(x, eigvalsh(x)[1]) for x in graphs]
+    # The k7 product, n = 4368.  Its spectrum is that of X^{5,13} shifted
+    # by +1 and -1, which spares a dense solve of twice the size.
+    w = eigvalsh(x513)
+    return pairs + [(cartesian_k2(x513), max(w[1] + 1.0, w[0] - 1.0))]
+
+
+def test_bipartite_route_matches_dense(bipartite_route_graphs):
+    for x, lambda2 in bipartite_route_graphs:
+        k = regularity(x)
+        assert k is not None and is_bipartite(x) and x.n > _DENSE_MAX_N
+        s = extreme_eigs(x)
+        assert s.lambda1 == k and s.lambda_n == -k
+        assert abs(s.lambda2 - lambda2) <= 1e-9
+        assert s.method == ("iterative+inertia" if x.n <= DENSE_THRESHOLD
+                            else "iterative")
+        assert s.residual <= DEFAULT_TOL
+
+
+def test_bipartite_route_unreachable_tolerance_raises(bipartite_route_graphs):
+    for x, _ in bipartite_route_graphs:
+        with pytest.raises(ConvergenceError):
+            extreme_eigs(x, tol=1e-300)
+
+
+def _general_route(x: Graph) -> Spectrum:
+    """What extreme_eigs returns for any graph by the two ARPACK solves."""
+    top, res_t, v1 = _iterative_extremes(x, 2, "LA", DEFAULT_TOL)
+    bot, res_b, _ = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
+    _prove_extremes(x, top[0], top[1], bot[0], v1, DEFAULT_TOL)
+    return Spectrum(top[0], top[1], bot[0], max(res_t, res_b),
+                    "iterative+inertia")
+
+
+def test_other_graphs_keep_the_general_route():
+    cover = double_cover(random_regular(3, 40, 6))
+    disconnected = from_edge_list(
+        2 * cover.n, np.concatenate([cover.edges, cover.edges + cover.n]))
+    # Vertex 0 and its copy lie on opposite sides of the cover.
+    uneven = from_edge_list(cover.n, np.concatenate(
+        [cover.edges, [[0, cover.n // 2]]]))
+    odd = cartesian_k2(random_regular(3, 40, 1))
+    for x in (disconnected, uneven, path(80), odd):
+        assert regularity(x) is None or not is_connected(x) or not is_bipartite(x)
+        assert extreme_eigs(x) == _general_route(x)
+    assert is_bipartite(disconnected) and regularity(disconnected) == 3
+    assert is_bipartite(uneven) and is_connected(uneven)
 
 
 # -- certificates ------------------------------------------------------------------------
