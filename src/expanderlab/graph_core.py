@@ -134,9 +134,13 @@ def _canonical(n: int, raw) -> np.ndarray:
         raise ValidationError(f"loop at vertex {u} rejected")
     if e.dtype == object:
         raise ValidationError(f"vertex ids beyond int64 are unsupported (n={n})")
-    e = np.sort(e, axis=1)
+    # Rows with u < v and rows already in order, as graph_to_text and
+    # build_lps emit them, skip the row sort and the lexsort.
+    if not (e[:, 0] < e[:, 1]).all():
+        e = np.sort(e, axis=1)
+    elif isinstance(raw, np.ndarray) and np.may_share_memory(e, raw):
+        e = e.copy()                # the caller's array stays its own
     step = np.diff(e, axis=0)
-    # Rows already in order, as in graph_to_text output, skip the lexsort.
     if not ((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] >= 0))).all():
         e = e[np.lexsort((e[:, 1], e[:, 0]))]
     e.flags.writeable = False

@@ -112,7 +112,8 @@ def _prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
     [j*_BLOCK, (j+1)*_BLOCK), so block boundaries do not depend on a.  The
     base primes up to isqrt(b - 1) are sieved once; each block then strikes
     the odd multiples of every base prime p from max(p*p, its first multiple
-    in the block) on.
+    in the block) on.  A base prime p >= _BLOCK strikes at most one flag per
+    block, so those primes strike theirs in one indexed assignment.
     """
     r = math.isqrt(b - 1)
     odd = np.ones((r + 1) // 2, dtype=bool)     # odd[i]: is 2i + 1 prime
@@ -122,13 +123,16 @@ def _prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
             odd[(2 * i + 1) ** 2 // 2::2 * i + 1] = False
     base = 2 * np.flatnonzero(odd) + 1
     first, square = base // 2, base * base // 2     # indices of p and p*p
+    small = np.count_nonzero(base < _BLOCK)
     lo, hi = a // 2, b // 2
     while lo < hi:
         end = min((lo // _BLOCK + 1) * _BLOCK, hi)
         flags = np.ones(end - lo, dtype=bool)
         starts = np.maximum((first - lo) % base, square - lo)
-        for p, s in zip(base.tolist(), starts.tolist()):
+        for p, s in zip(base[:small].tolist(), starts[:small].tolist()):
             flags[s::p] = False
+        hit = starts[small:]
+        flags[hit[hit < end - lo]] = False
         yield 2 * (lo + np.flatnonzero(flags)) + 1
         lo = end
 

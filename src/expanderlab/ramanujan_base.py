@@ -22,10 +22,12 @@ than assumes.
 A projective point (a, b, c, d) is normalized by scaling its first nonzero
 entry to 1 and stored as the integer code ((a*q + b)*q + c)*q + d, whose
 order is the lexicographic order of the tuples.  Vertices are numbered by
-ascending code, so construction is deterministic, and each generator's
-images are found for all vertices at once by binary search over the codes.
-The cap q <= Q_MAX keeps n at most about 10^6 and every code and
-intermediate product below 2**31, so the arrays are int32.
+ascending code, so construction is deterministic.  Codes lie in [0, 2q^3),
+and a table over that range maps each code to its vertex number, or to -1
+where the code is not a vertex, so each generator's images are found for
+all vertices at once by one gather.  The cap q <= Q_MAX keeps n at most
+about 10^6, the table at 8.2 MB, and every code and intermediate product
+below 2**31, so the arrays are int32.
 """
 
 from __future__ import annotations
@@ -135,7 +137,9 @@ def build_lps(p: int, q: int) -> Graph:
 
     Vertex j is the j-th smallest code; it is adjacent to s*j for each
     generator s.  The generator set is closed under projective inversion,
-    so the relation is symmetric and every vertex has degree p + 1.
+    so the relation is symmetric and every vertex has degree p + 1.  Each
+    vertex's sorted neighbours above it give its edges, so they come out
+    in canonical order.
     """
     params = lps_params(p, q)
     verts = _vertices(q, square_det=params.group == "PSL2")
@@ -143,22 +147,28 @@ def build_lps(p: int, q: int) -> Graph:
         raise AssertionError(
             f"enumerated {len(verts)} vertices for ({p}, {q}), "
             f"expected {params.n}")
+    # -1 marks codes that are no vertex; a singular image normalizes to 0.
+    index = np.full(2 * q**3, -1, dtype=np.int32)
+    j = np.arange(params.n, dtype=np.int32)
+    index[verts] = j
     a, b, c, d = _decode(verts, q)
-    j = np.arange(params.n)
-    edges = []
-    for s0, s1, s2, s3 in zip(*_decode(_generators(p, q), q)):
+    gens = zip(*_decode(_generators(p, q), q))
+    nbrs = np.empty((params.n, p + 1), dtype=np.int32)
+    for col, (s0, s1, s2, s3) in enumerate(gens):
         image = _normalize(((s0 * a + s1 * c) % q, (s0 * b + s1 * d) % q,
                             (s2 * a + s3 * c) % q, (s2 * b + s3 * d) % q), q)
-        h = np.searchsorted(verts, image)
-        missing = verts[np.minimum(h, params.n - 1)] != image
-        if missing.any():
-            raise AssertionError(f"vertex {missing.argmax()} of X^{{{p},{q}}} "
+        h = index[image]
+        if (h < 0).any():
+            raise AssertionError(f"vertex {(h < 0).argmax()} of X^{{{p},{q}}} "
                                  "has an image outside the group")
         if (h == j).any():
             raise AssertionError(
                 f"loop at vertex {(h == j).argmax()} in X^{{{p},{q}}}")
-        edges.append(np.column_stack([j[j < h], h[j < h]]))
-    x = from_edge_list(params.n, np.concatenate(edges))
+        nbrs[:, col] = h
+    nbrs.sort(axis=1)
+    up = nbrs > j[:, None]
+    x = from_edge_list(params.n, np.column_stack(
+        [np.repeat(j, up.sum(axis=1)), nbrs[up]]))
     if len(x.edges) != params.n * (p + 1) // 2 or not x.is_simple():
         raise AssertionError(f"X^{{{p},{q}}} is not ({p + 1})-regular simple")
     return x

@@ -12,7 +12,12 @@ witness; it shares only the package's point queries prev_prime and
 next_prime.  line_parse_graph and double_cover_is_bipartite are kept the
 same way: the per-line text parser that graph_from_text still falls back
 to, and the component count that is_bipartite read before the
-breadth-first colouring.  isoperimetric_check is no oracle either: it
+breadth-first colouring.  searchsorted_lps is kept the same way: the
+build_lps that found each generator's images by binary search over the
+sorted vertex codes and handed its edges to from_edge_list in generator
+order; it shares the package's vertex, generator and normalization steps,
+so it checks the code table and the canonical emission that replaced that
+search.  isoperimetric_check is no oracle either: it
 checks the package's own spectrum and exact expansion against the Cheeger
 sandwich that ties them together.
 """
@@ -35,6 +40,13 @@ from expanderlab.errors import ValidationError
 from expanderlab.expansion import expanding_constant_exact
 from expanderlab.graph_core import Graph, Matching, from_edge_list
 from expanderlab.numtheory import next_prime, prev_prime
+from expanderlab.ramanujan_base import (
+    _decode,
+    _generators,
+    _normalize,
+    _vertices,
+    lps_params,
+)
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -394,6 +406,25 @@ def lps_closure(gens: list[tuple[int, int, int, int]],
                     nxt.append(h)
         frontier = nxt
     return sorted(seen)
+
+
+def searchsorted_lps(p: int, q: int) -> Graph:
+    """X^{p,q} as build_lps built it before the code table: one binary
+    search of the sorted vertex codes per generator, edges j < s*j in
+    generator order, canonical form left to from_edge_list."""
+    params = lps_params(p, q)
+    verts = _vertices(q, square_det=params.group == "PSL2")
+    a, b, c, d = _decode(verts, q)
+    j = np.arange(params.n)
+    edges = []
+    for s0, s1, s2, s3 in zip(*_decode(_generators(p, q), q)):
+        image = _normalize(((s0 * a + s1 * c) % q, (s0 * b + s1 * d) % q,
+                            (s2 * a + s3 * c) % q, (s2 * b + s3 * d) % q), q)
+        h = np.searchsorted(verts, image)
+        assert (verts[np.minimum(h, params.n - 1)] == image).all()
+        assert (h != j).all()
+        edges.append(np.column_stack([j[j < h], h[j < h]]))
+    return from_edge_list(params.n, np.concatenate(edges))
 
 
 def product_spectrum_oracle(x: Graph) -> dict:

@@ -135,6 +135,52 @@ def test_graph_equality_and_hash():
     assert a != from_edge_list(4, [(0, 1), (1, 2)])
 
 
+def _reference_canonical(edges: np.ndarray) -> np.ndarray:
+    e = np.sort(edges.reshape(-1, 2), axis=1)
+    return e[np.lexsort((e[:, 1], e[:, 0]))]
+
+
+# Edge lists on up to 12 vertices, drawn as loop-free pairs in three shapes:
+# mixed orientation and order, all u < v but out of order, and canonical
+# rows with one of them reversed.
+@st.composite
+def edge_arrays(draw):
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    e = np.array(draw(st.lists(st.sampled_from(pairs), max_size=40)),
+                 dtype=np.int64).reshape(-1, 2)
+    shape = draw(st.sampled_from(["mixed", "ordered rows", "one reversed"]))
+    if shape != "mixed":
+        e = np.sort(e, axis=1)
+    if shape == "one reversed" and len(e):
+        e = _reference_canonical(e)
+        i = draw(st.integers(min_value=0, max_value=len(e) - 1))
+        e[i] = e[i, ::-1]
+    return n, e
+
+
+@settings(max_examples=300)
+@given(edge_arrays())
+@example((5, np.array([[0, 1], [0, 1], [1, 4], [2, 3]])))
+@example((5, np.array([[1, 4], [0, 1], [2, 3]])))
+@example((5, np.array([[0, 1], [4, 1], [2, 3]])))
+def test_from_edge_list_matches_reference_canonical_form(case):
+    n, e = case
+    given_edges = e.copy()
+    x = from_edge_list(n, e)
+    assert x.edges.dtype == np.int64
+    assert np.array_equal(x.edges, _reference_canonical(e))
+    assert from_edge_list(n, e.tolist()) == x
+    assert not x.edges.flags.writeable
+    with pytest.raises(ValueError):
+        x.edges[...] = 0
+    # The input is neither changed nor shared: writing to it leaves x as is.
+    assert np.array_equal(e, given_edges) and e.flags.writeable
+    if len(e):
+        e[:] = 0
+        assert np.array_equal(x.edges, _reference_canonical(given_edges))
+
+
 # -- regularity / connectivity / bipartiteness ---------------------------------
 
 

@@ -175,13 +175,17 @@ def test_max_delta_matches_walk():
 
 
 def test_prime_blocks_match_is_prime():
-    a, b = 2 * _BLOCK - 3000, 4 * _BLOCK + 3000
-    blocks = list(_prime_blocks(a, b))
-    assert len(blocks) == 3
-    assert np.concatenate(blocks).tolist() == [n for n in range(a, b) if is_prime(n)]
-    a, b = 10**7 - 10**4, 10**7 + 10**4
-    got = np.concatenate(list(_prime_blocks(a, b))).tolist()
-    assert got == [n for n in range(a, b) if is_prime(n)]
+    # Windows across the first two block boundaries, around 10^7, and across
+    # the last boundary below RANGE_MAX, at 2^40 - 2*_BLOCK + 1, where most
+    # base primes exceed _BLOCK and strike at most one flag per block.
+    edge = RANGE_MAX - 2 * _BLOCK + 1
+    for (a, b), count in (((2 * _BLOCK - 3000, 4 * _BLOCK + 3000), 3),
+                          ((10**7 - 10**4, 10**7 + 10**4), 1),
+                          ((edge - 3000, edge + 3000), 2)):
+        blocks = list(_prime_blocks(a, b))
+        assert len(blocks) == count
+        got = np.concatenate(blocks).tolist()
+        assert got == [n for n in range(a, b) if is_prime(n)], (a, b)
 
 
 def test_max_delta_above_cap_fails_before_allocating():

@@ -31,7 +31,7 @@ from expanderlab.ramanujan_base import (
     lps_params,
     small_ramanujan,
 )
-from helpers import eigvalsh, lps_closure
+from helpers import eigvalsh, lps_closure, searchsorted_lps
 
 mpmath.mp.dps = 50
 
@@ -179,6 +179,35 @@ def test_build_lps_text_is_pinned(p, q, digest):
     # order are part of the graph text, so any change to them shows here.
     text = graph_to_text(build_lps(p, q))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _valid_params(p, q):
+    try:
+        lps_params(p, q)
+    except ValidationError:
+        return False
+    return True
+
+
+def test_build_lps_matches_searchsorted_build():
+    primes = [v for v in range(5, 60, 4) if is_prime(v)]
+    pairs = [(p, q) for p in primes for q in primes
+             if q <= 37 and _valid_params(p, q)] + [(5, 53)]
+    assert len(pairs) == 24 and (53, 37) in pairs
+    for p, q in pairs:
+        x, ref = build_lps(p, q), searchsorted_lps(p, q)
+        assert x.n == ref.n and np.array_equal(x.edges, ref.edges), (p, q)
+
+
+def test_build_lps_at_q_max_is_pinned():
+    # The largest code table, 2*Q_MAX^3 entries.  Its top code,
+    # (1, q-1, q-1, q-1), has determinant -2, a non-square mod 101, so this
+    # PSL build stops two codes short of it; PGL builds such as (5, 53), in
+    # the test above, reach it.
+    x = build_lps(5, Q_MAX)
+    assert x.n == 515100 and x.edges.dtype == np.int64
+    assert hashlib.sha256(x.edges.tobytes()).hexdigest() == (
+        "fb34f68708c662a8dd135091adca3a297bd547f545357a4845a7fc98aeab41fd")
 
 
 # ---------------------------------------------------------------------------
