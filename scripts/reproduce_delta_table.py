@@ -10,12 +10,16 @@ optimal bound in that decade.
 
 from __future__ import annotations
 
+import sys
 import time
 
 from expanderlab import delta_table
 
 
-def main() -> None:
+PUBLISHED_CEILS = [1.52, 1.32, 0.94, 0.41, 0.22, 0.12]
+
+
+def main() -> int:
     t0 = time.perf_counter()
     rows = delta_table()
     elapsed = time.perf_counter() - t0
@@ -26,9 +30,13 @@ def main() -> None:
               f"{r['delta_ceil']:>5.2f}  {r['witness_k']:>10}")
     print(f"\ncomputed in {elapsed:.2f}s")
     ceils = [r["delta_ceil"] for r in rows]
-    assert ceils == [1.52, 1.32, 0.94, 0.41, 0.22, 0.12], ceils
+    if ceils != PUBLISHED_CEILS:
+        print(f"ceiling column {ceils} differs from the published values "
+              f"{PUBLISHED_CEILS}")
+        return 1
     print("ceiling column matches the published values")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

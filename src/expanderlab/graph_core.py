@@ -7,18 +7,23 @@ derives from one cached CSR adjacency.  Loops are rejected everywhere;
 parallel edges are allowed and carry multiplicity in degrees, adjacency
 matrices and boundary counts.  Connectivity and the 2-colouring come from
 one breadth-first search, cached beside the adjacency.
+
+scipy is imported on first use, when a graph's CSR adjacency or colouring
+is first built, so parsing, serializing and building edge arrays need
+numpy alone.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 Edge = tuple[int, int]
 
@@ -52,6 +57,8 @@ class Graph:
     def adjacency_sparse(self) -> sparse.csr_matrix:
         """CSR adjacency (multiplicities, sorted columns), shared: do not modify."""
         if self._csr is None:
+            from scipy import sparse
+
             u, v = self.edges[:, 0], self.edges[:, 1]
             rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
             self._csr = sparse.csr_matrix(
@@ -187,6 +194,9 @@ def _colouring(x: Graph) -> tuple[np.ndarray | None, bool]:
     when every edge joins two colours, and None when x has an odd cycle.
     """
     if x._colouring is None:
+        from scipy import sparse
+        from scipy.sparse.csgraph import breadth_first_order, connected_components
+
         a = x.adjacency_sparse()
         sides, connected = np.zeros(0, dtype=np.int8), False
         if x.n:

@@ -44,6 +44,9 @@ Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 >= ... >= lambda_n, so lambda_2 of a k-regular connected graph is the
 quantity bounded by 2*sqrt(k-1) in a Ramanujan graph.  The test is
 non-strict: equality counts as Ramanujan.
+
+scipy is imported on first use, by the first CSR adjacency, ARPACK solve or
+Cholesky factorization, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -54,8 +57,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, get_type_hints
 
 import numpy as np
-from scipy.linalg import LinAlgError, blas, cholesky
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ConvergenceError, ValidationError
 from .graph_core import Graph, bipartition, is_connected, regularity
@@ -103,6 +104,8 @@ def _iterative_extremes(x: Graph, count: int, which: str,
     sorted non-increasing for 'LA' and non-decreasing for 'SA', the worst
     residual, and the Ritz vector of the first value.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+
     a = x.adjacency_sparse()
     rng = np.random.default_rng(_V0_SEED)
     v0 = rng.standard_normal(x.n)
@@ -130,6 +133,8 @@ def _bipartite_lambda2(x: Graph, sides: np.ndarray,
     sides is the graph's bipartition; the module docstring derives the
     half-size operator P (B B^T + I) P solved here.
     """
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+
     a = x.adjacency_sparse()
     left, right = np.flatnonzero(sides == 0), np.flatnonzero(sides == 1)
     b = a[left][:, right]
@@ -171,6 +176,8 @@ def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
     dense buffer: B = (lambda2 + tol) I - A + c v1 v1^T with
     c = lambda1 - lambda2 + 1, then B = A - (lambda_n - tol) I.
     """
+    from scipy.linalg import blas
+
     a = x.adjacency_sparse()
     # Fortran order lets LAPACK and BLAS work in the buffer without a copy.
     buf = np.empty((x.n, x.n), order="F")
@@ -188,6 +195,8 @@ def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
 
 
 def _factor(buf: np.ndarray, claim: str) -> None:
+    from scipy.linalg import LinAlgError, cholesky
+
     try:
         cholesky(buf, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:

@@ -5,7 +5,9 @@ import os
 # and a Cholesky proof and keeps its bytes with two threads (a test in
 # test_planner.py checks this on construct(7, 1000)); the dense eigh that
 # serves smaller graphs is not checked against the thread count.  The
-# variable only takes effect if it is set before numpy is first imported.
+# variable only takes effect if it is set before numpy or scipy is first
+# imported; scipy brings its own OpenBLAS, which now loads at the first
+# sparse call.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import pytest  # noqa: E402

@@ -1,8 +1,11 @@
-"""The package root exports every name the benchmark harness imports, and
-pyproject.toml declares every third-party module the tests import."""
+"""The package root exports every name the benchmark harness imports,
+pyproject.toml declares every third-party module the tests import, scipy
+stays unloaded until a graph needs it, and no check relies on assert."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -51,3 +54,47 @@ def test_test_imports_are_declared():
     declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower()
                 .replace("-", "_") for r in requirements}
     assert not sorted(third_party - declared)
+
+
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports the checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NO_SCIPY = ("loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+             "assert not loaded, loaded\n")
+
+
+def test_scipy_loads_on_first_graph_solve():
+    _run_fresh("import sys\n"
+               "import expanderlab as e\n"
+               "e.delta_table(((10, 100),))\n"
+               "e.plan(7)\n"
+               "x = e.graph_from_text(e.graph_to_text(e.build_lps(5, 13)))\n"
+               "assert e.regularity(x) == 6\n"
+               + _NO_SCIPY +
+               "e.certify(x)\n"
+               "assert 'scipy.sparse.linalg' in sys.modules\n")
+
+
+def test_cli_delta_table_and_bounds_leave_scipy_unloaded():
+    _run_fresh("import sys\n"
+               "from expanderlab.cli import main\n"
+               "assert main(['delta-table', '--ranges', '10:100']) == 0\n"
+               "assert main(['bounds', '--k', '7']) == 0\n"
+               + _NO_SCIPY)
+
+
+def test_no_assert_statements_outside_tests():
+    # python -O strips assert, so a check made with it checks nothing there.
+    sources = sorted([*(_ROOT / "scripts").glob("*.py"),
+                      *(_ROOT / "src" / "expanderlab").glob("*.py")])
+    assert sources
+    found = [f"{path.relative_to(_ROOT)}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found
