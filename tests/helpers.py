@@ -25,9 +25,11 @@ sandwich that ties them together.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 from typing import Callable, Iterable
 
 import networkx as nx
@@ -47,6 +49,17 @@ from expanderlab.ramanujan_base import (
     _vertices,
     lps_params,
 )
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def script_env(**overrides: str) -> dict[str, str]:
+    """The caller's environment for a child process that imports the
+    checkout's package: src first on PYTHONPATH, then overrides."""
+    pythonpath = os.pathsep.join(
+        filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath, **overrides}
 
 
 def sieve_primes(limit: int) -> np.ndarray:

@@ -25,6 +25,7 @@ from expanderlab.bounds import (
 )
 from expanderlab.errors import ValidationError
 from expanderlab.numtheory import prev_prime
+from helpers import script_env
 
 mpmath.mp.dps = 50
 
@@ -211,7 +212,8 @@ def test_reproduce_delta_table_script_runs():
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable,
                            str(root / "scripts" / "reproduce_delta_table.py")],
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, env=script_env(),
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "ceiling column matches the published values" in proc.stdout
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -26,7 +25,7 @@ from expanderlab.graph_core import from_edge_list
 from expanderlab.planner import compare_strategies
 from expanderlab.spectral import SpectralCertificate
 
-from helpers import k4, path, petersen, two_triangles
+from helpers import k4, path, petersen, script_env, two_triangles
 
 _ROOT = Path(__file__).resolve().parent.parent
 _REFERENCE = _ROOT / "out"
@@ -310,11 +309,9 @@ def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
     code = ("import sys; from expanderlab import construct; "
             "sys.stdout.write(construct(7, 1000)[1].to_json()); "
             "sys.stdout.write(construct(7, 1000, 'k2product')[1].to_json())")
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "2",
-           "PYTHONPATH": os.pathsep.join(
-               filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          env=env, timeout=300)
+                          env=script_env(OPENBLAS_NUM_THREADS="2"),
+                          timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == ((_REFERENCE / "k7_n2184.json").read_bytes()
                            + k7_product[1].to_json().encode("ascii"))
@@ -421,7 +418,7 @@ def test_compare_strategies_rejects_low_target():
 def test_strategy_faceoff_script_runs():
     proc = subprocess.run(
         [sys.executable, str(_ROOT / "scripts" / "strategy_faceoff.py"), "7"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, env=script_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = [line for line in proc.stdout.splitlines()
             if line.split("|")[0].strip().isdigit()]

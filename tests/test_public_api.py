@@ -3,7 +3,6 @@ pyproject.toml declares every third-party module the tests import, scipy
 stays unloaded until a graph needs it, and no check relies on assert."""
 
 import ast
-import os
 import re
 import subprocess
 import sys
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import expanderlab
+from helpers import script_env
 
 _ROOT = Path(__file__).resolve().parent.parent
 _WORKLOADS = _ROOT / "perfbench" / "workloads.py"
@@ -58,10 +58,8 @@ def test_test_imports_are_declared():
 
 def _run_fresh(code: str) -> None:
     """Run code in a fresh interpreter that imports the checkout's package."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=script_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

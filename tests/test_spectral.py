@@ -15,6 +15,7 @@ from expanderlab import (
     is_bipartite,
     is_connected,
     regularity,
+    spectral,
 )
 from expanderlab.errors import ConvergenceError, ValidationError
 from expanderlab.graph_core import Graph, from_edge_list
@@ -148,50 +149,153 @@ def test_inertia_path_matches_dense(x513, x1317):
 
 @pytest.fixture(scope="module")
 def exact_pairs():
-    """A 5-regular graph on 128 vertices with its full eigendecomposition,
-    non-increasing."""
-    x = random_regular(5, 128, 7)
-    w, vecs = np.linalg.eigh(x.adjacency_matrix())
-    return x, w[::-1], vecs[:, ::-1]
+    """Regular graphs with their full eigendecompositions, non-increasing,
+    and whether they meet the squared-shift gate: a 5-regular graph on 128
+    vertices, which does not (8 * 25 * 128 > 128^2), and a 3-regular one
+    on 256 vertices, which does."""
+    pairs = []
+    for k, n in ((5, 128), (3, 256)):
+        x = random_regular(k, n, 7)
+        w, vecs = np.linalg.eigh(x.adjacency_matrix())
+        pairs.append((x, w[::-1], vecs[:, ::-1], _degree_gate(x)))
+    assert [gated for *_, gated in pairs] == [False, True]
+    return pairs
 
 
-def test_proof_accepts_exact_extremes(exact_pairs):
-    x, w, vecs = exact_pairs
-    _prove_extremes(x, w[0], w[1], w[-1], vecs[:, 0], DEFAULT_TOL)
+def _degree_gate(x: Graph) -> bool:
+    deg = x.degrees()
+    return 8 * int(deg @ deg) <= x.n * x.n
 
 
-def test_proof_rejects_low_lambda2(exact_pairs):
-    x, w, vecs = exact_pairs
-    with pytest.raises(ConvergenceError, match="lambda_2"):
-        _prove_extremes(x, w[0], w[1] - 1e-3, w[-1], vecs[:, 0], DEFAULT_TOL)
+@pytest.fixture
+def factored(monkeypatch) -> list[float]:
+    """The trace of every matrix handed to Cholesky from now on."""
+    traces: list[float] = []
+    factor = spectral._factor
+
+    def recording(buf: np.ndarray, claim: str) -> None:
+        traces.append(float(np.trace(buf)))
+        factor(buf, claim)
+
+    monkeypatch.setattr(spectral, "_factor", recording)
+    return traces
 
 
-def test_proof_rejects_third_distinct_eigenvalue(exact_pairs):
-    x, w, vecs = exact_pairs
-    distinct = [w[0]]
-    for t in w[1:]:
-        if t < distinct[-1] - 1e-6:
-            distinct.append(t)
-    with pytest.raises(ConvergenceError, match="lambda_2"):
-        _prove_extremes(x, w[0], distinct[2], w[-1], vecs[:, 0], DEFAULT_TOL)
+# A gated proof takes one factorization when it accepts.  When it rejects,
+# the two factorizations after it decide, so it takes one more than an
+# ungated proof; a failed lambda_2 factorization stops before lambda_n's.
 
 
-def test_proof_rejects_high_lambda_n(exact_pairs):
-    x, w, vecs = exact_pairs
-    with pytest.raises(ConvergenceError, match="lambda_n"):
-        _prove_extremes(x, w[0], w[1], w[-1] + 1e-3, vecs[:, 0], DEFAULT_TOL)
+def test_proof_accepts_exact_extremes(exact_pairs, factored):
+    for x, w, vecs, gated in exact_pairs:
+        factored.clear()
+        _prove_extremes(x, w[0], w[1], w[-1], vecs[:, 0], DEFAULT_TOL)
+        assert len(factored) == (1 if gated else 2)
 
 
-def test_proof_random_vector_never_passes_wrong_lambda2(exact_pairs):
+def test_proof_rejects_low_lambda2(exact_pairs, factored):
+    for x, w, vecs, gated in exact_pairs:
+        factored.clear()
+        with pytest.raises(ConvergenceError, match="lambda_2"):
+            _prove_extremes(x, w[0], w[1] - 1e-3, w[-1], vecs[:, 0],
+                            DEFAULT_TOL)
+        assert len(factored) == 1 + gated
+
+
+def test_proof_rejects_third_distinct_eigenvalue(exact_pairs, factored):
+    for x, w, vecs, gated in exact_pairs:
+        distinct = [w[0]]
+        for t in w[1:]:
+            if t < distinct[-1] - 1e-6:
+                distinct.append(t)
+        factored.clear()
+        with pytest.raises(ConvergenceError, match="lambda_2"):
+            _prove_extremes(x, w[0], distinct[2], w[-1], vecs[:, 0],
+                            DEFAULT_TOL)
+        assert len(factored) == 1 + gated
+
+
+def test_proof_rejects_high_lambda_n(exact_pairs, factored):
+    for x, w, vecs, gated in exact_pairs:
+        factored.clear()
+        with pytest.raises(ConvergenceError, match="lambda_n"):
+            _prove_extremes(x, w[0], w[1], w[-1] + 1e-3, vecs[:, 0],
+                            DEFAULT_TOL)
+        assert len(factored) == 2 + gated
+
+
+def test_proof_random_vector_never_passes_wrong_lambda2(exact_pairs, factored):
     # Interlacing holds for any vector, so a poor v1 can only fail the proof.
-    x, w, _ = exact_pairs
     rng = np.random.default_rng(59)
-    for _ in range(10):
-        v = rng.standard_normal(x.n)
-        v /= np.linalg.norm(v)
-        for wrong in (w[1] - 1e-3, w[2] - 1e-3):
-            with pytest.raises(ConvergenceError, match="lambda_2"):
-                _prove_extremes(x, w[0], wrong, w[-1], v, DEFAULT_TOL)
+    for x, w, _, gated in exact_pairs:
+        for _ in range(10):
+            v = rng.standard_normal(x.n)
+            v /= np.linalg.norm(v)
+            for wrong in (w[1] - 1e-3, w[2] - 1e-3):
+                factored.clear()
+                with pytest.raises(ConvergenceError, match="lambda_2"):
+                    _prove_extremes(x, w[0], wrong, w[-1], v, DEFAULT_TOL)
+                assert len(factored) == 1 + gated
+
+
+# -- the squared-shift route ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def construct_1000():
+    """construct(k, 1000) for k = 7 and 12, which pass the sum(deg^2) <=
+    n^2/8 gate, and k = 29, which does not."""
+    return {k: construct(k, 1000) for k in (7, 12, 29)}
+
+
+def test_proof_route_factorization_counts(factored, x513, construct_1000):
+    cases = ((construct_1000[7][0], True), (x513, True),
+             (construct_1000[29][0], False))
+    for x, gated in cases:
+        assert _degree_gate(x) is gated
+        factored.clear()
+        assert extreme_eigs(x).method == "iterative+inertia"
+        assert len(factored) == (1 if gated else 2)
+
+
+def test_degenerate_gap_skips_the_squared_shift(factored):
+    # Two disjoint copies: lambda_1 = lambda_2 = 5, so no eigenvalue is
+    # known to lie above lambda_2 + tol, though the degree gate is met.
+    half = random_regular(5, 256, 11)
+    x = from_edge_list(2 * half.n,
+                       np.concatenate([half.edges, half.edges + half.n]))
+    assert x.n <= DENSE_THRESHOLD and _degree_gate(x)
+    s = extreme_eigs(x)
+    assert len(factored) == 2
+    w = eigvalsh(x)
+    assert s.method == "iterative+inertia"
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
+        (w[0], w[1], w[-1]), abs=1e-9)
+    assert abs(s.lambda1 - s.lambda2) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [7, 12])
+def test_squared_shift_rounding_slack_is_below_its_margin(k, construct_1000,
+                                                          factored):
+    # Higham's Cholesky backward error: success proves B + dB positive
+    # definite with ||dB||_2 <= gamma_{n+1} trace(B) / (1 - gamma_{n+1}).
+    # The proof's margin, the gap between r^2 and the next eigenvalue of
+    # S^2 = (A - m I)^2, is about (lambda2 - lambda_n) tol.
+    x = construct_1000[k][0]
+    assert x.is_simple() and _degree_gate(x)
+    s = extreme_eigs(x)
+    (trace_b,) = factored
+    n, tol = x.n, DEFAULT_TOL
+    m = (s.lambda2 + s.lambda_n) / 2
+    r = (s.lambda2 - s.lambda_n) / 2 + tol
+    c = (s.lambda1 - m) ** 2 - r * r + 1
+    # trace(A^2) = sum of degrees = n k and trace(A) = 0 for a simple graph.
+    assert trace_b == pytest.approx(n * r * r - (n * k + n * m * m) + c,
+                                    rel=1e-9)
+    u = 2.0 ** -53
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    slack = gamma * trace_b / (1 - gamma)
+    assert 0 < slack < (s.lambda2 - s.lambda_n) * tol
 
 
 @given(st.integers(3, 8), st.integers(65, 512), st.integers(0, 2**16))
