@@ -8,7 +8,8 @@ field names one of three size regimes:
 - "iterative+inertia", 64 < n <= DENSE_THRESHOLD: ARPACK gives the values,
   and one Cholesky factorization, or two when the squared-shift gate below
   is not met, proves that no eigenvalue was missed.
-- "iterative", n > DENSE_THRESHOLD: the ARPACK values alone.
+- "iterative", n > DENSE_THRESHOLD: the ARPACK values alone; lambda_n of
+  a non-bipartite graph comes through the Chebyshev filter below.
 
 ARPACK runs on the sparse adjacency with a fixed, seeded starting vector,
 so repeated runs agree bit for bit.  Every eigenpair is accepted only after
@@ -28,6 +29,34 @@ removes the mean, is lambda_2^2 + 1.  (The identity keeps the operator
 nonzero for complete bipartite graphs, where lambda_2 = 0.)  Its Ritz
 vector u lifts to (u, B^T u / lambda_2), and the residual is checked
 against A itself.
+
+The lambda_n filter.  Past DENSE_THRESHOLD lambda_n of a non-bipartite
+graph often lies at the edge of the continuous bulk of the spectrum, where
+a plain "SA" solve spends most of its time re-orthogonalizing its Krylov
+basis.  There lambda_n is found as the top eigenvalue of a polynomial
+filter p(A) (Zhou and Saad, Chebyshev-filtered subspace iteration, 2007).
+A loose "SA" solve gives a vector whose Rayleigh quotient theta0 is at
+least lambda_n.  Every eigenvalue lies in [-Delta, Delta], Delta the
+maximum degree, which bounds the spectral radius, so
+c = theta0 + 1e-3 (Delta - theta0) lies above lambda_n and below Delta.
+p is the Chebyshev polynomial T_d of even degree d = 8 after the affine
+map of [c, Delta] onto [-1, 1].  On [c, Delta] |p| <= 1; below c,
+T_d(y) = cosh(d arccosh |y|) for y < -1, so p exceeds 1 and grows as its
+argument falls.  p(A) has the eigenvectors of A with eigenvalues p(lambda),
+so its largest eigenvalue is p(lambda_n): each eigenvalue in [c, Delta]
+maps to at most 1, and lambda_n < c to more than 1 and more than any other
+eigenvalue below c.  ARPACK "LA" runs on p(A), applied by the three-term
+recurrence in d sparse products, started from the loose vector and at a
+tolerance of 1e-14 rather than machine epsilon; its Ritz vector's
+Rayleigh quotient on A is lambda_n.  It is accepted only if
+its residual is within tol and it lies below c.  That the Ritz value is
+the extreme one is ARPACK's claim, as with "SA", since no completeness
+proof runs past DENSE_THRESHOLD.  A bipartite graph off the half-size
+route keeps "SA": its lambda_n = -lambda_1 mirrors the top of the
+spectrum, an outlier that "SA" finds at once.  Up to DENSE_THRESHOLD
+plain "SA" is kept too, and its values keep their bits: on
+construct(7, 1000), n = 2184, lambda_n is an outlier that "SA" finds in
+61 products, about 6 ms against the filter's 15 to 18 ms.
 
 The completeness proof.  A Ritz value is an eigenvalue within its residual,
 but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
@@ -89,6 +118,16 @@ _DENSE_MAX_N = 64
 # Seed for the Lanczos starting vector; fixed so iterative runs reproduce.
 _V0_SEED = 1717
 
+# The lambda_n filter above DENSE_THRESHOLD: the ARPACK tolerance of the
+# loose solve that places it, its Chebyshev degree (even), where its lower
+# end c sits between the loose Rayleigh quotient and the maximum degree,
+# and the ARPACK tolerance of the solve on p(A).  CHANGES.md records the
+# sweeps that chose them.
+_LOOSE_TOL = 0.1
+_FILTER_DEGREE = 8
+_FILTER_MARGIN = 1e-3
+_FILTER_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -115,34 +154,100 @@ def _dense_eigs(x: Graph, tol: float) -> tuple[np.ndarray, float]:
     return w[::-1].copy(), res
 
 
+def _eigsh(op, k: int, which: str, *, v0: np.ndarray | None = None,
+           tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """scipy's eigsh from v0, by default the seeded starting vector.
+
+    Any ARPACK failure, not only a missed convergence, raises
+    ConvergenceError.
+    """
+    from scipy.sparse.linalg import ArpackError, eigsh
+
+    if v0 is None:
+        v0 = np.random.default_rng(_V0_SEED).standard_normal(op.shape[0])
+    try:
+        return eigsh(op, k=k, which=which, v0=v0, tol=tol)
+    except ArpackError as exc:
+        raise ConvergenceError(f"ARPACK failed: {exc}") from exc
+
+
+def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
+    """|A v - value v| / |v|; ConvergenceError if it exceeds tol."""
+    res = float(np.linalg.norm(a @ v - value * v) / np.linalg.norm(v))
+    if res > tol:
+        raise ConvergenceError(
+            f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
+    return res
+
+
+def _rayleigh(a, v: np.ndarray) -> float:
+    # np.sum, not a BLAS dot: OpenBLAS splits dots above 10^4 entries
+    # across its threads, and the last bits then follow the thread count.
+    return float(np.sum(v * (a @ v)) / np.sum(v * v))
+
+
 def _iterative_extremes(x: Graph, count: int, which: str,
                         tol: float) -> tuple[list[float], float, np.ndarray]:
     """count extreme eigenvalues by ARPACK with residual verification.
 
     which is 'LA' (largest algebraic) or 'SA' (smallest).  Returns values
     sorted non-increasing for 'LA' and non-decreasing for 'SA', the worst
-    residual, and the Ritz vector of the first value.
+    residual, and the Ritz vector of the first value.  Past
+    DENSE_THRESHOLD extreme_eigs takes lambda_n of a non-bipartite graph
+    from _filtered_lambda_n instead of 'SA'.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, eigsh
-
     a = x.adjacency_sparse()
-    rng = np.random.default_rng(_V0_SEED)
-    v0 = rng.standard_normal(x.n)
-    try:
-        w, vecs = eigsh(a, k=count, which=which, v0=v0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
-    res = 0.0
-    for j in range(count):
-        v = vecs[:, j]
-        r = float(np.linalg.norm(a @ v - w[j] * v) / np.linalg.norm(v))
-        res = max(res, r)
-    if res > tol:
-        raise ConvergenceError(
-            f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
+    w, vecs = _eigsh(a, count, which)
+    res = max(_residual(a, vecs[:, j], w[j], tol) for j in range(count))
     vals = sorted((float(t) for t in w), reverse=(which == "LA"))
     first = np.argmax(w) if which == "LA" else np.argmin(w)
     return vals, res, vecs[:, first]
+
+
+def _filtered_lambda_n(x: Graph, tol: float) -> tuple[float, float]:
+    """lambda_n and its residual as the top eigenvalue of a Chebyshev filter.
+
+    The module docstring derives the filter p and why the top eigenvalue of
+    p(A) belongs to lambda_n.  Raises ConvergenceError when the residual
+    exceeds tol or the Ritz value is not below the filter's lower end c.
+    """
+    from scipy.sparse.linalg import LinearOperator
+
+    a = x.adjacency_sparse()
+    _, vecs = _eigsh(a, 1, "SA", tol=_LOOSE_TOL)
+    u = vecs[:, 0]
+    theta0 = _rayleigh(a, u)
+    delta = float(x.degrees().max())
+    c = theta0 + _FILTER_MARGIN * (delta - theta0)
+    if not c < delta:
+        raise ConvergenceError(f"no room for a filter: its lower end "
+                               f"c = {c!r} is not below the maximum degree")
+    # y = (A - mid I) / half maps [c, delta] onto [-1, 1].
+    mid, half = (delta + c) / 2.0, (delta - c) / 2.0
+
+    def matvec(z: np.ndarray) -> np.ndarray:
+        prev = np.ravel(z)
+        cur = (a @ prev - mid * prev) / half
+        for _ in range(_FILTER_DEGREE - 1):
+            nxt = a @ cur
+            nxt -= mid * cur
+            nxt *= 2.0 / half
+            nxt -= prev
+            prev, cur = cur, nxt
+        return cur
+
+    op = LinearOperator(a.shape, matvec=matvec, dtype=np.float64)
+    # tol=0 means machine epsilon, also the rounding of one application of
+    # p(A); there ARPACK accepted Ritz vectors with residuals up to 3.4e-9
+    # on LPS bases, whose lambda_n is highly multiple ("SA": 6e-15).
+    _, vecs = _eigsh(op, 1, "LA", v0=u, tol=_FILTER_TOL)
+    v = vecs[:, 0]
+    theta = _rayleigh(a, v)
+    res = _residual(a, v, theta, tol)
+    if not theta < c:
+        raise ConvergenceError(f"filtered lambda_n {theta!r} is not below the "
+                               f"filter's lower end c = {c!r}")
+    return theta, res
 
 
 def _bipartite_lambda2(x: Graph, sides: np.ndarray,
@@ -152,7 +257,7 @@ def _bipartite_lambda2(x: Graph, sides: np.ndarray,
     sides is the graph's bipartition; the module docstring derives the
     half-size operator P (B B^T + I) P solved here.
     """
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    from scipy.sparse.linalg import LinearOperator
 
     a = x.adjacency_sparse()
     left, right = np.flatnonzero(sides == 0), np.flatnonzero(sides == 1)
@@ -167,22 +272,14 @@ def _bipartite_lambda2(x: Graph, sides: np.ndarray,
 
     op = LinearOperator((len(left), len(left)), matvec=matvec,
                         dtype=np.float64)
-    rng = np.random.default_rng(_V0_SEED)
-    v0 = rng.standard_normal(len(left))
-    try:
-        mu, vecs = eigsh(op, k=1, which="LA", v0=v0)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"ARPACK did not converge: {exc}") from exc
+    mu, vecs = _eigsh(op, 1, "LA")
     lambda2 = math.sqrt(max(float(mu[0]) - 1.0, 0.0))
     u = vecs[:, 0]
     v = np.zeros(x.n)
     v[left] = u
     if lambda2 > 0.0:
         v[right] = bt @ u / lambda2
-    res = float(np.linalg.norm(a @ v - lambda2 * v) / np.linalg.norm(v))
-    if res > tol:
-        raise ConvergenceError(
-            f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
+    res = _residual(a, v, lambda2, tol)
     return lambda2, res
 
 
@@ -254,7 +351,9 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     The dense path serves n <= _DENSE_MAX_N and ARPACK the larger graphs;
     up to DENSE_THRESHOLD the ARPACK values are also proved complete.
     Above _DENSE_MAX_N a connected regular bipartite graph gets lambda_1
-    and lambda_n exactly and lambda_2 from one half-size solve.
+    and lambda_n exactly and lambda_2 from one half-size solve.  Above
+    DENSE_THRESHOLD a non-bipartite graph gets lambda_n from the Chebyshev
+    filter of _filtered_lambda_n.
     """
     if x.n < 2:
         raise ValidationError("need at least two vertices for lambda_2")
@@ -266,17 +365,19 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     sides = bipartition(x)
     if k is not None and sides is not None and is_connected(x):
         lambda2, res = _bipartite_lambda2(x, sides, tol)
-        top, bot = [float(k), lambda2], [-float(k)]
+        lambda1, lambda_n = float(k), -float(k)
         v1 = np.full(x.n, 1.0 / math.sqrt(x.n))
     else:
-        top, res_t, v1 = _iterative_extremes(x, 2, "LA", tol)
-        bot, res_b, _ = _iterative_extremes(x, 1, "SA", tol)
+        (lambda1, lambda2), res_t, v1 = _iterative_extremes(x, 2, "LA", tol)
+        if x.n > DENSE_THRESHOLD and sides is None:
+            lambda_n, res_b = _filtered_lambda_n(x, tol)
+        else:
+            (lambda_n,), res_b, _ = _iterative_extremes(x, 1, "SA", tol)
         res = max(res_t, res_b)
-    method = "iterative"
-    if x.n <= DENSE_THRESHOLD:
-        _prove_extremes(x, top[0], top[1], bot[0], v1, tol)
-        method = "iterative+inertia"
-    return Spectrum(top[0], top[1], bot[0], res, method)
+    if x.n > DENSE_THRESHOLD:
+        return Spectrum(lambda1, lambda2, lambda_n, res, "iterative")
+    _prove_extremes(x, lambda1, lambda2, lambda_n, v1, tol)
+    return Spectrum(lambda1, lambda2, lambda_n, res, "iterative+inertia")
 
 
 @dataclass(frozen=True)

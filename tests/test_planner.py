@@ -350,6 +350,26 @@ def test_construct_k7_product_iterative_path_matches_reference(k7_product):
         "bc9ccf10a97a71eebf425b89aa8ce805f220f317e098295ce554d1b3661e4278")
 
 
+def test_construct_k8_filtered_lambda_n_matches_reference():
+    # X^{5,29} plus two increments: n = 12180 > DENSE_THRESHOLD and not
+    # bipartite, so lambda_n comes from the Chebyshev-filtered solve.  The
+    # digests were computed with one OpenBLAS thread, as the suite runs, and
+    # a child process with two threads writes the same certificate.
+    x, cert = construct(8, 10000)
+    assert cert.method == "iterative" and not cert.bipartite
+    assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
+        "ef69eabf3dc564271c2acc6d9f47c4ba3ba6dd1461e739cf8542ac7f81ef559d")
+    assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
+        "20b3a678400386c0fc6399f7c5e080886a76d011ad9df3e71c15be60a73fc8c3")
+    code = ("import sys; from expanderlab import construct; "
+            "sys.stdout.write(construct(8, 10000)[1].to_json())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=script_env(OPENBLAS_NUM_THREADS="2"),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == cert.to_json().encode("ascii")
+
+
 def test_replay_rebuilds_the_graph(k7):
     x, cert = k7
     assert replay(cert.provenance) == x

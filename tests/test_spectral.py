@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from expanderlab import (
     SpectralCertificate,
+    build_lps,
     cartesian_k2,
     certify,
     construct,
@@ -24,6 +25,7 @@ from expanderlab.spectral import (
     DENSE_THRESHOLD,
     _DENSE_MAX_N,
     Spectrum,
+    _filtered_lambda_n,
     _iterative_extremes,
     _prove_extremes,
 )
@@ -500,19 +502,154 @@ def _general_route(x: Graph) -> Spectrum:
                     "iterative+inertia")
 
 
-def test_other_graphs_keep_the_general_route():
+@pytest.fixture(scope="module")
+def off_route_bipartite() -> tuple[Graph, Graph]:
+    """Bipartite graphs off the half-size route: a disconnected one and an
+    irregular one."""
     cover = double_cover(random_regular(3, 40, 6))
     disconnected = from_edge_list(
         2 * cover.n, np.concatenate([cover.edges, cover.edges + cover.n]))
     # Vertex 0 and its copy lie on opposite sides of the cover.
     uneven = from_edge_list(cover.n, np.concatenate(
         [cover.edges, [[0, cover.n // 2]]]))
+    return disconnected, uneven
+
+
+def test_other_graphs_keep_the_general_route(off_route_bipartite):
+    disconnected, uneven = off_route_bipartite
     odd = cartesian_k2(random_regular(3, 40, 1))
     for x in (disconnected, uneven, path(80), odd):
         assert regularity(x) is None or not is_connected(x) or not is_bipartite(x)
         assert extreme_eigs(x) == _general_route(x)
     assert is_bipartite(disconnected) and regularity(disconnected) == 3
     assert is_bipartite(uneven) and is_connected(uneven)
+
+
+# -- the filtered lambda_n route -----------------------------------------------------
+
+
+@pytest.fixture
+def filtered_calls(monkeypatch) -> list[int]:
+    """The n of every graph handed to _filtered_lambda_n from now on."""
+    calls: list[int] = []
+    solve = spectral._filtered_lambda_n
+
+    def recording(x: Graph, tol: float) -> tuple[float, float]:
+        calls.append(x.n)
+        return solve(x, tol)
+
+    monkeypatch.setattr(spectral, "_filtered_lambda_n", recording)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def filtered_route_graphs(construct_1000):
+    """Non-bipartite graphs with their dense spectra: a random 4-regular
+    graph, whose lambda_n lies inside the bulk, the k7 graph, whose lambda_n
+    is an outlier, and an irregular, disconnected union."""
+    a, b = random_regular(3, 150, 5), random_regular(4, 160, 6)
+    union = from_edge_list(a.n + b.n,
+                           np.concatenate([a.edges, b.edges + a.n]))
+    graphs = (random_regular(4, 400, 1), construct_1000[7][0], union)
+    return [(x, eigvalsh(x)) for x in graphs]
+
+
+def test_filtered_route_matches_dense(filtered_route_graphs, filtered_calls,
+                                      monkeypatch):
+    (_, w_bulk), (_, w_k7), (union, _) = filtered_route_graphs
+    # The bulk of a random k-regular graph ends near -2 sqrt(k - 1).
+    assert w_bulk[-1] > -2.0 * math.sqrt(3)
+    assert w_k7[-1] < -2.0 * math.sqrt(6) - 1.0
+    assert regularity(union) is None and not is_connected(union)
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
+    for x, w in filtered_route_graphs:
+        assert not is_bipartite(x)
+        filtered_calls.clear()
+        s = extreme_eigs(x)
+        assert filtered_calls == [x.n]
+        assert s.method == "iterative"
+        assert abs(s.lambda_n - w[-1]) <= 1e-10
+        assert abs(s.lambda1 - w[0]) <= 1e-10
+        assert abs(s.lambda2 - w[1]) <= 1e-10
+        assert s.residual <= DEFAULT_TOL
+
+
+def test_filtered_route_on_a_multiple_lambda_n():
+    # X^{5,29}: n = 12180 takes the route unpatched, and lambda_n is
+    # highly multiple.  Run to machine epsilon, the solve on p(A) gave a
+    # residual of 3.4e-9 here; plain "SA" gives 6e-15.
+    x = build_lps(5, 29)
+    assert x.n > DENSE_THRESHOLD and not is_bipartite(x)
+    lambda_n, res = _filtered_lambda_n(x, DEFAULT_TOL)
+    (want,), _, _ = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
+    assert abs(lambda_n - want) <= 1e-12
+    assert res <= 1e-12
+
+
+def test_filtered_route_unreachable_tolerance_raises(filtered_route_graphs):
+    for x, _ in filtered_route_graphs:
+        with pytest.raises(ConvergenceError, match="residual"):
+            _filtered_lambda_n(x, 1e-300)
+
+
+def test_filtered_route_rejects_a_ritz_value_above_c(filtered_route_graphs,
+                                                     monkeypatch):
+    # The solve on p(A) is made to return lambda_1's eigenvector: an exact
+    # eigenpair, so the residual check passes, but not lambda_n's.
+    eigsh = spectral._eigsh
+    for x, _ in filtered_route_graphs:
+        def top_of_a(op, k, which, **kwargs):
+            if which == "LA":
+                return eigsh(x.adjacency_sparse(), 1, "LA")
+            return eigsh(op, k, which, **kwargs)
+
+        monkeypatch.setattr(spectral, "_eigsh", top_of_a)
+        with pytest.raises(ConvergenceError, match="not below the filter"):
+            _filtered_lambda_n(x, DEFAULT_TOL)
+
+
+@pytest.mark.parametrize("margin", [1.0 + 1e-9, 2.0])
+def test_filtered_route_needs_room_below_delta(filtered_route_graphs,
+                                               monkeypatch, margin):
+    # A margin past 1 puts c above Delta, with no interval [c, Delta] to
+    # map onto [-1, 1]; the route stops before it divides by Delta - c.
+    monkeypatch.setattr(spectral, "_FILTER_MARGIN", margin)
+    x, _ = filtered_route_graphs[0]
+    with pytest.raises(ConvergenceError, match="no room for a filter"):
+        _filtered_lambda_n(x, DEFAULT_TOL)
+
+
+def test_filtered_route_dispatch(filtered_calls, construct_1000,
+                                 bipartite_route_graphs, off_route_bipartite,
+                                 monkeypatch):
+    # Up to DENSE_THRESHOLD lambda_n comes from plain "SA" and the proof.
+    k7 = construct_1000[7][0]
+    assert not is_bipartite(k7) and k7.n <= DENSE_THRESHOLD
+    assert extreme_eigs(k7).method == "iterative+inertia"
+    # The k7 product, n = 4368, takes the half-size bipartite route.
+    product, _ = bipartite_route_graphs[-1]
+    assert product.n > DENSE_THRESHOLD
+    assert extreme_eigs(product).method == "iterative"
+    # Bipartite graphs off that route keep "SA" at any size.
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
+    graphs = [x for x, _ in bipartite_route_graphs[:-1]]
+    for x in graphs + list(off_route_bipartite):
+        assert is_bipartite(x) and x.n > _DENSE_MAX_N
+        assert extreme_eigs(x).method == "iterative"
+    assert filtered_calls == []
+    extreme_eigs(k7)
+    assert filtered_calls == [k7.n]
+
+
+@pytest.mark.parametrize("n", [65, 5000])
+def test_edgeless_graph_raises_convergence_error(n):
+    # ARPACK rejects the zero operator ("starting vector is zero"); that
+    # error must surface as ConvergenceError, like a missed convergence.
+    x = from_edge_list(n, [])
+    with pytest.raises(ConvergenceError, match="ARPACK"):
+        extreme_eigs(x)
+    with pytest.raises(ConvergenceError, match="ARPACK"):
+        _filtered_lambda_n(x, DEFAULT_TOL)
 
 
 # -- certificates ------------------------------------------------------------------------
