@@ -38,6 +38,7 @@ from helpers import (
     path,
     petersen,
     product_spectrum_oracle,
+    random_gnp,
     random_regular,
     two_triangles,
     weyl_check,
@@ -567,6 +568,8 @@ def test_filtered_route_matches_dense(filtered_route_graphs, filtered_calls,
         filtered_calls.clear()
         s = extreme_eigs(x)
         assert filtered_calls == [x.n]
+        # The filter's own value, not that of the "SA" fallback.
+        assert s.lambda_n == _filtered_lambda_n(x, DEFAULT_TOL)[0]
         assert s.method == "iterative"
         assert abs(s.lambda_n - w[-1]) <= 1e-10
         assert abs(s.lambda1 - w[0]) <= 1e-10
@@ -584,6 +587,10 @@ def test_filtered_route_on_a_multiple_lambda_n():
     (want,), _, _ = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
     assert abs(lambda_n - want) <= 1e-12
     assert res <= 1e-12
+    # A tolerance that plain "SA" meets here is met on the route too.
+    s = extreme_eigs(x, tol=1e-13)
+    assert abs(s.lambda_n - want) <= 1e-12
+    assert s.residual <= 1e-13
 
 
 def test_filtered_route_unreachable_tolerance_raises(filtered_route_graphs):
@@ -608,6 +615,21 @@ def test_filtered_route_rejects_a_ritz_value_above_c(filtered_route_graphs,
             _filtered_lambda_n(x, DEFAULT_TOL)
 
 
+def test_filtered_route_falls_back_to_sa(monkeypatch):
+    # On this graph the filter's residual is 1.8e-13 and that of plain
+    # "SA" 1.3e-14, so at tol = 1e-13 "SA" decides.
+    x = random_gnp(300, 0.02, 107)
+    assert not is_bipartite(x)
+    with pytest.raises(ConvergenceError, match="residual"):
+        _filtered_lambda_n(x, 1e-13)
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
+    s = extreme_eigs(x, tol=1e-13)
+    (want,), _, _ = _iterative_extremes(x, 1, "SA", 1e-13)
+    assert s.lambda_n == want and s.method == "iterative"
+    assert s.residual <= 1e-13
+    assert abs(s.lambda_n - eigvalsh(x)[-1]) <= 1e-10
+
+
 @pytest.mark.parametrize("margin", [1.0 + 1e-9, 2.0])
 def test_filtered_route_needs_room_below_delta(filtered_route_graphs,
                                                monkeypatch, margin):
@@ -630,15 +652,22 @@ def test_filtered_route_dispatch(filtered_calls, construct_1000,
     product, _ = bipartite_route_graphs[-1]
     assert product.n > DENSE_THRESHOLD
     assert extreme_eigs(product).method == "iterative"
-    # Bipartite graphs off that route keep "SA" at any size.
+    # So does every connected regular bipartite graph, at any threshold.
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
-    graphs = [x for x, _ in bipartite_route_graphs[:-1]]
-    for x in graphs + list(off_route_bipartite):
-        assert is_bipartite(x) and x.n > _DENSE_MAX_N
+    for x, _ in bipartite_route_graphs[:-1]:
+        assert x.n > _DENSE_MAX_N
         assert extreme_eigs(x).method == "iterative"
     assert filtered_calls == []
     extreme_eigs(k7)
     assert filtered_calls == [k7.n]
+    # Bipartite graphs off the half-size route take the filter too.
+    for x in off_route_bipartite:
+        assert is_bipartite(x) and x.n > _DENSE_MAX_N
+        filtered_calls.clear()
+        s = extreme_eigs(x)
+        assert filtered_calls == [x.n]
+        assert s.lambda_n == _filtered_lambda_n(x, DEFAULT_TOL)[0]
+        assert abs(s.lambda_n - eigvalsh(x)[-1]) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [65, 5000])
