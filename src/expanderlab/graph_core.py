@@ -8,9 +8,14 @@ parallel edges are allowed and carry multiplicity in degrees, adjacency
 matrices and boundary counts.  Connectivity and the 2-colouring come from
 one breadth-first search, cached beside the adjacency.
 
+Edge codes u*n + v sort like canonical rows, so adding a matching inserts
+its pairs at their searchsorted positions among the edge codes instead of
+sorting the union.  Edge-list text is written by one numpy writer that
+fills a byte buffer per block of rows and decodes the whole text once.
+
 scipy is imported on first use, when a graph's CSR adjacency or colouring
-is first built, so parsing, serializing and building edge arrays need
-numpy alone.
+is first built, so parsing, serializing, building edge arrays and adding
+matchings need numpy alone.
 """
 
 from __future__ import annotations
@@ -79,7 +84,8 @@ class Graph:
 
 
 class Matching:
-    """A set of pairwise disjoint edges, stored as sorted (u, v) pairs."""
+    """A set of pairwise disjoint edges, stored as sorted (u, v) pairs of
+    vertex ids in [0, 2**63), the ids an edge array can hold."""
 
     __slots__ = ("pairs",)
 
@@ -90,12 +96,22 @@ class Matching:
             if u == v:
                 raise ValidationError(f"matching pair ({u}, {v}) is a loop")
             a, b = (u, v) if u < v else (v, u)
+            if a < 0 or b >= 2**63:
+                raise ValidationError(
+                    f"matching pair ({u}, {v}) has an id outside [0, 2**63)")
             if a in seen or b in seen:
                 raise ValidationError(f"vertex reused in matching at ({u}, {v})")
             seen.add(a)
             seen.add(b)
             norm.append((a, b))
         self.pairs: tuple[Edge, ...] = tuple(sorted(norm))
+
+    @classmethod
+    def _from_rows(cls, rows: np.ndarray) -> Matching:
+        """Unvalidated: rows is a checked (k, 2) array of sorted u < v pairs."""
+        m = cls.__new__(cls)
+        m.pairs = tuple(zip(*rows.T.tolist()))
+        return m
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -117,7 +133,7 @@ class Matching:
 
     def to_text(self) -> str:
         """One 'u v' line per pair, ascending; embedded in certificates."""
-        return "".join(f"{u} {v}\n" for u, v in self.pairs)
+        return _lines(np.array(self.pairs, dtype=np.int64).reshape(-1, 2))
 
 
 def _canonical(n: int, raw) -> np.ndarray:
@@ -258,17 +274,38 @@ def cartesian_k2(x: Graph) -> Graph:
 
 
 def add_matching(x: Graph, m: Matching) -> Graph:
-    """Union with a perfect matching disjoint from the current edge set."""
+    """Union with a perfect matching disjoint from the current edge set.
+
+    The pairs, in canonical order already, go into x's edges at their
+    searchsorted positions instead of a sort of the union.
+    """
     if not m.is_perfect(x.n):
         raise ValidationError(
             f"matching covers {2 * len(m)} of {x.n} vertices, not perfect")
-    pairs = np.array(m.pairs, dtype=np.int64).reshape(-1, 2)
-    present = np.isin(pairs[:, 0] * x.n + pairs[:, 1],
-                      x.edges[:, 0] * x.n + x.edges[:, 1])
+    pairs = _canonical(x.n, m.pairs)
+    at, present = _edge_search(x, pairs)
     if present.any():
         raise ValidationError(
             f"matching pair {m.pairs[present.argmax()]} already an edge")
-    return Graph(x.n, _canonical(x.n, np.concatenate([x.edges, pairs])))
+    e = np.insert(x.edges, at, pairs, axis=0)
+    e.flags.writeable = False
+    return Graph(x.n, e)
+
+
+def _codes(n: int, e: np.ndarray) -> np.ndarray:
+    """u*n + v for each row (u, v) of e; ascending when e is canonical."""
+    return e[:, 0] * n + e[:, 1]
+
+
+def _edge_search(x: Graph, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(where each canonical pair sorts among x's edges, whether it is one).
+
+    Canonical rows sort like their codes, so both come from a binary search
+    of the pairs' codes among x's edge codes.
+    """
+    codes, key = _codes(x.n, x.edges), _codes(x.n, pairs)
+    at = np.searchsorted(codes, key)
+    return at, np.searchsorted(codes, key, side="right") > at
 
 
 # -- serialization ---------------------------------------------------------
@@ -280,9 +317,44 @@ def graph_to_text(x: Graph) -> str:
     Edges appear in canonical order with u < v; duplicate lines encode
     parallel edges.  The output is newline-terminated and byte-stable.
     """
-    lines = [f"{x.n} {len(x.edges)}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in x.edges.tolist())
-    return "".join(lines)
+    return f"{x.n} {len(x.edges)}\n" + _lines(x.edges)
+
+
+# Rows the line writer formats at a time.  Its int64 temporaries then stay
+# near half a megabyte, so the heap they free is reused by what the caller
+# allocates next instead of raising the process's peak memory.
+_BLOCK_ROWS = 1 << 15
+
+
+def _lines(e: np.ndarray) -> str:
+    """'u v' and a newline per row of an (m, 2) array of ids in [0, 2**63).
+
+    Each block of rows is written into one byte buffer: every id ends at
+    the sum of the widths before it, its digits are written from the
+    highest place down, and the space or newline after it last.  An id
+    narrower than a place writes a stray zero in front of itself, inside
+    the ids before it or a pad in front of the block, and the ids before
+    it overwrite it at a lower place.
+    """
+    blocks = []
+    for lo in range(0, len(e), _BLOCK_ROWS):
+        ids = e[lo:lo + _BLOCK_ROWS].ravel()
+        top = int(ids.max())
+        width = np.ones(len(ids), dtype=np.int64)
+        place = 10
+        while place <= top:
+            width += ids >= place
+            place *= 10
+        pad = len(str(top)) - 1
+        # One past each id's separator.
+        ends = np.cumsum(width + 1) + pad
+        buf = np.empty(ends[-1], dtype=np.uint8)
+        for j in range(pad, -1, -1):
+            buf[ends - 2 - j] = ids // 10**j % 10 + ord("0")
+        buf[ends[0::2] - 1] = ord(" ")
+        buf[ends[1::2] - 1] = ord("\n")
+        blocks.append(buf[pad:].tobytes())
+    return b"".join(blocks).decode("ascii")
 
 
 def graph_from_text(text: str) -> Graph:

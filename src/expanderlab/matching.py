@@ -19,22 +19,37 @@ Both passes scan in ascending order, so a given graph always yields the
 same matching.  The exchange order is the order in which the Edmonds
 blossom search used by earlier releases found its augmenting paths from
 the same greedy seed, so increments, and the matchings recorded in their
-certificates, are unchanged.  The result is re-verified (coverage and
-membership in the complement) before it is applied.
+certificates, are unchanged.
+
+Adjacency is read from one set of x's edge codes u*n + v (u < v), with no
+per-vertex neighbour sets and no sparse adjacency.  x's canonical edges
+make the codes ascending, so the result is re-verified with array
+operations before it is applied: every vertex covered exactly once (the
+sorted ids are 0..n-1), and no pair's code among x's edge codes
+(searchsorted).
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .errors import ValidationError
-from .graph_core import Graph, Matching, add_matching, regularity
+from .graph_core import (
+    Graph,
+    Matching,
+    _codes,
+    _edge_search,
+    add_matching,
+    regularity,
+)
 
 
 def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     """Raise regularity by one by adding a perfect matching of the complement.
 
     The complement is never materialized: both passes test candidates
-    against x's neighbour sets, read from its CSR adjacency, which keeps
-    the memory footprint linear in x.
+    against one set of x's edge codes u*n + v (u < v), which keeps the
+    memory footprint linear in x.
     """
     k = regularity(x)
     if k is None:
@@ -46,9 +61,11 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
         raise ValidationError("increment requires a simple graph")
     if n < 2 * k + 2:
         raise ValidationError(f"cannot increment: n={n} < 2k+2={2 * k + 2}")
-    csr = x.adjacency_sparse()
-    nbrs, ptr = csr.indices.tolist(), csr.indptr.tolist()
-    adj = [set(nbrs[ptr[v]:ptr[v + 1]]) for v in range(n)]
+    edge = set(_codes(n, x.edges).tolist())
+
+    def adjacent(a: int, b: int) -> bool:
+        return (a * n + b if a < b else b * n + a) in edge
+
     mate = [-1] * n
     # free[i] leads, by path halving, to the smallest unmatched vertex >= i.
     free = list(range(n + 1))
@@ -63,7 +80,7 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
         if mate[v] != -1:
             continue
         u = first_free(v + 1)
-        while u < n and u in adj[v]:
+        while u < n and v * n + u in edge:
             u = first_free(u + 1)
         if u < n:
             mate[v], mate[u] = u, v
@@ -72,20 +89,25 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     exposed = [v for v in range(n) if mate[v] == -1]
     while exposed:
         u = exposed[0]
-        a, w = next((a, w) for a in range(n) if a != u and a not in adj[u]
-                    for w in exposed if w != u and w not in adj[mate[a]])
+        a, w = next((a, w) for a in range(n) if a != u and not adjacent(a, u)
+                    for w in exposed if w != u and not adjacent(w, mate[a]))
         b = mate[a]
         mate[u], mate[a], mate[w], mate[b] = a, u, b, w
         exposed.remove(u)
         exposed.remove(w)
 
-    m = Matching((v, mate[v]) for v in range(n) if v < mate[v])
-    # Independent of both passes: coverage and membership are re-derived
-    # from the pairs themselves.  Disjointness is enforced by Matching.
-    if not m.is_perfect(n):
+    mates = np.array(mate, dtype=np.int64)
+    low = np.flatnonzero(np.arange(n) < mates)
+    pairs = np.column_stack([low, mates[low]])
+    # Independent of both passes: re-derived from the pairs themselves.
+    # Every vertex once makes the matching perfect and disjoint, and no
+    # pair among x's edges keeps it in the complement.
+    if not np.array_equal(np.sort(pairs, axis=None), np.arange(n)):
         raise AssertionError("increment_regularity: matching is not perfect")
-    for u, v in m:
-        if v in adj[u]:
-            raise AssertionError(
-                f"increment_regularity: pair ({u}, {v}) is already an edge")
+    inside = _edge_search(x, pairs)[1]
+    if inside.any():
+        u, v = pairs[inside.argmax()].tolist()
+        raise AssertionError(
+            f"increment_regularity: pair ({u}, {v}) is already an edge")
+    m = Matching._from_rows(pairs)
     return add_matching(x, m), m

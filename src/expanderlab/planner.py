@@ -241,11 +241,12 @@ def _apply_step(x: Graph | None, step: dict) -> tuple[Graph, dict]:
         if x is None:
             raise ValidationError("increment step before any base step")
         x, m = increment_regularity(x)
+        text = m.to_text()
         recorded = step.get("matching")
-        if recorded is not None and recorded != m.to_text():
+        if recorded is not None and recorded != text:
             raise ValidationError(
                 "replayed matching differs from the recorded one")
-        return x, {"step": op, "matching": m.to_text()}
+        return x, {"step": op, "matching": text}
     if op == "k2_product":
         if x is None:
             raise ValidationError("product step before any base step")

@@ -19,7 +19,10 @@ order; it shares the package's vertex, generator and normalization steps,
 so it checks the code table and the canonical emission that replaced that
 search.  isoperimetric_check is no oracle either: it
 checks the package's own spectrum and exact expansion against the Cheeger
-sandwich that ties them together.
+sandwich that ties them together.  fstring_lines is kept the same way as
+the blossom: the per-edge f-string writer behind graph_to_text and
+Matching.to_text before the blocked byte writer, whose bytes it must
+reproduce.
 """
 
 from __future__ import annotations
@@ -557,3 +560,14 @@ def line_parse_graph(text: str) -> Graph:
             raise ValidationError(f"edge line {ln!r} must satisfy u < v")
         ids += (u, v)
     return from_edge_list(n, ids)
+
+
+def fstring_lines(rows) -> str:
+    """One f-string 'u v' line per (u, v) row: the text writer before the
+    blocked byte writer."""
+    return "".join(f"{u} {v}\n" for u, v in rows)
+
+
+def fstring_graph_text(x: Graph) -> str:
+    """graph_to_text as the f-string writer built it."""
+    return f"{x.n} {len(x.edges)}\n" + fstring_lines(x.edges.tolist())

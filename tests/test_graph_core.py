@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import networkx as nx
@@ -18,6 +19,7 @@ from expanderlab import (
 )
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import (
+    _BLOCK_ROWS,
     Matching,
     _parse_canonical,
     add_matching,
@@ -31,6 +33,8 @@ from helpers import (
     double_cover,
     double_cover_is_bipartite,
     edge_pairs,
+    fstring_graph_text,
+    fstring_lines,
     k4,
     line_parse_graph,
     path,
@@ -355,6 +359,10 @@ def test_matching_validation():
         Matching([(0, 1), (1, 2)])
     with pytest.raises(ValidationError):
         Matching([(2, 2)])
+    for pair in ((3, -1), (0, 2**63)):
+        with pytest.raises(ValidationError, match="outside"):
+            Matching([pair])
+    assert Matching([(0, 2**63 - 1)]).to_text() == f"0 {2**63 - 1}\n"
 
 
 def test_add_matching_c6_diagonals():
@@ -364,10 +372,39 @@ def test_add_matching_c6_diagonals():
 
 
 def test_add_matching_errors():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="covers 2 of 6 vertices"):
         add_matching(cycle(6), Matching([(0, 3)]))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"pair \(0, 1\) already an edge"):
         add_matching(cycle(6), Matching([(0, 1), (2, 3), (4, 5)]))
+    # (0, 6) has the code 0*4 + 6 of the edge (1, 2): the range is checked first.
+    with pytest.raises(ValidationError, match=r"edge \(0, 6\) out of range for n=4"):
+        add_matching(cycle(4), Matching([(0, 6), (1, 3)]))
+
+
+def test_add_matching_inserts_like_a_sort():
+    # The pairs go in at their searchsorted positions; the oracle sorts the
+    # union from scratch.  Graphs carry parallel edges, and matchings that
+    # meet an edge must name the first such pair.
+    rng = np.random.default_rng(71)
+    added = refused = 0
+    for seed in range(300):
+        n = 2 * int(rng.integers(1, 12))
+        edges = edge_pairs(random_gnp(n, float(rng.uniform(0, 0.5)), seed))
+        edges += edges[:int(rng.integers(0, len(edges) + 1))]
+        x = from_edge_list(n, edges)
+        m = Matching(rng.permutation(n).reshape(-1, 2).tolist())
+        present = [pair for pair in m.pairs if pair in set(edges)]
+        if present:
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"pair {present[0]} already")):
+                add_matching(x, m)
+            refused += 1
+        else:
+            y = add_matching(x, m)
+            assert y == from_edge_list(n, edges + m.pairs)
+            assert not y.edges.flags.writeable
+            added += 1
+    assert added > 50 and refused > 50
 
 
 # remove_matching is the test oracle (tests/helpers.py) behind the down half
@@ -420,6 +457,56 @@ def test_graph_to_text_golden():
 def test_graph_to_text_multiedge_lines():
     x = from_edge_list(2, [(0, 1), (0, 1)])
     assert graph_to_text(x) == "2 2\n0 1\n0 1\n"
+
+
+# The blocked byte writer against the f-string writer it replaced
+# (tests/helpers.py): every id width, the largest int64 id, the block edges.
+
+
+def _widest_ids() -> list[int]:
+    ids = {0, 2**63 - 2, 2**63 - 1}
+    for d in range(1, 19):
+        ids |= {10**d - 1, 10**d}
+    return sorted(ids)
+
+
+def test_text_writer_digit_width_boundaries():
+    ids = _widest_ids()
+    x = from_edge_list(2**63, [(u, v) for i, u in enumerate(ids)
+                               for v in ids[i + 1:]])
+    assert x.num_edges == len(ids) * (len(ids) - 1) // 2
+    assert graph_to_text(x) == fstring_graph_text(x)
+    # Each width next to every other, in both orders.
+    m = Matching(zip(ids[0::2], ids[1::2]))
+    assert m.to_text() == fstring_lines(m.pairs)
+    m = Matching(zip(ids[1::2], ids[2::2]))
+    assert m.to_text() == fstring_lines(m.pairs)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_text_writer_block_boundaries(extra):
+    m = _BLOCK_ROWS + extra
+    assert _BLOCK_ROWS == 2**15
+    rng = np.random.default_rng(m)
+    u = rng.integers(0, 10 ** rng.integers(1, 19, size=m))
+    v = u + 1 + rng.integers(0, 10 ** rng.integers(0, 18, size=m))
+    chain = np.arange(m)
+    for x in (from_edge_list(2**63, np.column_stack([u, v])),
+              from_edge_list(m + 1, np.column_stack([chain, chain + 1])),
+              from_edge_list(2, [(0, 1)] * m)):
+        assert x.num_edges == m
+        assert graph_to_text(x) == fstring_graph_text(x)
+    pairs = Matching((2 * i, 2 * i + 1) for i in range(m))
+    assert pairs.to_text() == fstring_lines(pairs.pairs)
+
+
+def test_text_writer_empty_and_parallel():
+    for x in (from_edge_list(0, []), from_edge_list(5, []),
+              from_edge_list(3, [(0, 1), (1, 2), (0, 1), (0, 1)]),
+              from_edge_list(2**63, [(7, 2**63 - 1)] * 3 + [(0, 10)] * 2)):
+        assert graph_to_text(x) == fstring_graph_text(x)
+    assert graph_to_text(from_edge_list(0, [])) == "0 0\n"
+    assert Matching([]).to_text() == ""
 
 
 def test_text_roundtrip_random():

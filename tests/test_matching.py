@@ -18,6 +18,7 @@ from helpers import (
     decrement_regularity,
     edge_pairs,
     exhaustive_max_matching_size,
+    fstring_lines,
     k4,
     maximum_matching,
     neighbor_lists,
@@ -170,6 +171,17 @@ def test_increment_deterministic():
     a1, m1 = increment_regularity(x)
     a2, m2 = increment_regularity(x)
     assert a1 == a2 and m1 == m2
+
+
+def test_increment_matching_equals_validated_matching(x513):
+    # The increment builds its Matching from checked arrays, not through the
+    # validating constructor; the two must be indistinguishable.
+    for x in (cycle(6), petersen(), random_regular(5, 40, 2), x513):
+        _, m = increment_regularity(x)
+        again = Matching(m.pairs)
+        assert m == again and hash(m) == hash(again)
+        assert m.to_text() == again.to_text() == fstring_lines(m.pairs)
+        assert all(type(i) is int for pair in m.pairs for i in pair)
 
 
 def _greedy_leaves_exposed(x):

@@ -302,6 +302,16 @@ def test_construct_k7_matches_committed_reference(k7):
     assert loaded.to_json().encode("ascii") == reference
 
 
+def test_k7_pipeline_script_writes_the_reference(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "run_k7_pipeline.py"),
+         str(tmp_path)],
+        capture_output=True, text=True, env=script_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("k7_n2184.txt", "k7_n2184.json"):
+        assert (tmp_path / name).read_bytes() == (_REFERENCE / name).read_bytes()
+
+
 def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
     # n = 2184 is certified by ARPACK plus Cholesky, and the bipartite
     # product (n = 4368) by one half-size ARPACK solve; neither's digits

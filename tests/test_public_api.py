@@ -74,6 +74,8 @@ def test_scipy_loads_on_first_graph_solve():
                "e.plan(7)\n"
                "x = e.graph_from_text(e.graph_to_text(e.build_lps(5, 13)))\n"
                "assert e.regularity(x) == 6\n"
+               "y, _ = e.increment_regularity(x)\n"
+               "assert e.regularity(e.graph_from_text(e.graph_to_text(y))) == 7\n"
                + _NO_SCIPY +
                "e.certify(x)\n"
                "assert 'scipy.sparse.linalg' in sys.modules\n")
