@@ -85,9 +85,10 @@ class Graph:
 
 class Matching:
     """A set of pairwise disjoint edges, stored as sorted (u, v) pairs of
-    vertex ids in [0, 2**63), the ids an edge array can hold."""
+    vertex ids in [0, 2**63), the ids an edge array can hold.  _rows holds
+    the same pairs as a read-only (k, 2) int64 array."""
 
-    __slots__ = ("pairs",)
+    __slots__ = ("pairs", "_rows")
 
     def __init__(self, pairs: Iterable[Edge]):
         norm = []
@@ -105,12 +106,17 @@ class Matching:
             seen.add(b)
             norm.append((a, b))
         self.pairs: tuple[Edge, ...] = tuple(sorted(norm))
+        self._rows = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
+        self._rows.flags.writeable = False
 
     @classmethod
     def _from_rows(cls, rows: np.ndarray) -> Matching:
-        """Unvalidated: rows is a checked (k, 2) array of sorted u < v pairs."""
+        """Unvalidated: rows is a checked (k, 2) int64 array of sorted
+        u < v pairs, kept as the matching's own."""
         m = cls.__new__(cls)
         m.pairs = tuple(zip(*rows.T.tolist()))
+        m._rows = rows
+        rows.flags.writeable = False
         return m
 
     def __len__(self) -> int:
@@ -133,7 +139,7 @@ class Matching:
 
     def to_text(self) -> str:
         """One 'u v' line per pair, ascending; embedded in certificates."""
-        return _lines(np.array(self.pairs, dtype=np.int64).reshape(-1, 2))
+        return _lines(self._rows)
 
 
 def _canonical(n: int, raw) -> np.ndarray:
@@ -282,7 +288,7 @@ def add_matching(x: Graph, m: Matching) -> Graph:
     if not m.is_perfect(x.n):
         raise ValidationError(
             f"matching covers {2 * len(m)} of {x.n} vertices, not perfect")
-    pairs = _canonical(x.n, m.pairs)
+    pairs = _canonical(x.n, m._rows)
     at, present = _edge_search(x, pairs)
     if present.any():
         raise ValidationError(

@@ -82,14 +82,24 @@ the largest below r^2, so at most one eigenvalue of A lies outside
 A has an eigenvalue within tol of lambda1; when lambda1 - lambda2 > 2 tol
 that eigenvalue lies above lambda2 + tol and is the one outlier, and both
 claims follow.  The route runs only under that outlier condition and when
-sum(deg(v)^2) <= n^2/8.  That sum bounds the entries of the sparse A^2
-(exact integers), so the square, held beside the dense buffer while it
-fills it, takes at most 3/16 of the buffer's bytes.  On random k-regular
-graphs with 256 <= n <= 4096 and 8 k^2 <= n the route took 0.5 to 0.8 of
-the time of the two factorizations; it broke even only at 8 k^2 / n of
-about 2 (n = 256) to above 10 (n = 4096).  If the gate is not met, or the
-factorization fails, the two factorizations above run unchanged and decide
-the result, so every failure names the claim that failed.
+sum(deg(v)^2) <= n^2/8.  That sum bounds the entries of the sparse A^2.
+On random k-regular graphs with 256 <= n <= 4096 and 8 k^2 <= n the route
+took 0.5 to 0.8 of the time of the two factorizations (measured in dense
+storage); it broke even only at 8 k^2 / n of about 2 (n = 256) to above 10
+(n = 4096).  If the gate is not met, or the factorization fails, the two
+factorizations above run unchanged and decide the result, so every
+failure names the claim that failed.
+
+Every B is held as its lower triangle in one buffer of n(n+1)/2 doubles,
+rectangular full packed storage, and factored there by LAPACK dpftrf,
+which works on level-3 BLAS like dpotrf; no n x n array is formed.  The
+sparse parts go in by scatter: the exact integer entries of A^2, formed
+in row blocks of at most 2^15 entries so that the sparse square never
+sits whole beside the buffer, then 2m A and the shift on the diagonal; or
+-A or A and the shift.  The rank-one term c v1 v1^T goes in through
+dsfrk.  The backward-error bound for Cholesky (Higham 2002, ch. 10) holds
+for any order of its inner products, so the packed factorization proves
+what a dense one would.
 
 Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 >= ... >= lambda_n, so lambda_2 of a k-regular connected graph is the
@@ -130,6 +140,9 @@ _LOOSE_TOL = 0.1
 _FILTER_DEGREE = 8
 _FILTER_MARGIN = 1e-3
 _FILTER_TOL = 1e-14
+
+# The most entries of A @ A that one row block of the packed fill holds.
+_FILL_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -293,7 +306,8 @@ def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
 
     lambda1 must be within tol of an eigenvalue (its residual is checked
     by the caller).  Both claims are positive-definiteness tests, done by
-    Cholesky in one dense buffer.  When lambda1 - lambda2 > 2 tol and
+    Cholesky of B's lower triangle, held in one packed buffer of n(n+1)/2
+    doubles (see _packed_index).  When lambda1 - lambda2 > 2 tol and
     sum(deg^2) <= n^2/8, one factorization of the squared shift
     B = r^2 I - (A - m I)^2 + c v1 v1^T, with m = (lambda2 + lambda_n)/2,
     r = (lambda2 - lambda_n)/2 + tol and c = (lambda1 - m)^2 - r^2 + 1,
@@ -301,51 +315,85 @@ def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
     B = (lambda2 + tol) I - A + c v1 v1^T with c = lambda1 - lambda2 + 1,
     then B = A - (lambda_n - tol) I.
     """
-    from scipy.linalg import blas
+    from scipy.linalg import lapack
 
+    n = x.n
     a = x.adjacency_sparse()
-    # Fortran order lets LAPACK and BLAS work in the buffer without a copy.
-    buf = np.empty((x.n, x.n), order="F")
-    diag = buf.reshape(-1, order="F")[::x.n + 1]
+    coo = a.tocoo()
+    keep = coo.row >= coo.col
+    at = _packed_index(n, coo.row[keep], coo.col[keep])
+    entries = coo.data[keep]
+    diag = _packed_index(n, np.arange(n), np.arange(n))
+    buf = np.zeros(n * (n + 1) // 2)
     deg = x.degrees()
-    # sum(deg^2) bounds the entries of the sparse square that sits beside
-    # the buffer; the module docstring gives the measured crossover.
-    if lambda1 - lambda2 > 2.0 * tol and 8 * int(deg @ deg) <= x.n * x.n:
+
+    def rank_one(c: float) -> None:
+        lapack.dsfrk(n, 1, c, v1.reshape(n, 1), 1.0, buf, transr="N",
+                     uplo="L", overwrite_c=1)
+
+    # sum(deg^2) bounds the entries of A @ A; the module docstring gives
+    # the measured crossover.
+    if lambda1 - lambda2 > 2.0 * tol and 8 * int(deg @ deg) <= n * n:
         m = (lambda2 + lambda_n) / 2.0
         r = (lambda2 - lambda_n) / 2.0 + tol
-        # A @ A has exact integer entries and is symmetric, so its CSC
-        # transpose fills the Fortran buffer without a copy.
-        (a @ a).T.toarray(out=buf)
-        np.negative(buf, out=buf)
-        coo = a.tocoo()
-        buf[coo.row, coo.col] += 2.0 * m * coo.data
-        diag += r * r - m * m
-        # The rank-one update fills the upper triangle, the one cholesky reads.
-        blas.dsyr((lambda1 - m) ** 2 - r * r + 1.0, v1, a=buf,
-                  overwrite_a=True)
+        # Row i of A @ A has at most min(n, (A deg)_i) entries, so blocks of
+        # step rows hold at most _FILL_ENTRIES of them.
+        step = max(1, _FILL_ENTRIES // max(1, min(n, int((a @ deg).max()))))
+        for lo in range(0, n, step):
+            # A @ A has exact integer entries.
+            sq = (a[lo:lo + step] @ a).tocoo()
+            i = sq.row + lo
+            low = i >= sq.col
+            buf[_packed_index(n, i[low], sq.col[low])] = -sq.data[low]
+        buf[at] += 2.0 * m * entries
+        buf[diag] += r * r - m * m
+        rank_one((lambda1 - m) ** 2 - r * r + 1.0)
         try:
-            _factor(buf, "the squared shift is not positive definite")
+            _factor(buf, n, "the squared shift is not positive definite")
             return
         except ConvergenceError:
             pass  # the two factorizations below decide and name the claim
-    a.toarray(out=buf)
-    np.negative(buf, out=buf)
-    diag += lambda2 + tol
-    blas.dsyr(lambda1 - lambda2 + 1.0, v1, a=buf, overwrite_a=True)
-    _factor(buf, f"an eigenvalue other than lambda_1 exceeds "
-                 f"lambda_2 + tol = {lambda2 + tol!r}")
-    a.toarray(out=buf)
-    diag -= lambda_n - tol
-    _factor(buf, f"an eigenvalue is below lambda_n - tol = {lambda_n - tol!r}")
+        buf[:] = 0.0
+    buf[at] = -entries
+    buf[diag] += lambda2 + tol
+    rank_one(lambda1 - lambda2 + 1.0)
+    _factor(buf, n, f"an eigenvalue other than lambda_1 exceeds "
+                    f"lambda_2 + tol = {lambda2 + tol!r}")
+    buf[:] = 0.0
+    buf[at] = entries
+    buf[diag] -= lambda_n - tol
+    _factor(buf, n, f"an eigenvalue is below lambda_n - tol = "
+                    f"{lambda_n - tol!r}")
 
 
-def _factor(buf: np.ndarray, claim: str) -> None:
-    from scipy.linalg import LinAlgError, cholesky
+def _packed_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Where entry (i, j), i >= j, of a symmetric n x n matrix sits in
+    rectangular full packed storage with transr='N' and uplo='L'.
 
-    try:
-        cholesky(buf, overwrite_a=True, check_finite=False)
-    except LinAlgError as exc:
-        raise ConvergenceError(f"{claim} ({exc})") from exc
+    That storage holds the lower triangle in n(n+1)/2 doubles, which
+    LAPACK's dpftrf factors with level-3 BLAS (Gustavson, Wasniewski,
+    Dongarra and Langou, ACM TOMS 37(2), 2010).
+    """
+    i = np.asarray(i, dtype=np.int64)
+    j = np.asarray(j, dtype=np.int64)
+    if n % 2 == 0:
+        h = n // 2
+        return np.where(j < h, i + 1 + j * (n + 1), j - h + (i - h) * (n + 1))
+    h = (n + 1) // 2
+    return np.where(j < h, i + j * n, j - h + (i - h + 1) * n)
+
+
+def _factor(buf: np.ndarray, n: int, claim: str) -> None:
+    """Cholesky of the packed buffer in place; ConvergenceError naming the
+    claim if it is not positive definite."""
+    from scipy.linalg import lapack
+
+    _, info = lapack.dpftrf(n, buf, transr="N", uplo="L", overwrite_a=1)
+    if info < 0:
+        raise ValueError(f"dpftrf: argument {-info} is illegal")
+    if info > 0:
+        raise ConvergenceError(f"{claim} ({info}-th leading minor of the "
+                               f"array is not positive definite)")
 
 
 def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:

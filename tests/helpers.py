@@ -22,7 +22,9 @@ checks the package's own spectrum and exact expansion against the Cheeger
 sandwich that ties them together.  fstring_lines is kept the same way as
 the blossom: the per-edge f-string writer behind graph_to_text and
 Matching.to_text before the blocked byte writer, whose bytes it must
-reproduce.
+reproduce.  proof_matrices is kept the same way: the dense n x n matrices
+that spectral._prove_extremes factored before it filled one packed
+triangle, which the packed fill must reproduce to rounding.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from typing import Callable, Iterable
 import networkx as nx
 import numpy as np
 from scipy import sparse
+from scipy.linalg import blas
 from scipy.sparse.csgraph import connected_components
 
 from expanderlab import cartesian_k2, extreme_eigs, regularity
@@ -354,6 +357,32 @@ def brute_force_expansion(x: Graph) -> tuple[Fraction, tuple[int, ...]]:
 def eigvalsh(x: Graph) -> np.ndarray:
     """The full adjacency spectrum, non-increasing, by numpy's dense solver."""
     return np.linalg.eigvalsh(x.adjacency_matrix())[::-1]
+
+
+def proof_matrices(x: Graph, lambda1: float, lambda2: float,
+                   lambda_n: float, v1: np.ndarray,
+                   tol: float) -> list[np.ndarray]:
+    """The three matrices the Cholesky proof can factor, built dense.
+
+    In the proof's order: the squared shift, the lambda_2 shift and the
+    lambda_n shift, each filled as spectral._prove_extremes filled its n x n
+    Fortran buffer before it moved to packed storage.  BLAS dsyr adds the
+    rank-one term to the upper triangle, which is mirrored to the lower.
+    """
+    a = x.adjacency_sparse()
+    coo = a.tocoo()
+    m = (lambda2 + lambda_n) / 2.0
+    r = (lambda2 - lambda_n) / 2.0 + tol
+    squared = np.asfortranarray(-(a @ a).toarray())
+    squared[coo.row, coo.col] += 2.0 * m * coo.data
+    squared.flat[::x.n + 1] += r * r - m * m
+    squared = blas.dsyr((lambda1 - m) ** 2 - r * r + 1.0, v1, a=squared)
+    low = np.asfortranarray(-a.toarray())
+    low.flat[::x.n + 1] += lambda2 + tol
+    low = blas.dsyr(lambda1 - lambda2 + 1.0, v1, a=low)
+    high = a.toarray()
+    high.flat[::x.n + 1] -= lambda_n - tol
+    return [np.triu(b) + np.triu(b, 1).T for b in (squared, low, high)]
 
 
 def isoperimetric_check(x: Graph, *, tol: float = 1e-9) -> dict:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from expanderlab.spectral import (
     Spectrum,
     _filtered_lambda_n,
     _iterative_extremes,
+    _packed_index,
     _prove_extremes,
 )
 from helpers import (
@@ -38,6 +40,7 @@ from helpers import (
     path,
     petersen,
     product_spectrum_oracle,
+    proof_matrices,
     random_gnp,
     random_regular,
     two_triangles,
@@ -154,14 +157,16 @@ def test_inertia_path_matches_dense(x513, x1317):
 def exact_pairs():
     """Regular graphs with their full eigendecompositions, non-increasing,
     and whether they meet the squared-shift gate: a 5-regular graph on 128
-    vertices, which does not (8 * 25 * 128 > 128^2), and a 3-regular one
-    on 256 vertices, which does."""
+    vertices, which does not (8 * 25 * 128 > 128^2), a 3-regular one on 256
+    vertices, which does, and, since the packed layout differs with the
+    parity of n, a 4-regular one on 129 vertices, which does
+    (8 * 16 * 129 <= 129^2), and a 6-regular one on 131, which does not."""
     pairs = []
-    for k, n in ((5, 128), (3, 256)):
+    for k, n in ((5, 128), (3, 256), (4, 129), (6, 131)):
         x = random_regular(k, n, 7)
         w, vecs = np.linalg.eigh(x.adjacency_matrix())
         pairs.append((x, w[::-1], vecs[:, ::-1], _degree_gate(x)))
-    assert [gated for *_, gated in pairs] == [False, True]
+    assert [gated for *_, gated in pairs] == [False, True, True, False]
     return pairs
 
 
@@ -172,13 +177,14 @@ def _degree_gate(x: Graph) -> bool:
 
 @pytest.fixture
 def factored(monkeypatch) -> list[float]:
-    """The trace of every matrix handed to Cholesky from now on."""
+    """The trace of every packed matrix handed to Cholesky from now on."""
     traces: list[float] = []
     factor = spectral._factor
 
-    def recording(buf: np.ndarray, claim: str) -> None:
-        traces.append(float(np.trace(buf)))
-        factor(buf, claim)
+    def recording(buf: np.ndarray, n: int, claim: str) -> None:
+        diagonal = _packed_index(n, np.arange(n), np.arange(n))
+        traces.append(float(buf[diagonal].sum()))
+        factor(buf, n, claim)
 
     monkeypatch.setattr(spectral, "_factor", recording)
     return traces
@@ -241,6 +247,45 @@ def test_proof_random_vector_never_passes_wrong_lambda2(exact_pairs, factored):
                 assert len(factored) == 1 + gated
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_packed_index_matches_dtrttf(n):
+    from scipy.linalg import lapack
+
+    full = np.arange(1.0, n * n + 1).reshape(n, n, order="F")
+    packed, info = lapack.dtrttf(full, transr="N", uplo="L")
+    i, j = np.tril_indices(n)
+    at = _packed_index(n, i, j)
+    assert info == 0
+    assert np.array_equal(np.sort(at), np.arange(n * (n + 1) // 2))
+    assert np.array_equal(packed[at], full[i, j])
+
+
+def test_packed_fill_matches_the_dense_recipe(exact_pairs, monkeypatch):
+    # lambda_n + 1e-3 fails, so a gated proof factors all three matrices
+    # (squared shift, lambda_2, lambda_n) and an ungated one the last two.
+    # dsfrk and the dense recipe's dsyr round the rank-one term apart.
+    from scipy.linalg import lapack
+
+    seen: list[np.ndarray] = []
+    factor = spectral._factor
+
+    def unpacking(buf: np.ndarray, n: int, claim: str) -> None:
+        seen.append(lapack.dtfttr(n, buf, transr="N", uplo="L")[0])
+        factor(buf, n, claim)
+
+    monkeypatch.setattr(spectral, "_factor", unpacking)
+    for x, w, vecs, gated in exact_pairs:
+        values = (w[0], w[1], w[-1] + 1e-3, vecs[:, 0], DEFAULT_TOL)
+        seen.clear()
+        with pytest.raises(ConvergenceError, match="lambda_n"):
+            _prove_extremes(x, *values)
+        want = proof_matrices(x, *values)[0 if gated else 1:]
+        assert len(seen) == len(want)
+        for got, b in zip(seen, want):
+            np.testing.assert_allclose(np.tril(got), np.tril(b), rtol=0,
+                                       atol=8 * np.spacing(np.abs(b).max()))
+
+
 # -- the squared-shift route ------------------------------------------------------
 
 
@@ -299,6 +344,21 @@ def test_squared_shift_rounding_slack_is_below_its_margin(k, construct_1000,
     gamma = (n + 1) * u / (1 - (n + 1) * u)
     slack = gamma * trace_b / (1 - gamma)
     assert 0 < slack < (s.lambda2 - s.lambda_n) * tol
+
+
+def test_proof_allocates_no_square_array(construct_1000):
+    # The packed buffer is n(n+1)/2 doubles, half of one n x n array.
+    x = construct_1000[7][0]
+    (lambda1, lambda2), _, v1 = _iterative_extremes(x, 2, "LA", DEFAULT_TOL)
+    (lambda_n,), _, _ = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
+    tracemalloc.start()
+    try:
+        _prove_extremes(x, lambda1, lambda2, lambda_n, v1, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _degree_gate(x)
+    assert peak <= 0.6 * 8 * x.n * x.n
 
 
 @given(st.integers(3, 8), st.integers(65, 512), st.integers(0, 2**16))
