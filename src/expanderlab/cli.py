@@ -15,7 +15,7 @@ from .errors import ConvergenceError, ValidationError
 from .expansion import boundary_size, expanding_constant_exact
 from .graph_core import load_graph, save_graph
 from .numtheory import PrimePlan, prev_prime
-from .planner import certify, compare_strategies, construct
+from .planner import certify, construct
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,13 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="exact expanding constant of a small graph")
     e.add_argument("--graph", required=True, help="edge-list file to read")
     e.set_defaults(func=_cmd_expansion)
-
-    cm = sub.add_parser("compare",
-                        help="grow one base by both strategies and compare")
-    cm.add_argument("--p", type=int, required=True)
-    cm.add_argument("--q", type=int, required=True)
-    cm.add_argument("--target-k", type=int, required=True)
-    cm.set_defaults(func=_cmd_compare)
 
     return parser
 
@@ -177,21 +170,6 @@ def _cmd_expansion(args) -> int:
     print(f"n={x.n} m={len(x.edges)}")
     print(f"h={h:.12g} witness={list(witness)} "
           f"(boundary {cut}, size {len(witness)})")
-    return 0
-
-
-def _cmd_compare(args) -> int:
-    report = compare_strategies(args.p, args.q, args.target_k)
-    print(f"base X^({report['p']},{report['q']}) group={report['group']} "
-          f"k={report['base_k']} -> target k={report['target_k']}")
-    head = (f"{'k':>4}  {'n(match)':>9} {'lambda2':>12} {'gap':>9}  "
-            f"{'n(prod)':>9} {'lambda2':>12} {'gap':>9}")
-    print(head)
-    for row in report["rows"]:
-        m, pr = row["matching"], row["k2product"]
-        print(f"{row['k']:>4}  {m['n']:>9} {m['lambda2']:>12.6f} "
-              f"{m['gap']:>9.6f}  {pr['n']:>9} {pr['lambda2']:>12.6f} "
-              f"{pr['gap']:>9.6f}")
     return 0
 
 

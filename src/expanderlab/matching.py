@@ -22,11 +22,10 @@ the same greedy seed, so increments, and the matchings recorded in their
 certificates, are unchanged.
 
 Adjacency is read from one set of x's edge codes u*n + v (u < v), with no
-per-vertex neighbour sets and no sparse adjacency.  x's canonical edges
-make the codes ascending, so the result is re-verified with array
-operations before it is applied: every vertex covered exactly once (the
-sorted ids are 0..n-1), and no pair's code among x's edge codes
-(searchsorted).
+per-vertex neighbour sets and no sparse adjacency.  The result is
+re-verified before it is applied: every vertex covered exactly once (the
+sorted ids are 0..n-1) here, and no pair already an edge by add_matching's
+binary search of x's edge codes.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .graph_core import (
     Graph,
     Matching,
     _codes,
-    _edge_search,
     add_matching,
     regularity,
 )
@@ -100,14 +98,9 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     low = np.flatnonzero(np.arange(n) < mates)
     pairs = np.column_stack([low, mates[low]])
     # Independent of both passes: re-derived from the pairs themselves.
-    # Every vertex once makes the matching perfect and disjoint, and no
-    # pair among x's edges keeps it in the complement.
+    # Every vertex once makes the matching perfect and disjoint;
+    # add_matching refuses any pair among x's edges.
     if not np.array_equal(np.sort(pairs, axis=None), np.arange(n)):
         raise AssertionError("increment_regularity: matching is not perfect")
-    inside = _edge_search(x, pairs)[1]
-    if inside.any():
-        u, v = pairs[inside.argmax()].tolist()
-        raise AssertionError(
-            f"increment_regularity: pair ({u}, {v}) is already an edge")
     m = Matching._from_rows(pairs)
     return add_matching(x, m), m

@@ -20,7 +20,9 @@ Increments come in two strategies:
                 chain entries invalid.
 
 "matching" is the default strategy for exactly that reason: its
-certificates may cite the chain, the product's may not.
+certificates may cite the chain, the product's may not.  construct and
+replay run every step through one increment driver, _apply_step, so the
+two strategies are compared by constructing each at the same k.
 """
 
 from __future__ import annotations
@@ -267,36 +269,3 @@ def replay(provenance) -> Graph:
     if x is None:
         raise ValidationError("empty provenance chain")
     return x
-
-
-def compare_strategies(p: int, q: int, target_k: int) -> dict:
-    """Grow one base both ways and report measured spectra side by side.
-
-    Row zero is the shared base X^{p,q}; each later row records, per
-    strategy, the graph size, measured lambda_2, spectral gap, and the
-    reference value lambda_2(previous) + 1 that the matching route is
-    guaranteed not to exceed.
-    """
-    params = lps_params(p, q)
-    base_k = p + 1
-    if target_k < base_k:
-        raise ValidationError(
-            f"target_k={target_k} is below the base regularity {base_k}")
-    x = build_lps(p, q)
-    lam2 = extreme_eigs(x).lambda2
-    rows = [{"k": base_k, **{
-        strategy: {"n": x.n, "lambda2": lam2, "gap": base_k - lam2}
-        for strategy in STRATEGIES}}]
-    graphs = dict.fromkeys(STRATEGIES, x)
-    for k_now in range(base_k + 1, target_k + 1):
-        row = {"k": k_now}
-        for strategy, op in STRATEGIES.items():
-            y, _ = _apply_step(graphs[strategy], {"step": op})
-            graphs[strategy] = y
-            lam2 = extreme_eigs(y).lambda2
-            row[strategy] = {
-                "n": y.n, "lambda2": lam2, "gap": k_now - lam2,
-                "lambda2_prev_plus_one": rows[-1][strategy]["lambda2"] + 1.0}
-        rows.append(row)
-    return {"p": p, "q": q, "group": params.group, "base_k": base_k,
-            "target_k": target_k, "rows": rows}

@@ -114,8 +114,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
-from typing import Any, get_type_hints
+from dataclasses import asdict, dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -458,37 +458,24 @@ class SpectralCertificate:
     bounds: tuple[dict, ...] = field(default_factory=tuple)
     expansion: dict | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": self.version,
-            "k": self.k,
-            "n": self.n,
-            "provenance": [dict(step) for step in self.provenance],
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "lambda_n": self.lambda_n,
-            "spectral_gap": self.spectral_gap,
-            "ramanujan": self.ramanujan,
-            "bipartite": self.bipartite,
-            "residual": self.residual,
-            "method": self.method,
-            "bounds": [dict(entry) for entry in self.bounds],
-            "expansion": dict(self.expansion) if self.expansion is not None else None,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "SpectralCertificate":
         """Parse to_json output; any other shape raises ValidationError.
 
         The keys must be exactly the field names, each scalar field must
-        hold its declared type (a bool is not an int), and provenance,
-        bounds and expansion must hold the objects that to_dict copies.
+        hold its declared type (a bool is not an int), provenance and
+        bounds must be lists of objects and expansion an object or null.
+        NaN, Infinity and -Infinity, which json.loads accepts by default
+        but JSON does not define, are refused.
         """
+        def refuse(name: str):
+            raise ValidationError(f"certificate holds non-JSON constant {name}")
+
         try:
-            d = json.loads(text)
+            d = json.loads(text, parse_constant=refuse)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"certificate is not JSON: {exc}") from exc
         if not isinstance(d, dict):

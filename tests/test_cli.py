@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from expanderlab import graph_to_text, save_graph
-from expanderlab.cli import main
+from expanderlab.cli import build_parser, main
 
 from helpers import k4, petersen
 
@@ -236,27 +239,6 @@ def test_expansion_rejects_large_graph(tmp_path, capsys, x513):
 
 
 # ---------------------------------------------------------------------------
-# compare
-# ---------------------------------------------------------------------------
-
-
-def test_compare_base_only(capsys):
-    assert main(["compare", "--p", "5", "--q", "13", "--target-k", "6"]) == 0
-    out = capsys.readouterr().out
-    assert "PGL2" in out
-    assert "2184" in out
-
-
-def test_compare_rejects_bad_params(capsys):
-    assert main(["compare", "--p", "5", "--q", "13", "--target-k", "5"]) == 1
-    assert main(["compare", "--p", "7", "--q", "13", "--target-k", "8"]) == 1
-    capsys.readouterr()
-    # X^{5,109} would have 1 294 920 vertices; q above Q_MAX is refused.
-    assert main(["compare", "--p", "5", "--q", "109", "--target-k", "6"]) == 1
-    assert "q=109" in capsys.readouterr().err
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
 
@@ -288,3 +270,13 @@ def test_module_entry_point():
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert "1.52" in proc.stdout
+
+
+def test_readme_command_line_matches_parser():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"^## Command line\n\n```sh\n(.*?)^```", readme,
+                      re.M | re.S).group(1)
+    documented = set(re.findall(r"^expanderlab ([\w-]+)", block, re.M))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

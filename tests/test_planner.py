@@ -22,7 +22,6 @@ from expanderlab import (
 )
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import from_edge_list
-from expanderlab.planner import compare_strategies
 from expanderlab.spectral import SpectralCertificate
 
 from helpers import k4, path, petersen, script_env, two_triangles
@@ -412,44 +411,60 @@ def test_replay_rejects_malformed_chains():
 
 
 # ---------------------------------------------------------------------------
-# compare_strategies
+# matching vs K2 product from the same X^{5,13} base
 # ---------------------------------------------------------------------------
 
 
-def test_compare_strategies_5_13_to_8():
-    rep = compare_strategies(5, 13, 8)
-    assert rep["base_k"] == 6 and rep["target_k"] == 8
-    rows = rep["rows"]
-    assert [r["k"] for r in rows] == [6, 7, 8]
-    assert rows[0]["matching"] == rows[0]["k2product"]
-    prev_k = {"matching": 6, "k2product": 6}
-    for row in rows[1:]:
-        m, pr = row["matching"], row["k2product"]
-        assert m["lambda2"] <= m["lambda2_prev_plus_one"] + 1e-9
-        assert pr["n"] == 2 * rows[rows.index(row) - 1]["k2product"]["n"]
-        expected = max(pr["lambda2_prev_plus_one"], prev_k["k2product"] - 1.0)
-        assert pr["lambda2"] == pytest.approx(expected, abs=1e-6)
-        prev_k = {"matching": row["k"], "k2product": row["k"]}
+@pytest.fixture(scope="module")
+def faceoff():
+    """construct(k, 1, strategy) certificates for k = 6..8, by strategy."""
+    return {k: {s: construct(k, 1, s)[1] for s in ("matching", "k2product")}
+            for k in (6, 7, 8)}
+
+
+def test_strategies_face_off_from_one_base(faceoff):
+    base = faceoff[6]
+    assert base["matching"].provenance == base["k2product"].provenance
+    assert base["matching"].provenance == ({"step": "lps", "p": 5, "q": 13},)
+    assert (base["matching"].n, base["matching"].lambda2) == (
+        base["k2product"].n, base["k2product"].lambda2)
+    for k in (7, 8):
+        m, m_prev = faceoff[k]["matching"], faceoff[k - 1]["matching"]
+        pr, pr_prev = faceoff[k]["k2product"], faceoff[k - 1]["k2product"]
+        assert m.provenance[0] == pr.provenance[0] == base["matching"].provenance[0]
+        assert m.lambda2 <= m_prev.lambda2 + 1.0 + 1e-9
+        assert pr.n == 2 * pr_prev.n
+        expected = max(pr_prev.lambda2 + 1.0, pr_prev.k - 1.0)
+        assert pr.lambda2 == pytest.approx(expected, abs=1e-6)
     # The matching route ends with the larger spectral gap.
-    assert rows[-1]["matching"]["gap"] > rows[-1]["k2product"]["gap"]
+    assert faceoff[8]["matching"].spectral_gap > faceoff[8]["k2product"].spectral_gap
 
 
-def test_compare_strategies_degenerate():
-    rep = compare_strategies(5, 13, 6)
-    assert len(rep["rows"]) == 1
-    assert rep["rows"][0]["matching"] == rep["rows"][0]["k2product"]
+def _faceoff_script(target: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "strategy_faceoff.py"),
+         target], capture_output=True, text=True, env=script_env(),
+        timeout=300)
 
 
-def test_compare_strategies_rejects_low_target():
-    with pytest.raises(ValidationError):
-        compare_strategies(5, 13, 5)
-
-
-def test_strategy_faceoff_script_runs():
-    proc = subprocess.run(
-        [sys.executable, str(_ROOT / "scripts" / "strategy_faceoff.py"), "7"],
-        capture_output=True, text=True, env=script_env(), timeout=300)
+def test_strategy_faceoff_script_runs(faceoff):
+    proc = _faceoff_script("7")
     assert proc.returncode == 0, proc.stderr
-    rows = [line for line in proc.stdout.splitlines()
+    assert proc.stdout.startswith("base X^(5,13), group PGL2, k=6 -> 7\n")
+    rows = [line.split("|") for line in proc.stdout.splitlines()
             if line.split("|")[0].strip().isdigit()]
-    assert [int(line.split("|")[0]) for line in rows] == [6, 7]
+    assert [int(row[0]) for row in rows] == [6, 7]
+    for row in rows:
+        certs = faceoff[int(row[0])]
+        for cell, strategy in zip(row[1:], ("matching", "k2product")):
+            n, lambda2, _ = cell.split()
+            assert int(n) == certs[strategy].n
+            assert lambda2 == f"{certs[strategy].lambda2:.6f}"
+
+
+@pytest.mark.parametrize("target", ["5", "14"])
+def test_strategy_faceoff_script_refuses_other_bases(target):
+    # k = 5 lies below the base regularity 6; k = 14 anchors at p* = 13.
+    proc = _faceoff_script(target)
+    assert proc.returncode == 1
+    assert "6..13" in proc.stderr and not proc.stdout

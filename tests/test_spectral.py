@@ -767,6 +767,10 @@ def test_certificate_json_roundtrip_and_stability():
     pytest.param(lambda d: {**d, "lambda2": None}, id="lambda2-null"),
     pytest.param(lambda d: {**d, "ramanujan": "yes"}, id="ramanujan-string"),
     pytest.param(lambda d: {**d, "method": 3}, id="method-number"),
+    pytest.param(lambda d: {**d, "lambda2": math.nan}, id="lambda2-nan"),
+    pytest.param(lambda d: {**d, "residual": math.inf}, id="residual-infinity"),
+    pytest.param(lambda d: {**d, "bounds": [{"value": -math.inf}]},
+                 id="bound-minus-infinity"),
 ])
 def test_certificate_from_json_rejects_malformed(edit):
     bad = edit(json.loads(certify(k4()).to_json()))
