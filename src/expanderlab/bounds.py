@@ -30,7 +30,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError
-from .numtheory import delta_k, max_delta_in_range, prev_prime
+from .numtheory import PrimePlan, max_delta_in_range
 
 # Onset of the unconditional prime-gap interval behind the Trudgian model.
 TRUDGIAN_MIN_K = 2898239
@@ -56,9 +56,9 @@ def lambda2_bound_chain(k: int) -> tuple[float, float]:
     """
     if k < 3:
         raise ValidationError(f"chain bounds need k >= 3, got {k}")
-    p = prev_prime(k)
-    intermediate = 2.0 * math.sqrt(p) + (k - p - 1)
-    normalized = 2.0 * (1.0 + delta_k(k)) * math.sqrt(k - 1)
+    theory = PrimePlan.for_target(k)
+    intermediate = 2.0 * math.sqrt(theory.p) + theory.increments
+    normalized = 2.0 * (1.0 + theory.delta) * math.sqrt(k - 1)
     return intermediate, normalized
 
 

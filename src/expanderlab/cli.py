@@ -14,7 +14,7 @@ from .bounds import TABLE_RANGES, delta_table, gap_bounds, lambda2_bound_chain
 from .errors import ConvergenceError, ValidationError
 from .expansion import boundary_size, expanding_constant_exact
 from .graph_core import load_graph, save_graph
-from .numtheory import PrimePlan, prev_prime
+from .numtheory import PrimePlan
 from .planner import certify, construct
 
 
@@ -146,7 +146,7 @@ def _cmd_bounds(args) -> int:
     which = args.model
     if which in (None, "chain"):
         intermediate, normalized = lambda2_bound_chain(k)
-        p = prev_prime(k)
+        p = PrimePlan.for_target(k).p
         print(f"chain      lambda2 <= {intermediate:.12g} "
               f"(= 2*sqrt({p}) + {k - p - 1}) <= {normalized:.12g}")
     if which == "chain":

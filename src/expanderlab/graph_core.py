@@ -84,62 +84,42 @@ class Graph:
 
 
 class Matching:
-    """A set of pairwise disjoint edges, stored as sorted (u, v) pairs of
-    vertex ids in [0, 2**63), the ids an edge array can hold.  _rows holds
-    the same pairs as a read-only (k, 2) int64 array."""
+    """Pairwise disjoint edges between vertex ids in [0, 2**63), the ids an
+    edge array can hold.  rows holds them as a canonical edge array:
+    read-only, (k, 2) int64, u < v per row, rows ascending."""
 
-    __slots__ = ("pairs", "_rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, pairs: Iterable[Edge]):
-        norm = []
-        seen: set[int] = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValidationError(f"matching pair ({u}, {v}) is a loop")
-            a, b = (u, v) if u < v else (v, u)
-            if a < 0 or b >= 2**63:
-                raise ValidationError(
-                    f"matching pair ({u}, {v}) has an id outside [0, 2**63)")
-            if a in seen or b in seen:
-                raise ValidationError(f"vertex reused in matching at ({u}, {v})")
-            seen.add(a)
-            seen.add(b)
-            norm.append((a, b))
-        self.pairs: tuple[Edge, ...] = tuple(sorted(norm))
-        self._rows = np.array(self.pairs, dtype=np.int64).reshape(-1, 2)
-        self._rows.flags.writeable = False
-
-    @classmethod
-    def _from_rows(cls, rows: np.ndarray) -> Matching:
-        """Unvalidated: rows is a checked (k, 2) int64 array of sorted
-        u < v pairs, kept as the matching's own."""
-        m = cls.__new__(cls)
-        m.pairs = tuple(zip(*rows.T.tolist()))
-        m._rows = rows
-        rows.flags.writeable = False
-        return m
+    def __init__(self, pairs: Iterable[Edge] | np.ndarray):
+        self.rows = _canonical(2**63, pairs)
+        ids = np.sort(self.rows, axis=None)
+        reused = ids[1:] == ids[:-1]
+        if reused.any():
+            raise ValidationError(
+                f"vertex {ids[reused.argmax()]} reused in matching")
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Edge]:
-        return iter(self.pairs)
+        return map(tuple, self.rows.tolist())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matching) and self.pairs == other.pairs
+        return (isinstance(other, Matching)
+                and np.array_equal(self.rows, other.rows))
 
     def __hash__(self) -> int:
-        return hash(self.pairs)
+        return hash(self.rows.tobytes())
 
     def __repr__(self) -> str:
-        return f"Matching(size={len(self.pairs)})"
+        return f"Matching(size={len(self.rows)})"
 
     def is_perfect(self, n: int) -> bool:
-        return 2 * len(self.pairs) == n
+        return 2 * len(self.rows) == n
 
     def to_text(self) -> str:
         """One 'u v' line per pair, ascending; embedded in certificates."""
-        return _lines(self._rows)
+        return _lines(self.rows)
 
 
 def _canonical(n: int, raw) -> np.ndarray:
@@ -288,11 +268,11 @@ def add_matching(x: Graph, m: Matching) -> Graph:
     if not m.is_perfect(x.n):
         raise ValidationError(
             f"matching covers {2 * len(m)} of {x.n} vertices, not perfect")
-    pairs = _canonical(x.n, m._rows)
+    pairs = _canonical(x.n, m.rows)
     at, present = _edge_search(x, pairs)
     if present.any():
-        raise ValidationError(
-            f"matching pair {m.pairs[present.argmax()]} already an edge")
+        u, v = pairs[present.argmax()].tolist()
+        raise ValidationError(f"matching pair ({u}, {v}) already an edge")
     e = np.insert(x.edges, at, pairs, axis=0)
     e.flags.writeable = False
     return Graph(x.n, e)

@@ -23,9 +23,9 @@ certificates, are unchanged.
 
 Adjacency is read from one set of x's edge codes u*n + v (u < v), with no
 per-vertex neighbour sets and no sparse adjacency.  The result is
-re-verified before it is applied: every vertex covered exactly once (the
-sorted ids are 0..n-1) here, and no pair already an edge by add_matching's
-binary search of x's edge codes.
+re-verified from its pairs alone before it is applied: Matching refuses a
+vertex used twice, and add_matching refuses a matching that is not perfect,
+an id outside [0, n) and a pair that is already an edge.
 """
 
 from __future__ import annotations
@@ -96,11 +96,5 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
 
     mates = np.array(mate, dtype=np.int64)
     low = np.flatnonzero(np.arange(n) < mates)
-    pairs = np.column_stack([low, mates[low]])
-    # Independent of both passes: re-derived from the pairs themselves.
-    # Every vertex once makes the matching perfect and disjoint;
-    # add_matching refuses any pair among x's edges.
-    if not np.array_equal(np.sort(pairs, axis=None), np.arange(n)):
-        raise AssertionError("increment_regularity: matching is not perfect")
-    m = Matching._from_rows(pairs)
+    m = Matching(np.column_stack([low, mates[low]]))
     return add_matching(x, m), m

@@ -1,6 +1,7 @@
 """Exact integer arithmetic for prime-gap planning and Cayley generators.
 
-Point queries (``is_prime``, ``prev_prime``, ``next_prime``, ``delta_k``)
+Point queries (``is_prime``, ``prev_prime``, ``next_prime``, and
+``PrimePlan.for_target``, whose ``delta`` is the normalized gap delta_k)
 use a fixed Miller-Rabin base set that is exact below 2**64.  Ranges
 (``max_delta_in_range``) are swept by a segmented, odd-only numpy sieve of
 Eratosthenes, one fixed-size block at a time, so memory stays bounded by the
@@ -97,12 +98,6 @@ def next_prime(p: int) -> int:
     while not is_prime(n):
         n += 2
     return n
-
-
-def delta_k(k: int) -> float:
-    """Normalized prime gap (p' - p) / sqrt(p) at p = prev_prime(k)."""
-    p = prev_prime(k)
-    return (next_prime(p) - p) / math.sqrt(p)
 
 
 def _prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:

@@ -4,7 +4,8 @@ Two plans exist for every target k.  The theoretical plan anchors at
 p = prev_prime(k) and drives the bound chain; the buildable plan anchors at
 p* = the largest prime p <= k - 1 with p = 1 (mod 4) and p >= 5, because
 only those primes admit the Cayley base construction.  When no such p*
-exists (k <= 5) the base is served from the small named-graph library.
+exists (k = 3, 4, 5) the base is the smallest graph of regularity k in
+ramanujan_base.LIBRARY, a fixed table of four, with enough vertices.
 
 Increments come in two strategies:
 
@@ -43,7 +44,8 @@ from .graph_core import (
 )
 from .matching import increment_regularity
 from .numtheory import PrimePlan, is_prime, prev_prime
-from .ramanujan_base import Q_MAX, build_lps, lps_params, small_ramanujan
+from .ramanujan_base import (LIBRARY, Q_MAX, build_lps, lps_params,
+                             small_ramanujan)
 from .spectral import DEFAULT_TOL, SpectralCertificate, extreme_eigs
 
 # Increment strategy -> the provenance step that runs one increment.
@@ -58,11 +60,9 @@ class BuildPlan:
     (a named small graph already at regularity k).
     """
 
-    k: int
     source: str
     p_star: int | None
     increments: int
-    note: str = ""
 
 
 def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
@@ -71,13 +71,10 @@ def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
     p = theory.p
     while p >= 5:
         if p % 4 == 1:
-            return theory, BuildPlan(k=k, source="lps", p_star=p,
+            return theory, BuildPlan(source="lps", p_star=p,
                                      increments=k - p - 1)
         p = prev_prime(p)
-    return theory, BuildPlan(
-        k=k, source="library", p_star=None, increments=0,
-        note="no prime p = 1 (mod 4) with 5 <= p <= k-1; using the "
-             "named-graph library")
+    return theory, BuildPlan(source="library", p_star=None, increments=0)
 
 
 def choose_q(p: int, min_vertices: int) -> int:
@@ -103,19 +100,15 @@ def choose_q(p: int, min_vertices: int) -> int:
         f"at p={p}")
 
 
-_LIBRARY_BY_K = {
-    3: (("complete(4)", 4), ("petersen", 10)),
-}
-
-
 def _library_name(k: int, min_vertices: int) -> str:
-    candidates = _LIBRARY_BY_K.get(k, ((f"complete({k + 1})", k + 1),))
-    for name, n in candidates:
-        if n >= min_vertices:
+    """The first LIBRARY graph of regularity k with min_vertices or more."""
+    for name, (degree, n) in LIBRARY.items():
+        if degree == k and n >= min_vertices:
             return name
+    largest = max(n for degree, n in LIBRARY.values() if degree == k)
     raise ValidationError(
         f"regularity {k} is served from a fixed library whose largest graph "
-        f"has {candidates[-1][1]} vertices; cannot reach {min_vertices}")
+        f"has {largest} vertices; cannot reach {min_vertices}")
 
 
 def _bound_entries(k: int, strategy: str | None,
@@ -232,19 +225,29 @@ def _apply_step(x: Graph | None, step: dict) -> tuple[Graph, dict]:
     """Run one provenance step on x; return the new graph and the step run.
 
     The step run by a matching increment records the matching it added; a
-    matching already recorded in step must equal the recomputed one.
+    matching already recorded in step must equal the recomputed one.  A
+    malformed step is refused before anything is built: a base step may
+    only come first, and each field must have the type construct records.
     """
-    op = step.get("step")
+    op = step.get("step") if isinstance(step, dict) else None
+    if op in ("library", "lps") and x is not None:
+        raise ValidationError(f"base step {op!r} after the first step")
     if op == "library":
+        if not isinstance(step.get("name"), str):
+            raise ValidationError(f"library step needs a name, got {step!r}")
         return small_ramanujan(step["name"]), step
     if op == "lps":
+        if not (type(step.get("p")) is int and type(step.get("q")) is int):
+            raise ValidationError(f"lps step needs int p and q: {step!r}")
         return build_lps(step["p"], step["q"]), step
     if op == "matching_increment":
         if x is None:
             raise ValidationError("increment step before any base step")
+        recorded = step.get("matching")
+        if recorded is not None and not isinstance(recorded, str):
+            raise ValidationError("a recorded matching must be text")
         x, m = increment_regularity(x)
         text = m.to_text()
-        recorded = step.get("matching")
         if recorded is not None and recorded != text:
             raise ValidationError(
                 "replayed matching differs from the recorded one")

@@ -1,4 +1,4 @@
-"""Ramanujan base graphs: LPS Cayley graphs plus a small named library.
+"""Ramanujan base graphs: LPS Cayley graphs plus a fixed named library.
 
 For distinct primes p, q = 1 (mod 4) with 2*sqrt(p) < q <= Q_MAX, the
 (p+1)-regular LPS graph X^{p,q} is the Cayley graph of PSL(2, q) or
@@ -33,7 +33,6 @@ below 2**31, so the arrays are int32.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,32 +173,26 @@ def build_lps(p: int, q: int) -> Graph:
     return x
 
 
-_NAME_RE = re.compile(r"^(petersen|complete\((\d+)\)|cycle\((\d+)\))$")
+# The named base graphs, name -> (regularity, vertex count), ascending in
+# vertex count per regularity: the planner serves k = 3, 4, 5, where no LPS
+# prime p* fits, from these.
+LIBRARY = {
+    "complete(4)": (3, 4),
+    "petersen": (3, 10),
+    "complete(5)": (4, 5),
+    "complete(6)": (5, 6),
+}
 
 
 def small_ramanujan(name: str) -> Graph:
-    """Named small graphs meeting the Ramanujan bound.
-
-    Supported: 'petersen' (3-regular, n=10), 'complete(n)' for n >= 2
-    ((n-1)-regular), 'cycle(n)' for n >= 3 (2-regular).
-    """
-    m = _NAME_RE.match(name.strip())
-    if not m:
+    """The LIBRARY graph called name; every one meets the Ramanujan bound."""
+    if name not in LIBRARY:
         raise ValidationError(
-            f"unknown graph name {name!r}; expected 'petersen', "
-            "'complete(n)' or 'cycle(n)'")
-    if m.group(2) is not None:
-        n = int(m.group(2))
-        if n < 2:
-            raise ValidationError(f"complete graph needs n >= 2, got {n}")
-        return from_edge_list(n, [(u, v) for u in range(n)
-                                  for v in range(u + 1, n)])
-    if m.group(3) is not None:
-        n = int(m.group(3))
-        if n < 3:
-            raise ValidationError(f"cycle needs n >= 3, got {n}")
-        return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
-    outer = [(v, (v + 1) % 5) for v in range(5)]
-    spokes = [(v, v + 5) for v in range(5)]
-    inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
-    return from_edge_list(10, outer + spokes + inner)
+            f"unknown graph name {name!r}; expected one of {tuple(LIBRARY)}")
+    if name == "petersen":
+        outer = [(v, (v + 1) % 5) for v in range(5)]
+        spokes = [(v, v + 5) for v in range(5)]
+        inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
+        return from_edge_list(10, outer + spokes + inner)
+    n = LIBRARY[name][1]
+    return from_edge_list(n, np.column_stack(np.triu_indices(n, 1)))

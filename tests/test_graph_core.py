@@ -351,18 +351,25 @@ def test_complement_edge_count(x):
 
 
 def test_matching_validation():
+    # Unsorted input, as pairs and as an array, comes out as sorted rows.
     m = Matching([(3, 0), (1, 2)])
-    assert m.pairs == ((0, 3), (1, 2))
+    assert tuple(m) == ((0, 3), (1, 2)) and len(m) == 2
+    assert m.rows.dtype == np.int64 and not m.rows.flags.writeable
+    assert m == Matching(np.array([[2, 1], [0, 3]])) == Matching(m.rows)
     assert m.is_perfect(4) and not m.is_perfect(6)
     assert m.to_text() == "0 3\n1 2\n"
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="vertex 1 reused"):
         Matching([(0, 1), (1, 2)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="loop at vertex 2"):
         Matching([(2, 2)])
     for pair in ((3, -1), (0, 2**63)):
-        with pytest.raises(ValidationError, match="outside"):
+        with pytest.raises(ValidationError, match="out of range"):
             Matching([pair])
     assert Matching([(0, 2**63 - 1)]).to_text() == f"0 {2**63 - 1}\n"
+    # The caller's array stays writeable and its own.
+    a = np.array([[0, 1], [2, 3]])
+    Matching(a)
+    assert a.flags.writeable
 
 
 def test_add_matching_c6_diagonals():
@@ -393,7 +400,7 @@ def test_add_matching_inserts_like_a_sort():
         edges += edges[:int(rng.integers(0, len(edges) + 1))]
         x = from_edge_list(n, edges)
         m = Matching(rng.permutation(n).reshape(-1, 2).tolist())
-        present = [pair for pair in m.pairs if pair in set(edges)]
+        present = [pair for pair in m if pair in set(edges)]
         if present:
             with pytest.raises(ValidationError,
                                match=re.escape(f"pair {present[0]} already")):
@@ -401,7 +408,7 @@ def test_add_matching_inserts_like_a_sort():
             refused += 1
         else:
             y = add_matching(x, m)
-            assert y == from_edge_list(n, edges + m.pairs)
+            assert y == from_edge_list(n, edges + tuple(m))
             assert not y.edges.flags.writeable
             added += 1
     assert added > 50 and refused > 50
@@ -435,7 +442,7 @@ def test_add_remove_roundtrip():
     x = cycle(6)
     m = Matching([(0, 3), (1, 4), (2, 5)])
     y = add_matching(x, m)
-    assert Counter(edge_pairs(y)) - Counter(m.pairs) == Counter(edge_pairs(x))
+    assert Counter(edge_pairs(y)) - Counter(m) == Counter(edge_pairs(x))
     assert y.num_edges == x.num_edges + len(m)
 
 
@@ -478,9 +485,9 @@ def test_text_writer_digit_width_boundaries():
     assert graph_to_text(x) == fstring_graph_text(x)
     # Each width next to every other, in both orders.
     m = Matching(zip(ids[0::2], ids[1::2]))
-    assert m.to_text() == fstring_lines(m.pairs)
+    assert m.to_text() == fstring_lines(tuple(m))
     m = Matching(zip(ids[1::2], ids[2::2]))
-    assert m.to_text() == fstring_lines(m.pairs)
+    assert m.to_text() == fstring_lines(tuple(m))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
@@ -497,7 +504,7 @@ def test_text_writer_block_boundaries(extra):
         assert x.num_edges == m
         assert graph_to_text(x) == fstring_graph_text(x)
     pairs = Matching((2 * i, 2 * i + 1) for i in range(m))
-    assert pairs.to_text() == fstring_lines(pairs.pairs)
+    assert pairs.to_text() == fstring_lines(tuple(pairs))
 
 
 def test_text_writer_empty_and_parallel():

@@ -136,7 +136,7 @@ def test_increment_c6():
         assert pair not in set(edge_pairs(cycle(6)))
     # n = 2k+2, the tight case: greedy pairs (0, 2) and (1, 3) and leaves
     # {4, 5} exposed; the exchange swaps (0, 2) for (4, 0) and (5, 2).
-    assert m.pairs == ((0, 4), (1, 3), (2, 5))
+    assert tuple(m) == ((0, 4), (1, 3), (2, 5))
 
 
 def test_increment_c4_gives_k4():
@@ -174,14 +174,15 @@ def test_increment_deterministic():
 
 
 def test_increment_matching_equals_validated_matching(x513):
-    # The increment builds its Matching from checked arrays, not through the
-    # validating constructor; the two must be indistinguishable.
+    # The increment builds its Matching from an int64 array; the same pairs
+    # as Python tuples must give an indistinguishable one.
     for x in (cycle(6), petersen(), random_regular(5, 40, 2), x513):
         _, m = increment_regularity(x)
-        again = Matching(m.pairs)
-        assert m == again and hash(m) == hash(again)
-        assert m.to_text() == again.to_text() == fstring_lines(m.pairs)
-        assert all(type(i) is int for pair in m.pairs for i in pair)
+        pairs = tuple(m)
+        again = Matching(pairs)
+        assert m == again and hash(m) == hash(again) and len(m) == x.n // 2
+        assert m.to_text() == again.to_text() == fstring_lines(pairs)
+        assert all(type(i) is int for pair in pairs for i in pair)
 
 
 def _greedy_leaves_exposed(x):

@@ -14,7 +14,6 @@ from expanderlab.numtheory import (
     RANGE_MAX,
     PrimePlan,
     _prime_blocks,
-    delta_k,
     four_square_generators,
     is_prime,
     legendre,
@@ -105,13 +104,13 @@ def test_delta_k_known_values():
     ]
     for k, p, p_next in cases:
         exact = mp.mpf(p_next - p) / mp.sqrt(p)
-        got = delta_k(k)
+        got = PrimePlan.for_target(k).delta
         assert abs(got - float(exact)) <= 1e-12 * float(exact)
 
 
 def test_delta_k_constant_between_primes():
     # prev_prime is the same for every k in (p, p'].
-    vals = {delta_k(k) for k in range(114, 128)}
+    vals = {PrimePlan.for_target(k).delta for k in range(114, 128)}
     assert len(vals) == 1
 
 

@@ -22,6 +22,7 @@ from expanderlab import (
 )
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import from_edge_list
+from expanderlab.ramanujan_base import LIBRARY
 from expanderlab.spectral import SpectralCertificate
 
 from helpers import k4, path, petersen, script_env, two_triangles
@@ -84,8 +85,8 @@ def test_plan_small_k_uses_library():
     for k in (3, 4, 5):
         _, build = plan(k)
         assert build.source == "library"
-        assert build.p_star is None
-        assert build.note
+        assert build.p_star is None and build.increments == 0
+        assert any(degree == k for degree, _ in LIBRARY.values())
 
 
 def test_plan_rejects_tiny_k():
@@ -408,6 +409,43 @@ def test_replay_rejects_malformed_chains():
         replay(({"step": "k2_product"},))
     with pytest.raises(ValidationError):
         replay(({"step": "teleport"},))
+
+
+_PETERSEN = {"step": "library", "name": "petersen"}
+
+
+@pytest.mark.parametrize("steps", [
+    [{"step": "lps", "p": 5}],
+    [{"step": "lps", "p": "5", "q": 13}],
+    [{"step": "lps", "p": 5.0, "q": 13}],
+    [{"step": "lps", "p": 5, "q": True}],
+    [{"step": "library", "name": 7}],
+    [{"step": "library", "name": ["petersen"]}],
+    [{"step": "library", "name": "cycle(9)"}],
+    ["lps"],
+    [None],
+    [{"step": ["lps"]}],
+    [_PETERSEN, _PETERSEN],
+    [_PETERSEN, {"step": "lps", "p": 5, "q": 13}],
+    [_PETERSEN, {"step": "matching_increment", "matching": 7}],
+], ids=["lps-no-q", "lps-str-p", "lps-float-p", "lps-bool-q", "library-int",
+        "library-list", "library-unknown", "bare-str", "none", "list-op",
+        "second-library", "lps-after-base", "matching-not-text"])
+def test_replay_refuses_malformed_steps(steps):
+    with pytest.raises(ValidationError):
+        replay(steps)
+
+
+def test_replay_refuses_unknown_library_name_before_allocating():
+    # A name outside the fixed library is refused before any graph is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match="unknown graph name"):
+            replay([{"step": "library", "name": "complete(100000)"}])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

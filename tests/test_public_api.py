@@ -98,3 +98,62 @@ def test_no_assert_statements_outside_tests():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+# Definitions nothing in src/, scripts/ or perfbench/ refers to by name.
+_UNREFERENCED_BY_DESIGN = {
+    # argparse calls ArgumentParser.error on a usage error.
+    "cli._Parser.error",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions(module: str, tree: ast.Module):
+    """(qualified name, name, node) of every module-level function, class
+    and constant, and of every non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef)
+                        and not _is_dunder(item.name)):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            for t in targets:
+                if isinstance(t, ast.Name) and not _is_dunder(t.id):
+                    yield f"{module}.{t.id}", t.id, node
+
+
+def test_package_code_is_used_outside_tests():
+    # Code that only tests call belongs in tests/: every definition in the
+    # package must be referenced, as a name, an attribute or an import, by
+    # the package, the scripts or the benchmark outside its own definition.
+    package = sorted((_ROOT / "src" / "expanderlab").glob("*.py"))
+    users = package + sorted([*(_ROOT / "scripts").glob("*.py"),
+                              *(_ROOT / "perfbench").glob("*.py")])
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in users}
+    refs: dict[str, list[tuple[Path, int]]] = {}
+    for path, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            refs.setdefault(name, []).append((path, node.lineno))
+    unreferenced = sorted(
+        qualified for path in package
+        for qualified, name, node in _definitions(path.stem, trees[path])
+        if all(where == path and node.lineno <= line <= node.end_lineno
+               for where, line in refs.get(name, [])))
+    assert unreferenced == sorted(_UNREFERENCED_BY_DESIGN)

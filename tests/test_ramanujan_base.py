@@ -6,7 +6,6 @@ import hashlib
 import math
 import tracemalloc
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -22,6 +21,7 @@ from expanderlab.errors import ValidationError
 from expanderlab.graph_core import graph_to_text
 from expanderlab.numtheory import four_square_generators, is_prime
 from expanderlab.ramanujan_base import (
+    LIBRARY,
     Q_MAX,
     _decode,
     _generators,
@@ -32,8 +32,6 @@ from expanderlab.ramanujan_base import (
     small_ramanujan,
 )
 from helpers import eigvalsh, lps_closure, searchsorted_lps
-
-mpmath.mp.dps = 50
 
 # ---------------------------------------------------------------------------
 # lps_params
@@ -265,29 +263,22 @@ def test_complete_graph_spectrum():
     w = eigvalsh(x)
     assert w[0] == pytest.approx(3.0)
     assert all(v == pytest.approx(-1.0) for v in w[1:])
-    assert small_ramanujan("complete(2)").num_edges == 1
-
-
-def test_cycle_second_eigenvalue():
-    x = small_ramanujan("cycle(7)")
-    lam2 = eigvalsh(x)[1]
-    expected = float(2 * mpmath.cos(2 * mpmath.pi / 7))
-    assert lam2 == pytest.approx(expected, abs=1e-9)
 
 
 def test_library_graphs_meet_the_bound():
-    for name in ("petersen", "complete(4)", "complete(6)", "cycle(5)",
-                 "cycle(12)"):
-        assert certify(small_ramanujan(name)).ramanujan, name
+    for name, (k, n) in LIBRARY.items():
+        x = small_ramanujan(name)
+        assert (regularity(x), x.n) == (k, n), name
+        assert certify(x).ramanujan, name
 
 
 def test_library_name_errors():
     for bad in ("petersen(3)", "complete(1)", "cycle(2)", "tetrahedron",
-                "complete(x)", ""):
+                "complete(x)", "", "cycle(9)", "complete(7)"):
         with pytest.raises(ValidationError):
             small_ramanujan(bad)
 
 
 def test_library_rebuild_equality():
-    assert small_ramanujan("petersen") == small_ramanujan("petersen")
-    assert small_ramanujan("cycle(9)") == small_ramanujan("cycle(9)")
+    for name in LIBRARY:
+        assert small_ramanujan(name) == small_ramanujan(name), name
