@@ -264,10 +264,16 @@ def replay(provenance) -> Graph:
 
     Deterministic construction makes this exact: the result has the same
     canonical edge list as the original.  Embedded matchings are checked
-    against the recomputation.
+    against the recomputation.  A provenance that is not iterable raises
+    ValidationError before anything is built.
     """
+    try:
+        steps = iter(provenance)
+    except TypeError:
+        raise ValidationError(f"provenance must be a sequence of steps, got "
+                              f"{type(provenance).__name__}") from None
     x: Graph | None = None
-    for step in provenance:
+    for step in steps:
         x, _ = _apply_step(x, step)
     if x is None:
         raise ValidationError("empty provenance chain")

@@ -6,8 +6,8 @@ field names one of three size regimes:
 
 - "dense", n <= 64: numpy.linalg.eigh solves the full spectrum.
 - "iterative+inertia", 64 < n <= DENSE_THRESHOLD: ARPACK gives the values,
-  and one Cholesky factorization, or two when the squared-shift gate below
-  is not met, proves that no eigenvalue was missed.
+  and two Cholesky factorizations, of Schur complements of about half the
+  size where the graph allows, prove that no eigenvalue was missed.
 - "iterative", n > DENSE_THRESHOLD: the ARPACK values alone; lambda_n of
   a graph off the half-size bipartite route comes through the Chebyshev
   filter below.
@@ -73,33 +73,53 @@ factorization fail, never let a wrong lambda2 pass.  Likewise a Cholesky
 factorization of A - (lambda_n - tol) I shows lambda_n(A) > lambda_n - tol.
 For a bipartite graph v1 is the normalized all-ones vector.
 
-One factorization of a squared shift proves both claims.  With
-m = (lambda2 + lambda_n)/2, r = (lambda2 - lambda_n)/2 + tol and S = A - m I,
-let B = r^2 I - S^2 + c v1 v1^T with c = (lambda1 - m)^2 - r^2 + 1.  If B
-has a Cholesky factorization, interlacing puts every eigenvalue of S^2 but
-the largest below r^2, so at most one eigenvalue of A lies outside
-(lambda_n - tol, lambda2 + tol).  The lambda1 residual is at most tol, so
-A has an eigenvalue within tol of lambda1; when lambda1 - lambda2 > 2 tol
-that eigenvalue lies above lambda2 + tol and is the one outlier, and both
-claims follow.  The route runs only under that outlier condition and when
-sum(deg(v)^2) <= n^2/8.  That sum bounds the entries of the sparse A^2.
-On random k-regular graphs with 256 <= n <= 4096 and 8 k^2 <= n the route
-took 0.5 to 0.8 of the time of the two factorizations (measured in dense
-storage); it broke even only at 8 k^2 / n of about 2 (n = 256) to above 10
-(n = 4096).  If the gate is not met, or the factorization fails, the two
-factorizations above run unchanged and decide the result, so every
-failure names the claim that failed.
+Half-size Schur complements.  Where the graph allows, both claims are
+proved on smaller matrices, about half the size on the paper's sparse
+graphs.  If a symmetric K splits over a vertex set L and the rest R with
+K_LL positive definite, then K is positive definite exactly when its
+Schur complement K_RR - K_RL K_LL^-1 K_LR is (Haynsworth's
+inertia additivity).  Let tau = lambda2 + tol and sigma = lambda_n - tol,
+and let L induce a matching: every vertex of L has at most one neighbour
+in L, counting multiplicity.  Then D1 = tau I - A_LL and D2 = A_LL - sigma I
+are both s I + t A_LL (s = tau, t = -1 or s = -sigma, t = 1), made of
+1 x 1 blocks s and 2 x 2 blocks [[s, t], [t, s]] with eigenvalues s and
+s +- 1.  When tau >= 2 and -sigma >= 2 these are at least 1, so D1 and D2
+are positive definite whatever the graph, and with h = 1/(s^2 - 1) and P
+the projection onto the vertices paired in L their inverses are
+D^-1 = I/s + P h/s - t h A_LL, of norm at most 1.  D1 + c v_L v_L^T is
+positive definite too, and by the Sherman-Morrison formula the two
+claims become that
+  S1 = tau I - A_RR - A_RL D1^-1 A_LR + c' u u^T, with u = v_R + A_RL D1^-1 v_L
+       and c' = c / (1 + c v_L^T D1^-1 v_L), and
+  S2 = A_RR - sigma I - A_RL D2^-1 A_LR
+are positive definite.  L is one side of a graph on the bipartite route,
+whose induced subgraph has no edge at all, and otherwise the larger sign
+class of the lambda_n Ritz vector, pruned in index order until its induced
+degree is at most 1: a vector for the most negative eigenvalue puts most
+edges across its sign classes.  Any L gives a valid proof; a poor one only
+leaves R larger.  On construct(7, 1000), n = 2184 and |L| = 1092.  The
+complements' entries grow with the squared degree of L's vertices, so L is
+left empty, and K1 and K2 are factored whole, when the maximum degree
+exceeds n/64.  On random k-regular graphs with n = 1024, 2048 and 4096 the
+complements took 0.30 to 0.93 of the time of the whole factorizations
+for k <= n/64, and 1.00 to 1.22 for k >= n/51; on construct(29, 1000)
+(k = 29, n = 1092) and construct(60, 1000) (k = 60, n = 2448) they took
+1.33 and 1.14 of it.  L is empty too when tau < 2 or -sigma < 2, where
+D1 or D2 can be singular: a long cycle has lambda2 < 2, and a complete
+bipartite graph lambda2 = 0, which would put 1/tau near 1/tol.
 
-Every B is held as its lower triangle in one buffer of n(n+1)/2 doubles,
-rectangular full packed storage, and factored there by LAPACK dpftrf,
-which works on level-3 BLAS like dpotrf; no n x n array is formed.  The
-sparse parts go in by scatter: the exact integer entries of A^2, formed
-in row blocks of at most 2^15 entries so that the sparse square never
-sits whole beside the buffer, then 2m A and the shift on the diagonal; or
--A or A and the shift.  The rank-one term c v1 v1^T goes in through
-dsfrk.  The backward-error bound for Cholesky (Higham 2002, ch. 10) holds
-for any order of its inner products, so the packed factorization proves
-what a dense one would.
+Every complement is held as its lower triangle in one buffer of
+|R|(|R|+1)/2 doubles, rectangular full packed storage, and factored there
+by LAPACK dpftrf, which works on level-3 BLAS like dpotrf; no |R| x |R|
+array is formed.  The sparse parts go in by scatter: the complement is
+t A_RR - Q/s - (h/s) Q_P + t h X plus s on the diagonal, with the exact
+integer sparse matrices Q = A_RL A_LR, Q_P = A_RL P A_LR and
+X = A_RL A_LL A_LR formed once for both claims.  The rank-one term goes
+in through dsfrk.  Q, Q_P and X are exact, so each entry of a complement
+is off by a few ulps, from four rounded products and their sum.  The
+backward-error bound for Cholesky (Higham 2002, ch. 10),
+gamma_{|R|+1} trace(S) / (1 - gamma), holds for any order of its inner
+products; the tests check that it stays below tol on the paper's graphs.
 
 Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 >= ... >= lambda_n, so lambda_2 of a k-regular connected graph is the
@@ -141,8 +161,10 @@ _FILTER_DEGREE = 8
 _FILTER_MARGIN = 1e-3
 _FILTER_TOL = 1e-14
 
-# The most entries of A @ A that one row block of the packed fill holds.
-_FILL_ENTRIES = 2**15
+# The completeness proof eliminates a vertex set only when the maximum
+# degree is at most n / _SCHUR_SPARSITY; the module docstring gives the
+# measured crossover.
+_SCHUR_SPARSITY = 64
 
 
 @dataclass(frozen=True)
@@ -300,70 +322,106 @@ def _bipartite_lambda2(x: Graph, sides: np.ndarray,
 
 
 def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
-                    lambda_n: float, v1: np.ndarray, tol: float) -> None:
+                    lambda_n: float, v1: np.ndarray, vn: np.ndarray,
+                    tol: float) -> None:
     """Check that no eigenvalue but one exceeds lambda2 + tol and none is
     below lambda_n - tol; raise ConvergenceError otherwise.
 
     lambda1 must be within tol of an eigenvalue (its residual is checked
-    by the caller).  Both claims are positive-definiteness tests, done by
-    Cholesky of B's lower triangle, held in one packed buffer of n(n+1)/2
-    doubles (see _packed_index).  When lambda1 - lambda2 > 2 tol and
-    sum(deg^2) <= n^2/8, one factorization of the squared shift
-    B = r^2 I - (A - m I)^2 + c v1 v1^T, with m = (lambda2 + lambda_n)/2,
-    r = (lambda2 - lambda_n)/2 + tol and c = (lambda1 - m)^2 - r^2 + 1,
-    proves both.  Otherwise, or if it fails, two factorizations decide:
-    B = (lambda2 + tol) I - A + c v1 v1^T with c = lambda1 - lambda2 + 1,
-    then B = A - (lambda_n - tol) I.
+    by the caller); v1 and vn are the lambda1 and lambda_n Ritz vectors.
+    The claims are that K1 = tau I - A + c v1 v1^T, with tau = lambda2 + tol
+    and c = lambda1 - lambda2 + 1, and K2 = A - sigma I, with
+    sigma = lambda_n - tol, are positive definite.  Each is proved by
+    Cholesky of its Schur complement on the vertices R outside
+    L = _matching_side(a, vn), or of itself when L is empty (see the module
+    docstring), held in one packed buffer of |R|(|R|+1)/2 doubles (see
+    _packed_index).
     """
     from scipy.linalg import lapack
 
-    n = x.n
     a = x.adjacency_sparse()
-    coo = a.tocoo()
-    keep = coo.row >= coo.col
-    at = _packed_index(n, coo.row[keep], coo.col[keep])
-    entries = coo.data[keep]
-    diag = _packed_index(n, np.arange(n), np.arange(n))
-    buf = np.zeros(n * (n + 1) // 2)
-    deg = x.degrees()
+    tau, sigma = lambda2 + tol, lambda_n - tol
+    if (tau >= 2.0 and -sigma >= 2.0
+            and _SCHUR_SPARSITY * int(x.degrees().max()) <= x.n):
+        left = _matching_side(a, vn)
+    else:
+        left = np.empty(0, dtype=np.int64)
+    right = np.setdiff1d(np.arange(x.n), left, assume_unique=True)
+    r = len(right)
+    rows = a[left]
+    a_ll, a_lr = rows[:, left], rows[:, right]
+    a_rl = a_lr.T.tocsr()
+    paired = np.diff(a_ll.indptr) > 0
+    # With D = s I + t A_LL, D^-1 = I/s + P h/s - t h A_LL (module
+    # docstring), so a complement sums four exact integer matrices.
+    parts = [_lower_packed(r, m) for m in (
+        (a[right][:, right], a_rl @ a_lr, a_rl[:, paired] @ a_lr[paired],
+         a_rl @ (a_ll @ a_lr)) if len(left) else (a,))]
+    diag = _packed_index(r, np.arange(r), np.arange(r))
+    buf = np.zeros(r * (r + 1) // 2)
 
-    def rank_one(c: float) -> None:
-        lapack.dsfrk(n, 1, c, v1.reshape(n, 1), 1.0, buf, transr="N",
-                     uplo="L", overwrite_c=1)
+    def complement(s: float, t: float) -> None:
+        """Add s I + t A_RR - A_RL D^-1 A_LR to buf's lower triangle."""
+        coefs = [t]
+        if len(left):
+            h = 1.0 / (s * s - 1.0)
+            coefs += [-1.0 / s, -h / s, t * h]
+        for (at, entries), coef in zip(parts, coefs):
+            buf[at] += coef * entries
+        buf[diag] += s
 
-    # sum(deg^2) bounds the entries of A @ A; the module docstring gives
-    # the measured crossover.
-    if lambda1 - lambda2 > 2.0 * tol and 8 * int(deg @ deg) <= n * n:
-        m = (lambda2 + lambda_n) / 2.0
-        r = (lambda2 - lambda_n) / 2.0 + tol
-        # Row i of A @ A has at most min(n, (A deg)_i) entries, so blocks of
-        # step rows hold at most _FILL_ENTRIES of them.
-        step = max(1, _FILL_ENTRIES // max(1, min(n, int((a @ deg).max()))))
-        for lo in range(0, n, step):
-            # A @ A has exact integer entries.
-            sq = (a[lo:lo + step] @ a).tocoo()
-            i = sq.row + lo
-            low = i >= sq.col
-            buf[_packed_index(n, i[low], sq.col[low])] = -sq.data[low]
-        buf[at] += 2.0 * m * entries
-        buf[diag] += r * r - m * m
-        rank_one((lambda1 - m) ** 2 - r * r + 1.0)
-        try:
-            _factor(buf, n, "the squared shift is not positive definite")
-            return
-        except ConvergenceError:
-            pass  # the two factorizations below decide and name the claim
-        buf[:] = 0.0
-    buf[at] = -entries
-    buf[diag] += lambda2 + tol
-    rank_one(lambda1 - lambda2 + 1.0)
-    _factor(buf, n, f"an eigenvalue other than lambda_1 exceeds "
-                    f"lambda_2 + tol = {lambda2 + tol!r}")
+    complement(tau, -1.0)
+    u, c = v1[right], lambda1 - lambda2 + 1.0
+    if len(left):
+        v_l, h = v1[left], 1.0 / (tau * tau - 1.0)
+        w = v_l / tau + paired * v_l * (h / tau) + h * (a_ll @ v_l)
+        u = u + a_rl @ w
+        c /= 1.0 + c * float(v_l @ w)
+    lapack.dsfrk(r, 1, c, u.reshape(r, 1), 1.0, buf, transr="N", uplo="L",
+                 overwrite_c=1)
+    _factor(buf, r, f"an eigenvalue other than lambda_1 exceeds "
+                    f"lambda_2 + tol = {tau!r}")
     buf[:] = 0.0
-    buf[at] = entries
-    buf[diag] -= lambda_n - tol
-    _factor(buf, n, f"an eigenvalue is below lambda_n - tol = "
-                    f"{lambda_n - tol!r}")
+    complement(-sigma, 1.0)
+    _factor(buf, r, f"an eigenvalue is below lambda_n - tol = {sigma!r}")
+
+
+def _lower_packed(r: int, m) -> tuple[np.ndarray, np.ndarray]:
+    """The packed positions (see _packed_index) and the entries of the
+    lower triangle of the sparse symmetric r x r matrix m, grouped by
+    column, which keeps the scatter into the packed buffer local."""
+    m = m.tocsr().tocoo()
+    # Row j of m's upper triangle is column j of its lower triangle.
+    up = m.row <= m.col
+    return _packed_index(r, m.col[up], m.row[up]), m.data[up]
+
+
+def _matching_side(a, vn: np.ndarray) -> np.ndarray:
+    """A vertex set L, ascending, whose induced subgraph is a matching.
+
+    a is the adjacency.  L is the larger sign class of vn (a tie takes
+    vn > 0), pruned in index order: a vertex stays when it and each vertex
+    kept before it have induced degree at most 1, counting multiplicity.
+    """
+    pos = vn > 0
+    side = np.flatnonzero(pos if 2 * np.count_nonzero(pos) >= len(vn)
+                          else ~pos)
+    inner = a[side][:, side]
+    deg = np.asarray(inner.sum(axis=1)).ravel()
+    # Isolated vertices and isolated edges of the class stay in any order,
+    # and no other vertex of the class is next to them.
+    keep = ((deg <= 1) & (inner @ deg <= 1)).tolist()
+    ptr, cols = inner.indptr.tolist(), inner.indices.tolist()
+    mult = inner.data.tolist()
+    load = [0.0] * len(side)  # induced degree among the vertices kept
+    for i in [i for i, kept in enumerate(keep) if not kept]:
+        edges = range(ptr[i], ptr[i + 1])
+        if load[i] <= 1 and not any(
+                keep[cols[e]] and load[cols[e]] + mult[e] > 1 for e in edges):
+            keep[i] = True
+            for e in edges:
+                load[cols[e]] += mult[e]
+    return side[np.array(keep, dtype=bool)]
 
 
 def _packed_index(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -400,10 +458,14 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
     The dense path serves n <= _DENSE_MAX_N and ARPACK the larger graphs;
-    up to DENSE_THRESHOLD the ARPACK values are also proved complete.
-    Above _DENSE_MAX_N a connected regular bipartite graph gets lambda_1
-    and lambda_n exactly and lambda_2 from one half-size solve.  Any other
-    graph above DENSE_THRESHOLD gets lambda_n from the Chebyshev filter of
+    up to DENSE_THRESHOLD the ARPACK values are also proved complete, by
+    _prove_extremes on the Schur complements over the vertices outside one
+    side of a graph on the bipartite route below, or outside the pruned
+    larger sign class of the "SA" Ritz vector of any other graph (see the
+    module docstring).  Above _DENSE_MAX_N a connected regular bipartite
+    graph, the bipartite route, gets lambda_1 and lambda_n exactly and
+    lambda_2 from one half-size solve.  Any other graph above
+    DENSE_THRESHOLD gets lambda_n from the Chebyshev filter of
     _filtered_lambda_n, or from plain "SA" when the filter fails.
     """
     if x.n < 2:
@@ -418,6 +480,8 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
         lambda2, res = _bipartite_lambda2(x, sides, tol)
         lambda1, lambda_n = float(k), -float(k)
         v1 = np.full(x.n, 1.0 / math.sqrt(x.n))
+        # The lambda_n eigenvector: its sign classes are the two sides.
+        vn = np.where(sides == 0, 1.0, -1.0)
     else:
         (lambda1, lambda2), res_t, v1 = _iterative_extremes(x, 2, "LA", tol)
         lambda_n = None
@@ -427,11 +491,11 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
             except ConvergenceError:
                 pass  # plain "SA" below decides and names the failure
         if lambda_n is None:
-            (lambda_n,), res_b, _ = _iterative_extremes(x, 1, "SA", tol)
+            (lambda_n,), res_b, vn = _iterative_extremes(x, 1, "SA", tol)
         res = max(res_t, res_b)
     if x.n > DENSE_THRESHOLD:
         return Spectrum(lambda1, lambda2, lambda_n, res, "iterative")
-    _prove_extremes(x, lambda1, lambda2, lambda_n, v1, tol)
+    _prove_extremes(x, lambda1, lambda2, lambda_n, v1, vn, tol)
     return Spectrum(lambda1, lambda2, lambda_n, res, "iterative+inertia")
 
 

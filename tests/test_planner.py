@@ -338,12 +338,21 @@ def test_construct_k29_exchange_steps_match_reference():
     # X^{17,13} (n = 1092) plus 11 increments; seven of them leave vertices
     # exposed after the greedy pass, some four, and so run the exchange.
     # The graph digest is the output of the blossom search that earlier
-    # releases ran.
+    # releases ran.  The certificate's proof eliminates no vertex set here
+    # (64 k > n), but its values come from ARPACK, so a child process with
+    # two OpenBLAS threads must write the same certificate.
     x, cert = construct(29, 1000)
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "5f172f7decb65d471d26a13b5c11ec584395741162078bf35a5297929b852f59")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
         "f9882d04678612195d4c17482d929ca49fb33847a8589005516b75ce598c4015")
+    code = ("import sys; from expanderlab import construct; "
+            "sys.stdout.write(construct(29, 1000)[1].to_json())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=script_env(OPENBLAS_NUM_THREADS="2"),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == cert.to_json().encode("ascii")
 
 
 def test_construct_k7_product_iterative_path_matches_reference(k7_product):
@@ -434,6 +443,12 @@ _PETERSEN = {"step": "library", "name": "petersen"}
 def test_replay_refuses_malformed_steps(steps):
     with pytest.raises(ValidationError):
         replay(steps)
+
+
+@pytest.mark.parametrize("provenance", [None, 5], ids=["none", "int"])
+def test_replay_refuses_a_provenance_that_is_not_iterable(provenance):
+    with pytest.raises(ValidationError, match="provenance must be"):
+        replay(provenance)
 
 
 def test_replay_refuses_unknown_library_name_before_allocating():

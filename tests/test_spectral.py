@@ -28,6 +28,7 @@ from expanderlab.spectral import (
     Spectrum,
     _filtered_lambda_n,
     _iterative_extremes,
+    _matching_side,
     _packed_index,
     _prove_extremes,
 )
@@ -37,6 +38,7 @@ from helpers import (
     double_cover,
     eigvalsh,
     k4,
+    matching_side,
     path,
     petersen,
     product_spectrum_oracle,
@@ -155,64 +157,74 @@ def test_inertia_path_matches_dense(x513, x1317):
 
 @pytest.fixture(scope="module")
 def exact_pairs():
-    """Regular graphs with their full eigendecompositions, non-increasing,
-    and whether they meet the squared-shift gate: a 5-regular graph on 128
-    vertices, which does not (8 * 25 * 128 > 128^2), a 3-regular one on 256
-    vertices, which does, and, since the packed layout differs with the
-    parity of n, a 4-regular one on 129 vertices, which does
-    (8 * 16 * 129 <= 129^2), and a 6-regular one on 131, which does not."""
+    """Regular graphs with their full eigendecompositions, non-increasing.
+
+    The packed layout differs with the parity of its size, so the proof
+    factors Schur complements of odd size (a 3-regular graph on 256
+    vertices) and of even size (a 4-regular one on 258), and, where
+    64 k > n leaves L empty, whole matrices of even size (a 5-regular
+    graph on 128 vertices) and of odd size (a 6-regular one on 131)."""
     pairs = []
-    for k, n in ((5, 128), (3, 256), (4, 129), (6, 131)):
+    for k, n in ((3, 256), (4, 258), (5, 128), (6, 131)):
         x = random_regular(k, n, 7)
         w, vecs = np.linalg.eigh(x.adjacency_matrix())
-        pairs.append((x, w[::-1], vecs[:, ::-1], _degree_gate(x)))
-    assert [gated for *_, gated in pairs] == [False, True, True, False]
+        pairs.append((x, w[::-1], vecs[:, ::-1]))
+    sizes = [len(_expected_right(x, w[0], w[1], w[-1], vecs[:, -1]))
+             for x, w, vecs in pairs]
+    assert sizes == [129, 144, 128, 131]
     return pairs
 
 
-def _degree_gate(x: Graph) -> bool:
-    deg = x.degrees()
-    return 8 * int(deg @ deg) <= x.n * x.n
+def _expected_right(x: Graph, lambda1: float, lambda2: float,
+                    lambda_n: float, vn: np.ndarray) -> list[int]:
+    """The vertices the proof keeps, by the rule the spectral module
+    docstring states and helpers.matching_side."""
+    left = matching_side(x, vn)
+    if (lambda2 + DEFAULT_TOL < 2 or lambda_n - DEFAULT_TOL > -2
+            or 64 * x.degrees().max() > x.n):
+        left = []
+    return [v for v in range(x.n) if v not in set(left)]
 
 
 @pytest.fixture
-def factored(monkeypatch) -> list[float]:
-    """The trace of every packed matrix handed to Cholesky from now on."""
-    traces: list[float] = []
+def factored(monkeypatch) -> list[tuple[int, float]]:
+    """The size and trace of every packed matrix handed to Cholesky from
+    now on."""
+    calls: list[tuple[int, float]] = []
     factor = spectral._factor
 
     def recording(buf: np.ndarray, n: int, claim: str) -> None:
         diagonal = _packed_index(n, np.arange(n), np.arange(n))
-        traces.append(float(buf[diagonal].sum()))
+        calls.append((n, float(buf[diagonal].sum())))
         factor(buf, n, claim)
 
     monkeypatch.setattr(spectral, "_factor", recording)
-    return traces
+    return calls
 
 
-# A gated proof takes one factorization when it accepts.  When it rejects,
-# the two factorizations after it decide, so it takes one more than an
-# ungated proof; a failed lambda_2 factorization stops before lambda_n's.
+# The proof takes two factorizations when it accepts.  A failed lambda_2
+# factorization stops before lambda_n's.
 
 
 def test_proof_accepts_exact_extremes(exact_pairs, factored):
-    for x, w, vecs, gated in exact_pairs:
+    for x, w, vecs in exact_pairs:
         factored.clear()
-        _prove_extremes(x, w[0], w[1], w[-1], vecs[:, 0], DEFAULT_TOL)
-        assert len(factored) == (1 if gated else 2)
+        _prove_extremes(x, w[0], w[1], w[-1], vecs[:, 0], vecs[:, -1],
+                        DEFAULT_TOL)
+        assert len(factored) == 2
 
 
 def test_proof_rejects_low_lambda2(exact_pairs, factored):
-    for x, w, vecs, gated in exact_pairs:
+    for x, w, vecs in exact_pairs:
         factored.clear()
         with pytest.raises(ConvergenceError, match="lambda_2"):
             _prove_extremes(x, w[0], w[1] - 1e-3, w[-1], vecs[:, 0],
-                            DEFAULT_TOL)
-        assert len(factored) == 1 + gated
+                            vecs[:, -1], DEFAULT_TOL)
+        assert len(factored) == 1
 
 
 def test_proof_rejects_third_distinct_eigenvalue(exact_pairs, factored):
-    for x, w, vecs, gated in exact_pairs:
+    for x, w, vecs in exact_pairs:
         distinct = [w[0]]
         for t in w[1:]:
             if t < distinct[-1] - 1e-6:
@@ -220,31 +232,47 @@ def test_proof_rejects_third_distinct_eigenvalue(exact_pairs, factored):
         factored.clear()
         with pytest.raises(ConvergenceError, match="lambda_2"):
             _prove_extremes(x, w[0], distinct[2], w[-1], vecs[:, 0],
-                            DEFAULT_TOL)
-        assert len(factored) == 1 + gated
+                            vecs[:, -1], DEFAULT_TOL)
+        assert len(factored) == 1
 
 
 def test_proof_rejects_high_lambda_n(exact_pairs, factored):
-    for x, w, vecs, gated in exact_pairs:
+    for x, w, vecs in exact_pairs:
         factored.clear()
         with pytest.raises(ConvergenceError, match="lambda_n"):
             _prove_extremes(x, w[0], w[1], w[-1] + 1e-3, vecs[:, 0],
-                            DEFAULT_TOL)
-        assert len(factored) == 2 + gated
+                            vecs[:, -1], DEFAULT_TOL)
+        assert len(factored) == 2
 
 
 def test_proof_random_vector_never_passes_wrong_lambda2(exact_pairs, factored):
-    # Interlacing holds for any vector, so a poor v1 can only fail the proof.
+    # Interlacing holds for any v1, and Haynsworth's additivity for any L,
+    # so poor Ritz vectors can only fail the proof.
     rng = np.random.default_rng(59)
-    for x, w, _, gated in exact_pairs:
-        for _ in range(10):
+    for x, w, vecs in exact_pairs:
+        for trial in range(10):
             v = rng.standard_normal(x.n)
             v /= np.linalg.norm(v)
+            vn = vecs[:, -1] if trial % 2 else rng.standard_normal(x.n)
             for wrong in (w[1] - 1e-3, w[2] - 1e-3):
                 factored.clear()
                 with pytest.raises(ConvergenceError, match="lambda_2"):
-                    _prove_extremes(x, w[0], wrong, w[-1], v, DEFAULT_TOL)
-                assert len(factored) == 1 + gated
+                    _prove_extremes(x, w[0], wrong, w[-1], v, vn,
+                                    DEFAULT_TOL)
+                assert len(factored) == 1
+
+
+def test_matching_side_matches_the_plain_walk(exact_pairs, construct_1000):
+    rng = np.random.default_rng(61)
+    graphs = [x for x, *_ in exact_pairs] + [construct_1000[12][0]]
+    for x in graphs:
+        a = x.adjacency_sparse()
+        for vn in (rng.standard_normal(x.n), -np.ones(x.n), np.ones(x.n),
+                   np.arange(x.n) % 3 - 1.0):
+            left = _matching_side(a, vn)
+            assert left.tolist() == matching_side(x, vn)
+            inner = a[left][:, left]
+            assert np.asarray(inner.sum(axis=1)).max(initial=0) <= 1
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -261,9 +289,8 @@ def test_packed_index_matches_dtrttf(n):
 
 
 def test_packed_fill_matches_the_dense_recipe(exact_pairs, monkeypatch):
-    # lambda_n + 1e-3 fails, so a gated proof factors all three matrices
-    # (squared shift, lambda_2, lambda_n) and an ungated one the last two.
-    # dsfrk and the dense recipe's dsyr round the rank-one term apart.
+    # lambda_n + 1e-3 fails, so the proof factors both matrices: Schur
+    # complements of odd and even size, and whole matrices of both parities.
     from scipy.linalg import lapack
 
     seen: list[np.ndarray] = []
@@ -274,47 +301,69 @@ def test_packed_fill_matches_the_dense_recipe(exact_pairs, monkeypatch):
         factor(buf, n, claim)
 
     monkeypatch.setattr(spectral, "_factor", unpacking)
-    for x, w, vecs, gated in exact_pairs:
-        values = (w[0], w[1], w[-1] + 1e-3, vecs[:, 0], DEFAULT_TOL)
+    for x, w, vecs in exact_pairs:
+        values = (w[0], w[1], w[-1] + 1e-3, vecs[:, 0])
         seen.clear()
         with pytest.raises(ConvergenceError, match="lambda_n"):
-            _prove_extremes(x, *values)
-        want = proof_matrices(x, *values)[0 if gated else 1:]
-        assert len(seen) == len(want)
+            _prove_extremes(x, *values, vecs[:, -1], DEFAULT_TOL)
+        right = _expected_right(x, *values[:3], vecs[:, -1])
+        left = [v for v in range(x.n) if v not in set(right)]
+        want = proof_matrices(x, *values, DEFAULT_TOL, left)
+        assert [len(got) for got in seen] == [len(right)] * 2
         for got, b in zip(seen, want):
             np.testing.assert_allclose(np.tril(got), np.tril(b), rtol=0,
-                                       atol=8 * np.spacing(np.abs(b).max()))
+                                       atol=4 * np.spacing(np.abs(b).max()))
 
 
-# -- the squared-shift route ------------------------------------------------------
+# -- where the proof eliminates ------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def construct_1000():
-    """construct(k, 1000) for k = 7 and 12, which pass the sum(deg^2) <=
-    n^2/8 gate, and k = 29, which does not."""
-    return {k: construct(k, 1000) for k in (7, 12, 29)}
+    """construct(k, 1000) for k = 6 (bipartite), 7 and 12, whose proofs
+    eliminate a vertex set, and k = 29, whose 64 k > n does not."""
+    return {k: construct(k, 1000) for k in (6, 7, 12, 29)}
 
 
-def test_proof_route_factorization_counts(factored, x513, construct_1000):
-    cases = ((construct_1000[7][0], True), (x513, True),
-             (construct_1000[29][0], False))
-    for x, gated in cases:
-        assert _degree_gate(x) is gated
+def test_proof_route_factorization_counts(factored, construct_1000):
+    # construct(7, 1000) eliminates a pruned sign class of the lambda_n
+    # Ritz vector and construct(6, 1000), which is bipartite, one side.
+    cases = ((7, 1092), (6, 1092), (29, 1092))
+    for k, size in cases:
+        x = construct_1000[k][0]
+        assert x.n == (1092 if k == 29 else 2184)
         factored.clear()
         assert extreme_eigs(x).method == "iterative+inertia"
-        assert len(factored) == (1 if gated else 2)
+        assert [n for n, _ in factored] == [size, size]
+    assert is_bipartite(construct_1000[6][0])
+    assert not is_bipartite(construct_1000[7][0])
 
 
-def test_degenerate_gap_skips_the_squared_shift(factored):
-    # Two disjoint copies: lambda_1 = lambda_2 = 5, so no eigenvalue is
-    # known to lie above lambda_2 + tol, though the degree gate is met.
-    half = random_regular(5, 256, 11)
+@pytest.mark.parametrize("x", [complete_bipartite(40), cycle(101)],
+                         ids=["complete-bipartite", "cycle"])
+def test_proof_keeps_full_size_below_shift_two(x, factored, monkeypatch):
+    # K_{40,40} has lambda_2 = 0 and the 101-cycle lambda_2 < 2, so tau < 2
+    # and the proof factors K1 and K2 whole, and still passes.  Both fail
+    # the degree rule too (64 k > n), so it is switched off here.
+    monkeypatch.setattr(spectral, "_SCHUR_SPARSITY", 1)
+    s = extreme_eigs(x)
+    w = eigvalsh(x)
+    assert s.method == "iterative+inertia"
+    assert s.lambda2 + DEFAULT_TOL < 2
+    assert [n for n, _ in factored] == [x.n, x.n]
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
+        (w[0], w[1], w[-1]), abs=1e-9)
+
+
+def test_proof_of_a_degenerate_gap(factored):
+    # Two disjoint copies: lambda_1 = lambda_2 = 5, so the rank-one term
+    # adds c = 1 and the lambda_2 claim rests on the complement alone.
+    half = random_regular(5, 512, 11)
     x = from_edge_list(2 * half.n,
                        np.concatenate([half.edges, half.edges + half.n]))
-    assert x.n <= DENSE_THRESHOLD and _degree_gate(x)
+    assert x.n <= DENSE_THRESHOLD and 64 * 5 <= x.n
     s = extreme_eigs(x)
-    assert len(factored) == 2
+    assert len(factored) == 2 and factored[0][0] < x.n
     w = eigvalsh(x)
     assert s.method == "iterative+inertia"
     assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
@@ -323,42 +372,38 @@ def test_degenerate_gap_skips_the_squared_shift(factored):
 
 
 @pytest.mark.parametrize("k", [7, 12])
-def test_squared_shift_rounding_slack_is_below_its_margin(k, construct_1000,
-                                                          factored):
-    # Higham's Cholesky backward error: success proves B + dB positive
-    # definite with ||dB||_2 <= gamma_{n+1} trace(B) / (1 - gamma_{n+1}).
-    # The proof's margin, the gap between r^2 and the next eigenvalue of
-    # S^2 = (A - m I)^2, is about (lambda2 - lambda_n) tol.
+def test_schur_rounding_slack_is_below_tol(k, construct_1000, factored):
+    # Higham's Cholesky backward error: success proves S + dS positive
+    # definite with ||dS||_2 <= gamma_{|R|+1} trace(S) / (1 - gamma).  The
+    # margin of S, as of the K it complements, is about tol.
     x = construct_1000[k][0]
-    assert x.is_simple() and _degree_gate(x)
-    s = extreme_eigs(x)
-    (trace_b,) = factored
-    n, tol = x.n, DEFAULT_TOL
-    m = (s.lambda2 + s.lambda_n) / 2
-    r = (s.lambda2 - s.lambda_n) / 2 + tol
-    c = (s.lambda1 - m) ** 2 - r * r + 1
-    # trace(A^2) = sum of degrees = n k and trace(A) = 0 for a simple graph.
-    assert trace_b == pytest.approx(n * r * r - (n * k + n * m * m) + c,
-                                    rel=1e-9)
+    tol = DEFAULT_TOL
+    (lambda1, lambda2), _, v1 = _iterative_extremes(x, 2, "LA", tol)
+    (lambda_n,), _, vn = _iterative_extremes(x, 1, "SA", tol)
+    _prove_extremes(x, lambda1, lambda2, lambda_n, v1, vn, tol)
+    size = len(_expected_right(x, lambda1, lambda2, lambda_n, vn))
+    assert size < x.n and len(factored) == 2
     u = 2.0 ** -53
-    gamma = (n + 1) * u / (1 - (n + 1) * u)
-    slack = gamma * trace_b / (1 - gamma)
-    assert 0 < slack < (s.lambda2 - s.lambda_n) * tol
+    for r, trace_s in factored:
+        assert r == size
+        gamma = (r + 1) * u / (1 - (r + 1) * u)
+        slack = gamma * trace_s / (1 - gamma)
+        assert 0 < slack < tol
 
 
 def test_proof_allocates_no_square_array(construct_1000):
-    # The packed buffer is n(n+1)/2 doubles, half of one n x n array.
+    # The packed buffer holds |R|(|R|+1)/2 doubles, |R| = n/2 here: an
+    # eighth of one n x n array.
     x = construct_1000[7][0]
     (lambda1, lambda2), _, v1 = _iterative_extremes(x, 2, "LA", DEFAULT_TOL)
-    (lambda_n,), _, _ = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
+    (lambda_n,), _, vn = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
     tracemalloc.start()
     try:
-        _prove_extremes(x, lambda1, lambda2, lambda_n, v1, DEFAULT_TOL)
+        _prove_extremes(x, lambda1, lambda2, lambda_n, v1, vn, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert _degree_gate(x)
-    assert peak <= 0.6 * 8 * x.n * x.n
+    assert peak <= 0.2 * 8 * x.n * x.n
 
 
 @given(st.integers(3, 8), st.integers(65, 512), st.integers(0, 2**16))
@@ -557,8 +602,8 @@ def test_bipartite_route_unreachable_tolerance_raises(bipartite_route_graphs):
 def _general_route(x: Graph) -> Spectrum:
     """What extreme_eigs returns for any graph by the two ARPACK solves."""
     top, res_t, v1 = _iterative_extremes(x, 2, "LA", DEFAULT_TOL)
-    bot, res_b, _ = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
-    _prove_extremes(x, top[0], top[1], bot[0], v1, DEFAULT_TOL)
+    bot, res_b, vn = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
+    _prove_extremes(x, top[0], top[1], bot[0], v1, vn, DEFAULT_TOL)
     return Spectrum(top[0], top[1], bot[0], max(res_t, res_b),
                     "iterative+inertia")
 
