@@ -5,17 +5,18 @@ lambda_2 and lambda_n of a graph's adjacency as a Spectrum.  The method
 field names one of three size regimes:
 
 - "dense", n <= 64: numpy.linalg.eigh solves the full spectrum.
-- "iterative+inertia", 64 < n <= DENSE_THRESHOLD: ARPACK gives the values,
-  and two Cholesky factorizations, of Schur complements of about half the
-  size where the graph allows, prove that no eigenvalue was missed.
-- "iterative", n > DENSE_THRESHOLD: the ARPACK values alone; lambda_n of
-  a graph off the half-size bipartite route comes through the Chebyshev
-  filter below.
+- "iterative+inertia", 64 < n <= DENSE_THRESHOLD: ARPACK, or on the
+  bipartite route below a Lanczos recurrence, gives the values, and two
+  Cholesky factorizations, of Schur complements of about half the size
+  where the graph allows, prove that no eigenvalue was missed.
+- "iterative", n > DENSE_THRESHOLD: those values alone; lambda_n of a graph
+  off the half-size bipartite route comes through the Chebyshev filter
+  below.
 
-ARPACK runs on the sparse adjacency with a fixed, seeded starting vector,
-so repeated runs agree bit for bit.  Every eigenpair is accepted only after
-an explicit residual check against tol; failures raise ConvergenceError
-rather than degrading silently.
+ARPACK runs on the sparse adjacency, and the recurrence on its half-size
+operator, from a fixed, seeded starting vector, so repeated runs agree bit
+for bit.  Every eigenpair is accepted only after an explicit residual check
+against tol; failures raise ConvergenceError rather than degrading silently.
 
 Bipartite graphs.  Order the vertices of a bipartite graph side by side and
 its adjacency is A = [[0, B], [B^T, 0]], whose spectrum is the singular
@@ -24,12 +25,29 @@ when (u, -w) is one for -s.  For a connected k-regular bipartite graph
 above 64 vertices this gives lambda_1 = k (the all-ones vector) and
 lambda_n = -k (+1 on one side, -1 on the other) exactly, with residual 0,
 and makes lambda_2 the largest singular value of B off the all-ones
-vector.  One ARPACK solve of half the size finds it: the largest
-eigenvalue mu of P (B B^T + I) P on one side, with P the projection that
-removes the mean, is lambda_2^2 + 1.  (The identity keeps the operator
-nonzero for complete bipartite graphs, where lambda_2 = 0.)  Its Ritz
-vector u lifts to (u, B^T u / lambda_2), and the residual is checked
-against A itself.
+vector.  One solve of half the size finds it: the largest eigenvalue mu of
+P B B^T P on one side, with P the projection that removes the mean, is
+lambda_2^2.  Its Ritz vector u lifts to (u, B^T u / lambda_2), and the
+residual is checked against A itself, with norms summed by np.sum so that
+no BLAS thread count reaches its bits.
+
+The solve is the plain three-term Lanczos recurrence, started from the
+seeded vector less its mean, with no reorthogonalization and no stored
+basis.  The first pass keeps only the recurrence coefficients alpha_j and
+beta_j.  After step m it takes the top eigenpair (theta, y) of the
+tridiagonal T_m they form and stops once the Ritz estimate |beta_m y_m| is
+at most machine epsilon times |theta|, the form of ARPACK's rule at its
+default tol=0.  The basis loses orthogonality as Ritz values converge, but
+a Ritz value with a small Ritz estimate is still accurate (Paige, Linear
+Algebra Appl. 34, 1980).  The second pass reruns the identical recurrence,
+bit for bit, and sums y_j q_j into the Ritz vector (Cullum and Willoughby,
+Lanczos Algorithms for Large Symmetric Eigenvalue Computations, 1985).
+Every reduction is an np.sum.  On a complete bipartite graph, where
+lambda_2 = 0, P B B^T P is the zero operator: the first step breaks down
+with beta_1 = 0, which meets the stopping rule, and u is the starting
+vector.  A poor u can only fail the residual check, never pass it.  On
+build_lps(5, 53), n/2 = 74 412, the recurrence stops after 84 steps, and
+the two passes hold a few vectors of n/2 and no basis.
 
 The lambda_n filter.  Past DENSE_THRESHOLD lambda_n of a graph off the
 half-size route often lies at the edge of the continuous bulk of the
@@ -56,14 +74,15 @@ fails on p(A), plain "SA" runs and decides.  The filter's residuals are
 often ten times those of "SA" (up to 1.8e-13 against at most 1.5e-14 on
 240 random graphs of 300 vertices), so a tol near 1e-13 needs that.
 That the Ritz value is the extreme one is ARPACK's claim, as with "SA",
-since no completeness proof runs past DENSE_THRESHOLD.  Up to
+and on the bipartite route the recurrence's, since no completeness proof
+runs past DENSE_THRESHOLD.  Up to
 DENSE_THRESHOLD plain "SA" is kept, and its values keep their bits: on
 construct(7, 1000), n = 2184, lambda_n is an outlier that "SA" finds in
 61 products, about 6 ms against the filter's 15 to 18 ms.
 
 The completeness proof.  A Ritz value is an eigenvalue within its residual,
 but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
-and lambda_n(A) <= lambda_n for the ARPACK values.  For any vector v and
+and lambda_n(A) <= lambda_n for the iterative values.  For any vector v and
 c >= 0, A - c v v^T is a rank-one positive semidefinite downdate of A, so
 by interlacing lambda_2(A) <= lambda_max(A - c v v^T).  Hence if
 (lambda2 + tol) I - A + c v1 v1^T, with v1 the lambda_1 Ritz vector and
@@ -126,8 +145,9 @@ Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 quantity bounded by 2*sqrt(k-1) in a Ramanujan graph.  The test is
 non-strict: equality counts as Ramanujan.
 
-scipy is imported on first use, by the first CSR adjacency, ARPACK solve or
-Cholesky factorization, not when this module is imported.
+scipy is imported on first use, by the first CSR adjacency, ARPACK solve,
+tridiagonal eigensolve or Cholesky factorization, not when this module is
+imported.
 """
 
 from __future__ import annotations
@@ -165,6 +185,13 @@ _FILTER_TOL = 1e-14
 # degree is at most n / _SCHUR_SPARSITY; the module docstring gives the
 # measured crossover.
 _SCHUR_SPARSITY = 64
+
+# The Lanczos recurrence of the bipartite route stops when the Ritz
+# estimate of its top Ritz value theta is at most _EPS |theta|, the form of
+# ARPACK's rule at its default tol=0, and fails past _LANCZOS_STEPS steps;
+# build_lps(5, 53) stops after 84.
+_EPS = float(np.finfo(np.float64).eps)
+_LANCZOS_STEPS = 2000
 
 
 @dataclass(frozen=True)
@@ -209,9 +236,20 @@ def _eigsh(op, k: int, which: str, *, v0: np.ndarray | None = None,
         raise ConvergenceError(f"ARPACK failed: {exc}") from exc
 
 
-def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
-    """|A v - value v| / |v|; ConvergenceError if it exceeds tol."""
-    res = float(np.linalg.norm(a @ v - value * v) / np.linalg.norm(v))
+def _norm(v: np.ndarray) -> float:
+    # np.sum, not a BLAS dot: OpenBLAS splits dots above 10^4 entries
+    # across its threads, and the last bits then follow the thread count.
+    return math.sqrt(float(np.sum(v * v)))
+
+
+def _residual(a, v: np.ndarray, value: float, tol: float,
+              norm=np.linalg.norm) -> float:
+    """|A v - value v| / |v|; ConvergenceError if it exceeds tol.
+
+    The bipartite route passes _norm; the other routes keep the BLAS norm,
+    whose last bits their pinned certificates hold.
+    """
+    res = float(norm(a @ v - value * v) / norm(v))
     if res > tol:
         raise ConvergenceError(
             f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
@@ -219,8 +257,7 @@ def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
 
 
 def _rayleigh(a, v: np.ndarray) -> float:
-    # np.sum, not a BLAS dot: OpenBLAS splits dots above 10^4 entries
-    # across its threads, and the last bits then follow the thread count.
+    # np.sum, not a BLAS dot (see _norm).
     return float(np.sum(v * (a @ v)) / np.sum(v * v))
 
 
@@ -288,14 +325,40 @@ def _filtered_lambda_n(x: Graph, tol: float) -> tuple[float, float]:
     return theta, res
 
 
+def _lanczos(matvec, q: np.ndarray):
+    """The three-term Lanczos recurrence of a symmetric operator from the
+    unit vector q, without reorthogonalization.
+
+    Yields, step after step, the basis vector q_j with alpha_j = q_j^T A q_j
+    and beta_j, the norm of the next residual, and ends after a beta of 0.
+    Every reduction is an np.sum (see _norm), so a rerun from the same q
+    yields the same bits at any thread count.
+    """
+    prev, beta = np.zeros_like(q), 0.0
+    tmp = np.empty_like(q)
+    while True:
+        w = matvec(q)
+        w -= np.multiply(beta, prev, out=tmp)
+        alpha = float(np.sum(np.multiply(q, w, out=tmp)))
+        w -= np.multiply(alpha, q, out=tmp)
+        beta = math.sqrt(float(np.sum(np.multiply(w, w, out=tmp))))
+        yield q, alpha, beta
+        if beta == 0.0:
+            return
+        w /= beta
+        prev, q = q, w
+
+
 def _bipartite_lambda2(x: Graph, sides: np.ndarray,
                        tol: float) -> tuple[float, float]:
     """lambda_2 of a connected regular bipartite graph and its residual.
 
     sides is the graph's bipartition; the module docstring derives the
-    half-size operator P (B B^T + I) P solved here.
+    half-size operator P B B^T P and the two passes of the Lanczos
+    recurrence on it.  Raises ConvergenceError when the recurrence takes
+    more than _LANCZOS_STEPS steps or the residual exceeds tol.
     """
-    from scipy.sparse.linalg import LinearOperator
+    from scipy.linalg import eigh_tridiagonal
 
     a = x.adjacency_sparse()
     left, right = np.flatnonzero(sides == 0), np.flatnonzero(sides == 1)
@@ -303,22 +366,39 @@ def _bipartite_lambda2(x: Graph, sides: np.ndarray,
     bt = b.T.tocsr()
 
     def matvec(z: np.ndarray) -> np.ndarray:
-        z = np.ravel(z)
-        z = z - z.mean()
+        # B B^T maps the all-ones vector to k^2 times itself, so P on the
+        # output alone applies P B B^T P.
         y = b @ (bt @ z)
-        return y - y.mean() + z
+        y -= y.mean()
+        return y
 
-    op = LinearOperator((len(left), len(left)), matvec=matvec,
-                        dtype=np.float64)
-    mu, vecs = _eigsh(op, 1, "LA")
-    lambda2 = math.sqrt(max(float(mu[0]) - 1.0, 0.0))
-    u = vecs[:, 0]
+    q = np.random.default_rng(_V0_SEED).standard_normal(len(left))
+    q -= q.mean()
+    q /= _norm(q)
+    alphas: list[float] = []
+    betas: list[float] = []
+    for _, alpha, beta in _lanczos(matvec, q):
+        alphas.append(alpha)
+        betas.append(beta)
+        m = len(alphas)
+        (theta,), y = eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                       select_range=(m - 1, m - 1))
+        # A breakdown, beta = 0, meets the rule too.
+        if abs(beta * y[-1, 0]) <= _EPS * abs(theta):
+            break
+        if m == _LANCZOS_STEPS:
+            raise ConvergenceError(
+                f"the Lanczos recurrence for lambda_2 did not converge in "
+                f"{m} steps")
+    u = np.zeros(len(left))
+    for j, (qj, _, _) in zip(range(m), _lanczos(matvec, q)):
+        u += y[j, 0] * qj
+    lambda2 = math.sqrt(max(float(theta), 0.0))
     v = np.zeros(x.n)
     v[left] = u
     if lambda2 > 0.0:
         v[right] = bt @ u / lambda2
-    res = _residual(a, v, lambda2, tol)
-    return lambda2, res
+    return lambda2, _residual(a, v, lambda2, tol, _norm)
 
 
 def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
@@ -457,16 +537,17 @@ def _factor(buf: np.ndarray, n: int, claim: str) -> None:
 def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
-    The dense path serves n <= _DENSE_MAX_N and ARPACK the larger graphs;
-    up to DENSE_THRESHOLD the ARPACK values are also proved complete, by
-    _prove_extremes on the Schur complements over the vertices outside one
-    side of a graph on the bipartite route below, or outside the pruned
-    larger sign class of the "SA" Ritz vector of any other graph (see the
-    module docstring).  Above _DENSE_MAX_N a connected regular bipartite
-    graph, the bipartite route, gets lambda_1 and lambda_n exactly and
-    lambda_2 from one half-size solve.  Any other graph above
-    DENSE_THRESHOLD gets lambda_n from the Chebyshev filter of
-    _filtered_lambda_n, or from plain "SA" when the filter fails.
+    The dense path serves n <= _DENSE_MAX_N and iterative solves the
+    larger graphs; up to DENSE_THRESHOLD their values are also proved
+    complete, by _prove_extremes on the Schur complements over the vertices
+    outside one side of a graph on the bipartite route below, or outside
+    the pruned larger sign class of the "SA" Ritz vector of any other graph
+    (see the module docstring).  Above _DENSE_MAX_N a connected regular
+    bipartite graph, the bipartite route, gets lambda_1 and lambda_n
+    exactly and lambda_2 from the Lanczos recurrence on a half-size
+    operator.  Any other graph above DENSE_THRESHOLD gets lambda_n from the
+    Chebyshev filter of _filtered_lambda_n, or from plain "SA" when the
+    filter fails.
     """
     if x.n < 2:
         raise ValidationError("need at least two vertices for lambda_2")

@@ -14,7 +14,7 @@ import pytest
 from expanderlab import graph_to_text, save_graph
 from expanderlab.cli import build_parser, main
 
-from helpers import k4, petersen
+from helpers import k4, petersen, script_env
 
 _CERT_KEYS = {
     "version", "k", "n", "provenance", "lambda1", "lambda2", "lambda_n",
@@ -267,7 +267,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "expanderlab", "delta-table",
          "--ranges", "10:40"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, env=script_env(), timeout=120)
     assert proc.returncode == 0
     assert "1.52" in proc.stdout
 

@@ -314,8 +314,8 @@ def test_k7_pipeline_script_writes_the_reference(tmp_path):
 
 def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
     # n = 2184 is certified by ARPACK plus Cholesky, and the bipartite
-    # product (n = 4368) by one half-size ARPACK solve; neither's digits
-    # follow the OpenBLAS thread count the way a dense eigh's did.
+    # product (n = 4368) by the half-size Lanczos recurrence; neither's
+    # digits follow the OpenBLAS thread count the way a dense eigh's did.
     code = ("import sys; from expanderlab import construct; "
             "sys.stdout.write(construct(7, 1000)[1].to_json()); "
             "sys.stdout.write(construct(7, 1000, 'k2product')[1].to_json())")
@@ -357,16 +357,17 @@ def test_construct_k29_exchange_steps_match_reference():
 
 def test_construct_k7_product_iterative_path_matches_reference(k7_product):
     # n = 4368 is past the dense threshold, so this pins cartesian_k2 and
-    # the ARPACK path byte for byte; digests computed with one OpenBLAS
+    # the iterative path byte for byte; digests computed with one OpenBLAS
     # thread, as the suite runs.  The product is bipartite, so lambda_1 and
-    # lambda_n are exact and lambda_2 comes from the half-size solve.
+    # lambda_n are exact and lambda_2 comes from the half-size Lanczos
+    # recurrence.
     x, cert = k7_product
     assert cert.method == "iterative"
     assert (cert.lambda1, cert.lambda_n) == (7.0, -7.0)
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "2a5f0f0489332e31842584156186c81eecf3062ea681edbf224f420cec985916")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "bc9ccf10a97a71eebf425b89aa8ce805f220f317e098295ce554d1b3661e4278")
+        "bc2e82a6de205a422b4e062fbc6fd12d82eb367afa80a0fa051abe891c5a9b2a")
 
 
 def test_construct_k8_filtered_lambda_n_matches_reference():

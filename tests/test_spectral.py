@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,12 +22,14 @@ from expanderlab import (
     spectral,
 )
 from expanderlab.errors import ConvergenceError, ValidationError
-from expanderlab.graph_core import Graph, from_edge_list
+from expanderlab.graph_core import Graph, bipartition, from_edge_list
 from expanderlab.spectral import (
     DEFAULT_TOL,
     DENSE_THRESHOLD,
     _DENSE_MAX_N,
+    _V0_SEED,
     Spectrum,
+    _bipartite_lambda2,
     _filtered_lambda_n,
     _iterative_extremes,
     _matching_side,
@@ -45,6 +49,7 @@ from helpers import (
     proof_matrices,
     random_gnp,
     random_regular,
+    script_env,
     two_triangles,
     weyl_check,
 )
@@ -581,7 +586,11 @@ def bipartite_route_graphs(x513):
     return pairs + [(cartesian_k2(x513), max(w[1] + 1.0, w[0] - 1.0))]
 
 
-def test_bipartite_route_matches_dense(bipartite_route_graphs):
+def test_bipartite_route_matches_dense(bipartite_route_graphs, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK ran on the bipartite route")
+
+    monkeypatch.setattr(spectral, "_eigsh", refuse)
     for x, lambda2 in bipartite_route_graphs:
         k = regularity(x)
         assert k is not None and is_bipartite(x) and x.n > _DENSE_MAX_N
@@ -597,6 +606,90 @@ def test_bipartite_route_unreachable_tolerance_raises(bipartite_route_graphs):
     for x, _ in bipartite_route_graphs:
         with pytest.raises(ConvergenceError):
             extreme_eigs(x, tol=1e-300)
+
+
+@pytest.fixture(scope="module")
+def lps37() -> Graph:
+    """X^{5,37}: bipartite, n = 50 616, past DENSE_THRESHOLD."""
+    return build_lps(5, 37)
+
+
+def test_bipartite_lanczos_matches_arpack(lps37):
+    # scipy's ARPACK on the same half-size operator P B B^T P, started from
+    # the same projected vector, serves only as the oracle here.
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    x = lps37
+    assert x.n > DENSE_THRESHOLD
+    sides = bipartition(x)
+    a = x.adjacency_sparse()
+    b = a[np.flatnonzero(sides == 0)][:, np.flatnonzero(sides == 1)]
+
+    def matvec(z):
+        y = b @ (b.T @ np.ravel(z))
+        return y - y.mean()
+
+    v0 = np.random.default_rng(_V0_SEED).standard_normal(b.shape[0])
+    op = LinearOperator(2 * (b.shape[0],), matvec=matvec, dtype=np.float64)
+    mu = eigsh(op, k=1, which="LA", v0=v0 - v0.mean(), tol=0.0)[0][0]
+    lambda2, res = _bipartite_lambda2(x, sides, DEFAULT_TOL)
+    assert abs(lambda2 - math.sqrt(mu)) <= 1e-12
+    assert res <= 1e-14
+
+
+def test_bipartite_lanczos_step_cap_raises(bipartite_route_graphs,
+                                           monkeypatch):
+    x, _ = bipartite_route_graphs[1]
+    monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 5)
+    with pytest.raises(ConvergenceError, match="Lanczos recurrence .* 5 steps"):
+        extreme_eigs(x)
+
+
+def test_bipartite_lanczos_stops_on_breakdown(monkeypatch):
+    # K_{33,33}: P B B^T P = 0, so the first step's beta is exactly 0, and
+    # each of the two passes takes one step.
+    steps = []
+    lanczos = spectral._lanczos
+
+    def counted(matvec, q):
+        steps.append(0)
+        for step in lanczos(matvec, q):
+            steps[-1] += 1
+            yield step
+
+    monkeypatch.setattr(spectral, "_lanczos", counted)
+    s = extreme_eigs(complete_bipartite(33))
+    assert steps == [1, 1]
+    assert s.lambda2 == 0.0 and s.residual <= 1e-14
+
+
+def test_bipartite_lambda2_memory(lps37):
+    # The two passes keep a few vectors of n/2 besides B and B^T (about 30
+    # in all); a solver that stores a 20-vector Krylov basis and its
+    # workspace, as ARPACK does, peaks near 67.
+    x = lps37
+    sides = bipartition(x)
+    _bipartite_lambda2(x, sides, DEFAULT_TOL)  # imports, the cached CSR
+    tracemalloc.start()
+    try:
+        _bipartite_lambda2(x, sides, DEFAULT_TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * (x.n // 2) * 8
+
+
+def test_lps_certificate_holds_with_two_blas_threads(lps37):
+    # Every reduction of the half-size recurrence and of its residual is an
+    # np.sum, so a child process with two OpenBLAS threads writes the same
+    # certificate at a size where BLAS dots split across threads.
+    code = ("import sys; from expanderlab import build_lps, certify; "
+            "sys.stdout.write(certify(build_lps(5, 37)).to_json())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=script_env(OPENBLAS_NUM_THREADS="2"),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == certify(lps37).to_json().encode("ascii")
 
 
 def _general_route(x: Graph) -> Spectrum:
