@@ -1,60 +1,91 @@
 """Residual-checked extreme eigenvalues and spectral certificates.
 
 extreme_eigs is the one eigensolver entry point: it returns lambda_1,
-lambda_2 and lambda_n of a graph's adjacency as a Spectrum.  The method
-field names one of three size regimes:
+lambda_2 and lambda_n of the adjacency of a connected regular graph, the
+graphs certify accepts, as a Spectrum, and refuses any other graph with
+ValidationError.  The method field names one of three size regimes:
 
 - "dense", n <= 64: numpy.linalg.eigh solves the full spectrum.
-- "iterative+inertia", 64 < n <= DENSE_THRESHOLD: ARPACK, or on the
-  bipartite route below a Lanczos recurrence, gives the values, and two
+- "iterative+inertia", 64 < n <= DENSE_THRESHOLD: lambda_1 = k exactly,
+  the Lanczos recurrence below gives lambda_2 and lambda_n, and two
   Cholesky factorizations, of Schur complements of about half the size
-  where the graph allows, prove that no eigenvalue was missed.
+  where the graph allows, prove that no eigenvalue was missed.  No ARPACK
+  call runs.
 - "iterative", n > DENSE_THRESHOLD: those values alone; lambda_n of a graph
-  off the half-size bipartite route comes through the Chebyshev filter
-  below.
+  that is not bipartite comes through the Chebyshev filter below, whose
+  ARPACK solves, with plain "SA" as its fallback, are the only ARPACK
+  calls left.
 
-ARPACK runs on the sparse adjacency, and the recurrence on its half-size
-operator, from a fixed, seeded starting vector, so repeated runs agree bit
+Every solve starts from a fixed, seeded vector, so repeated runs agree bit
 for bit.  Every eigenpair is accepted only after an explicit residual check
-against tol; failures raise ConvergenceError rather than degrading silently.
+against tol, with norms summed by np.sum so that no BLAS thread count
+reaches their bits; failures raise ConvergenceError rather than degrading
+silently.
+
+The Lanczos recurrence.  A connected k-regular graph has lambda_1 = k with
+the all-ones vector, so v1 = 1/sqrt(n) with residual 0, and every other
+eigenvector is mean-free.  Let P be the projection that removes the mean.
+lambda_2 and lambda_n are then the top and bottom eigenvalues of P A P on
+the mean-free vectors, and one run of the plain three-term Lanczos
+recurrence finds both, started from the seeded vector less its mean, with
+no reorthogonalization and no stored basis.  The first pass keeps only the
+recurrence coefficients alpha_j and beta_j, which form a tridiagonal T_m.
+Every 8 steps it takes the extreme eigenpairs (theta, y) of T_m, since each
+eigh_tridiagonal call costs O(m), and a Ritz pair converges once its Ritz
+estimate |beta_m y_m| is at most machine epsilon times ||M||, where M is
+the operator and ||M|| <= k.  The basis loses orthogonality as Ritz values
+converge, but a Ritz value with a small Ritz estimate is still accurate
+(Paige, Linear Algebra Appl. 34, 1980).  The second pass reruns the
+identical recurrence, bit for bit, and sums y_j q_j into each Ritz vector
+(Cullum and Willoughby, Lanczos Algorithms for Large Symmetric Eigenvalue
+Computations, 1985).  Every reduction is an np.sum.  A poor Ritz vector can
+only fail the residual check, never pass it.  Four rules keep the
+recurrence sound; each says what the code did without it:
+
+- Each end's (theta, y) is frozen at the step where its estimate
+  converged, and the second pass sums each Ritz vector over its own m
+  steps only.  A later T_m holds ghost copies of a converged Ritz value,
+  among which its vector's weight is split: on construct(60, 1000),
+  reading the lambda_n pair from the T_m at which lambda_2 converged
+  raised the residual from 1.4e-14 to 3.1e-13.
+- The mean is removed from every new Lanczos vector, not only from the
+  operator's output; otherwise rounding lets the all-ones vector back in,
+  as an eigenvector of P A P for 0.  On K_65, where lambda_2 = -1, that
+  gave lambda_2 = 0 and a residual of 64 once the next rule was missing
+  too.
+- A beta of at most machine epsilon times ||M|| is a breakdown, and the
+  Ritz estimate is compared with that bound rather than with |theta|.  A
+  spectrum of few distinct eigenvalues exhausts its Krylov space in as
+  many steps, after which beta is rounding noise, not 0, and at theta = 0
+  a rule relative to |theta| never holds: the complete tripartite
+  K_{22,22,22}, lambda_2 = 0, ran 2000 steps.
+- On the bipartite route below, a theta within rounding of 0 gives
+  lambda_2 = 0 and no lift; K_{40,40} gave a residual of 31.
+
+Past _LANCZOS_STEPS steps the recurrence raises ConvergenceError.  On
+construct(7, 1000), n = 2184, it stops after 264 steps, 528 sparse
+products in all.
 
 Bipartite graphs.  Order the vertices of a bipartite graph side by side and
 its adjacency is A = [[0, B], [B^T, 0]], whose spectrum is the singular
 values of B and their negatives: (u, w) is an eigenvector for s exactly
 when (u, -w) is one for -s.  For a connected k-regular bipartite graph
-above 64 vertices this gives lambda_1 = k (the all-ones vector) and
-lambda_n = -k (+1 on one side, -1 on the other) exactly, with residual 0,
-and makes lambda_2 the largest singular value of B off the all-ones
-vector.  One solve of half the size finds it: the largest eigenvalue mu of
-P B B^T P on one side, with P the projection that removes the mean, is
-lambda_2^2.  Its Ritz vector u lifts to (u, B^T u / lambda_2), and the
-residual is checked against A itself, with norms summed by np.sum so that
-no BLAS thread count reaches its bits.
+above 64 vertices this gives lambda_n = -k (+1 on one side, -1 on the
+other) exactly, with residual 0, and makes lambda_2 the largest singular
+value of B off the all-ones vector.  One solve of half the size finds it:
+the largest eigenvalue of P B B^T P on one side, found by the recurrence
+above with M = B B^T and ||M|| <= k^2, is lambda_2^2.  Its Ritz vector u
+lifts to (u, B^T u / lambda_2), and the residual is checked against A
+itself.  On a complete bipartite graph, where lambda_2 = 0, P B B^T P is
+the zero operator: the first step breaks down and u is the starting
+vector.  On build_lps(5, 53), n/2 = 74 412, the recurrence stops after 88
+steps, and the two passes hold a few vectors of n/2 and no basis.
 
-The solve is the plain three-term Lanczos recurrence, started from the
-seeded vector less its mean, with no reorthogonalization and no stored
-basis.  The first pass keeps only the recurrence coefficients alpha_j and
-beta_j.  After step m it takes the top eigenpair (theta, y) of the
-tridiagonal T_m they form and stops once the Ritz estimate |beta_m y_m| is
-at most machine epsilon times |theta|, the form of ARPACK's rule at its
-default tol=0.  The basis loses orthogonality as Ritz values converge, but
-a Ritz value with a small Ritz estimate is still accurate (Paige, Linear
-Algebra Appl. 34, 1980).  The second pass reruns the identical recurrence,
-bit for bit, and sums y_j q_j into the Ritz vector (Cullum and Willoughby,
-Lanczos Algorithms for Large Symmetric Eigenvalue Computations, 1985).
-Every reduction is an np.sum.  On a complete bipartite graph, where
-lambda_2 = 0, P B B^T P is the zero operator: the first step breaks down
-with beta_1 = 0, which meets the stopping rule, and u is the starting
-vector.  A poor u can only fail the residual check, never pass it.  On
-build_lps(5, 53), n/2 = 74 412, the recurrence stops after 84 steps, and
-the two passes hold a few vectors of n/2 and no basis.
-
-The lambda_n filter.  Past DENSE_THRESHOLD lambda_n of a graph off the
-half-size route often lies at the edge of the continuous bulk of the
-spectrum, where a plain "SA" solve spends most of its time
-re-orthogonalizing its Krylov basis.  There lambda_n is found as the top
-eigenvalue of a polynomial filter p(A) (Zhou and Saad, Chebyshev-filtered
-subspace iteration, 2007).
+The lambda_n filter.  Past DENSE_THRESHOLD lambda_n of a graph that is not
+bipartite often lies at the edge of the continuous bulk of the spectrum,
+where the recurrence, or a plain "SA" solve, needs many steps.  There
+lambda_n is found as the top eigenvalue of a polynomial filter p(A) (Zhou
+and Saad, Chebyshev-filtered subspace iteration, 2007).
 A loose "SA" solve gives a vector whose Rayleigh quotient theta0 is at
 least lambda_n.  Every eigenvalue lies in [-Delta, Delta], Delta the
 maximum degree, which bounds the spectral radius, so
@@ -74,23 +105,20 @@ fails on p(A), plain "SA" runs and decides.  The filter's residuals are
 often ten times those of "SA" (up to 1.8e-13 against at most 1.5e-14 on
 240 random graphs of 300 vertices), so a tol near 1e-13 needs that.
 That the Ritz value is the extreme one is ARPACK's claim, as with "SA",
-and on the bipartite route the recurrence's, since no completeness proof
-runs past DENSE_THRESHOLD.  Up to
-DENSE_THRESHOLD plain "SA" is kept, and its values keep their bits: on
-construct(7, 1000), n = 2184, lambda_n is an outlier that "SA" finds in
-61 products, about 6 ms against the filter's 15 to 18 ms.
+and for lambda_2 the recurrence's, since no completeness proof runs past
+DENSE_THRESHOLD.
 
 The completeness proof.  A Ritz value is an eigenvalue within its residual,
 but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
 and lambda_n(A) <= lambda_n for the iterative values.  For any vector v and
 c >= 0, A - c v v^T is a rank-one positive semidefinite downdate of A, so
 by interlacing lambda_2(A) <= lambda_max(A - c v v^T).  Hence if
-(lambda2 + tol) I - A + c v1 v1^T, with v1 the lambda_1 Ritz vector and
+(lambda2 + tol) I - A + c v1 v1^T, with v1 the lambda_1 eigenvector and
 c = lambda1 - lambda2 + 1, has a Cholesky factorization (is positive
 definite), then lambda_2(A) < lambda2 + tol.  A poor v1 can only make the
 factorization fail, never let a wrong lambda2 pass.  Likewise a Cholesky
 factorization of A - (lambda_n - tol) I shows lambda_n(A) > lambda_n - tol.
-For a bipartite graph v1 is the normalized all-ones vector.
+extreme_eigs passes v1 = 1/sqrt(n) and lambda1 = k.
 
 Half-size Schur complements.  Where the graph allows, both claims are
 proved on smaller matrices, about half the size on the paper's sparse
@@ -145,8 +173,8 @@ Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 quantity bounded by 2*sqrt(k-1) in a Ramanujan graph.  The test is
 non-strict: equality counts as Ramanujan.
 
-scipy is imported on first use, by the first CSR adjacency, ARPACK solve,
-tridiagonal eigensolve or Cholesky factorization, not when this module is
+scipy is imported on first use, by the first CSR adjacency, tridiagonal
+eigensolve, ARPACK solve or Cholesky factorization, not when this module is
 imported.
 """
 
@@ -186,11 +214,11 @@ _FILTER_TOL = 1e-14
 # measured crossover.
 _SCHUR_SPARSITY = 64
 
-# The Lanczos recurrence of the bipartite route stops when the Ritz
-# estimate of its top Ritz value theta is at most _EPS |theta|, the form of
-# ARPACK's rule at its default tol=0, and fails past _LANCZOS_STEPS steps;
-# build_lps(5, 53) stops after 84.
+# The Lanczos recurrence freezes a Ritz pair once its Ritz estimate is at
+# most _EPS ||M||, checked every _CHECK_EVERY steps, and fails past
+# _LANCZOS_STEPS steps; build_lps(5, 53) stops after 88.
 _EPS = float(np.finfo(np.float64).eps)
+_CHECK_EVERY = 8
 _LANCZOS_STEPS = 2000
 
 
@@ -242,14 +270,10 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(np.sum(v * v)))
 
 
-def _residual(a, v: np.ndarray, value: float, tol: float,
-              norm=np.linalg.norm) -> float:
-    """|A v - value v| / |v|; ConvergenceError if it exceeds tol.
-
-    The bipartite route passes _norm; the other routes keep the BLAS norm,
-    whose last bits their pinned certificates hold.
-    """
-    res = float(norm(a @ v - value * v) / norm(v))
+def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
+    """|A v - value v| / |v|, norms by _norm; ConvergenceError if it
+    exceeds tol."""
+    res = _norm(a @ v - value * v) / _norm(v)
     if res > tol:
         raise ConvergenceError(
             f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
@@ -261,26 +285,9 @@ def _rayleigh(a, v: np.ndarray) -> float:
     return float(np.sum(v * (a @ v)) / np.sum(v * v))
 
 
-def _iterative_extremes(x: Graph, count: int, which: str,
-                        tol: float) -> tuple[list[float], float, np.ndarray]:
-    """count extreme eigenvalues by ARPACK with residual verification.
-
-    which is 'LA' (largest algebraic) or 'SA' (smallest).  Returns values
-    sorted non-increasing for 'LA' and non-decreasing for 'SA', the worst
-    residual, and the Ritz vector of the first value.  Past
-    DENSE_THRESHOLD extreme_eigs takes lambda_n from _filtered_lambda_n
-    instead, and runs 'SA' only if the filter fails.
-    """
-    a = x.adjacency_sparse()
-    w, vecs = _eigsh(a, count, which)
-    res = max(_residual(a, vecs[:, j], w[j], tol) for j in range(count))
-    vals = sorted((float(t) for t in w), reverse=(which == "LA"))
-    first = np.argmax(w) if which == "LA" else np.argmin(w)
-    return vals, res, vecs[:, first]
-
-
-def _filtered_lambda_n(x: Graph, tol: float) -> tuple[float, float]:
-    """lambda_n and its residual as the top eigenvalue of a Chebyshev filter.
+def _filtered_lambda_n(x: Graph, tol: float) -> tuple[float, np.ndarray]:
+    """lambda_n and its Ritz vector as the top eigenpair of a Chebyshev
+    filter.
 
     The module docstring derives the filter p and why the top eigenvalue of
     p(A) belongs to lambda_n.  Raises ConvergenceError when the residual
@@ -289,8 +296,7 @@ def _filtered_lambda_n(x: Graph, tol: float) -> tuple[float, float]:
     from scipy.sparse.linalg import LinearOperator
 
     a = x.adjacency_sparse()
-    _, vecs = _eigsh(a, 1, "SA", tol=_LOOSE_TOL)
-    u = vecs[:, 0]
+    u = _eigsh(a, 1, "SA", tol=_LOOSE_TOL)[1][:, 0]
     theta0 = _rayleigh(a, u)
     delta = float(x.degrees().max())
     c = theta0 + _FILTER_MARGIN * (delta - theta0)
@@ -315,90 +321,111 @@ def _filtered_lambda_n(x: Graph, tol: float) -> tuple[float, float]:
     # tol=0 means machine epsilon, also the rounding of one application of
     # p(A); there ARPACK accepted Ritz vectors with residuals up to 3.4e-9
     # on LPS bases, whose lambda_n is highly multiple ("SA": 6e-15).
-    _, vecs = _eigsh(op, 1, "LA", v0=u, tol=_FILTER_TOL)
-    v = vecs[:, 0]
+    v = _eigsh(op, 1, "LA", v0=u, tol=_FILTER_TOL)[1][:, 0]
     theta = _rayleigh(a, v)
-    res = _residual(a, v, theta, tol)
+    _residual(a, v, theta, tol)
     if not theta < c:
         raise ConvergenceError(f"filtered lambda_n {theta!r} is not below the "
                                f"filter's lower end c = {c!r}")
-    return theta, res
+    return theta, v
 
 
-def _lanczos(matvec, q: np.ndarray):
-    """The three-term Lanczos recurrence of a symmetric operator from the
-    unit vector q, without reorthogonalization.
+def _lanczos(matvec, q: np.ndarray, scale: float):
+    """The three-term Lanczos recurrence of P M P from the unit, mean-free
+    vector q, without reorthogonalization.
 
-    Yields, step after step, the basis vector q_j with alpha_j = q_j^T A q_j
-    and beta_j, the norm of the next residual, and ends after a beta of 0.
-    Every reduction is an np.sum (see _norm), so a rerun from the same q
-    yields the same bits at any thread count.
+    matvec applies the symmetric M, which maps the all-ones vector to a
+    multiple of itself, and scale bounds ||M||; P removes the mean, from
+    every new basis vector.  Yields, step after step, the basis vector q_j
+    with alpha_j = q_j^T M q_j and beta_j, the norm of the next residual,
+    and ends after a beta of at most _EPS * scale, a breakdown.  Every
+    reduction is an np.sum (see _norm), so a rerun from the same q yields
+    the same bits at any thread count; it is called as np.add.reduce,
+    without np.sum's Python wrapper, which costs as much as the sum itself
+    at a few thousand entries.
     """
     prev, beta = np.zeros_like(q), 0.0
     tmp = np.empty_like(q)
     while True:
         w = matvec(q)
         w -= np.multiply(beta, prev, out=tmp)
-        alpha = float(np.sum(np.multiply(q, w, out=tmp)))
+        alpha = float(np.add.reduce(np.multiply(q, w, out=tmp)))
         w -= np.multiply(alpha, q, out=tmp)
-        beta = math.sqrt(float(np.sum(np.multiply(w, w, out=tmp))))
+        w -= np.add.reduce(w) / len(w)
+        beta = math.sqrt(float(np.add.reduce(np.multiply(w, w, out=tmp))))
         yield q, alpha, beta
-        if beta == 0.0:
+        if beta <= _EPS * scale:
             return
         w /= beta
         prev, q = q, w
 
 
-def _bipartite_lambda2(x: Graph, sides: np.ndarray,
-                       tol: float) -> tuple[float, float]:
-    """lambda_2 of a connected regular bipartite graph and its residual.
+def _ritz_pairs(matvec, n: int, scale: float,
+                ends: tuple[int, ...]) -> list[tuple[float, np.ndarray]]:
+    """Extreme Ritz pairs of P M P on the mean-free vectors of length n.
 
-    sides is the graph's bipartition; the module docstring derives the
-    half-size operator P B B^T P and the two passes of the Lanczos
-    recurrence on it.  Raises ConvergenceError when the recurrence takes
-    more than _LANCZOS_STEPS steps or the residual exceeds tol.
+    matvec and scale are those of _lanczos; ends holds -1 for the top
+    pair, 0 for the bottom one.  The first pass checks every _CHECK_EVERY
+    steps, and at a breakdown, and freezes each end's (theta, y) once its
+    Ritz estimate |beta_m y_m| is at most _EPS * scale.  The second pass
+    sums each end's Ritz vector over its own m steps (see the module
+    docstring).  Raises ConvergenceError past _LANCZOS_STEPS steps.
     """
     from scipy.linalg import eigh_tridiagonal
 
+    q = np.random.default_rng(_V0_SEED).standard_normal(n)
+    q -= q.mean()
+    q /= _norm(q)
+    alphas, betas = [], []
+    frozen: dict[int, tuple[float, np.ndarray]] = {}
+    for m, (_, alpha, beta) in enumerate(_lanczos(matvec, q, scale), 1):
+        alphas.append(alpha)
+        betas.append(beta)
+        if m % _CHECK_EVERY == 0 or beta <= _EPS * scale:
+            for end in set(ends) - set(frozen):
+                i = end % m  # the index of the end among T_m's eigenvalues
+                (theta,), y = eigh_tridiagonal(alphas, betas[:-1], select="i",
+                                               select_range=(i, i))
+                if abs(beta * y[-1, 0]) <= _EPS * scale:
+                    frozen[end] = (float(theta), y[:, 0])
+            if len(frozen) == len(ends):
+                break
+        if m == _LANCZOS_STEPS:
+            raise ConvergenceError(f"the Lanczos recurrence did not converge "
+                                   f"in {m} steps")
+    vecs = {end: np.zeros(n) for end in ends}
+    steps = max(len(y) for _, y in frozen.values())
+    for j, (qj, _, _) in zip(range(steps), _lanczos(matvec, q, scale)):
+        for end, (_, y) in frozen.items():
+            if j < len(y):
+                vecs[end] += y[j] * qj
+    return [(frozen[end][0], vecs[end]) for end in ends]
+
+
+def _bipartite_lambda2(x: Graph, k: int, sides: np.ndarray,
+                       tol: float) -> tuple[float, float]:
+    """lambda_2 of a connected k-regular bipartite graph and its residual.
+
+    sides is the graph's bipartition; the module docstring derives the
+    half-size operator P B B^T P, of norm at most k^2, and the lift of its
+    top Ritz pair.  A Ritz value theta within _EPS k^2 of 0 is rounding
+    noise and gives lambda_2 = 0, with no lift: B^T u / sqrt(theta) would
+    blow the noise up.  Raises ConvergenceError when the recurrence takes
+    more than _LANCZOS_STEPS steps or the residual exceeds tol.
+    """
     a = x.adjacency_sparse()
     left, right = np.flatnonzero(sides == 0), np.flatnonzero(sides == 1)
     b = a[left][:, right]
     bt = b.T.tocsr()
-
-    def matvec(z: np.ndarray) -> np.ndarray:
-        # B B^T maps the all-ones vector to k^2 times itself, so P on the
-        # output alone applies P B B^T P.
-        y = b @ (bt @ z)
-        y -= y.mean()
-        return y
-
-    q = np.random.default_rng(_V0_SEED).standard_normal(len(left))
-    q -= q.mean()
-    q /= _norm(q)
-    alphas: list[float] = []
-    betas: list[float] = []
-    for _, alpha, beta in _lanczos(matvec, q):
-        alphas.append(alpha)
-        betas.append(beta)
-        m = len(alphas)
-        (theta,), y = eigh_tridiagonal(alphas, betas[:-1], select="i",
-                                       select_range=(m - 1, m - 1))
-        # A breakdown, beta = 0, meets the rule too.
-        if abs(beta * y[-1, 0]) <= _EPS * abs(theta):
-            break
-        if m == _LANCZOS_STEPS:
-            raise ConvergenceError(
-                f"the Lanczos recurrence for lambda_2 did not converge in "
-                f"{m} steps")
-    u = np.zeros(len(left))
-    for j, (qj, _, _) in zip(range(m), _lanczos(matvec, q)):
-        u += y[j, 0] * qj
-    lambda2 = math.sqrt(max(float(theta), 0.0))
+    scale = float(k * k)
+    ((theta, u),) = _ritz_pairs(lambda z: b @ (bt @ z), len(left), scale,
+                                (-1,))
+    lambda2 = math.sqrt(theta) if theta > _EPS * scale else 0.0
     v = np.zeros(x.n)
     v[left] = u
     if lambda2 > 0.0:
         v[right] = bt @ u / lambda2
-    return lambda2, _residual(a, v, lambda2, tol, _norm)
+    return lambda2, _residual(a, v, lambda2, tol)
 
 
 def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
@@ -407,8 +434,9 @@ def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
     """Check that no eigenvalue but one exceeds lambda2 + tol and none is
     below lambda_n - tol; raise ConvergenceError otherwise.
 
-    lambda1 must be within tol of an eigenvalue (its residual is checked
-    by the caller); v1 and vn are the lambda1 and lambda_n Ritz vectors.
+    lambda1 must be within tol of an eigenvalue (extreme_eigs passes k,
+    with the all-ones v1); v1 and vn are the lambda1 and lambda_n Ritz
+    vectors.
     The claims are that K1 = tau I - A + c v1 v1^T, with tau = lambda2 + tol
     and c = lambda1 - lambda2 + 1, and K2 = A - sigma I, with
     sigma = lambda_n - tol, are positive definite.  Each is proved by
@@ -537,47 +565,48 @@ def _factor(buf: np.ndarray, n: int, claim: str) -> None:
 def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
-    The dense path serves n <= _DENSE_MAX_N and iterative solves the
-    larger graphs; up to DENSE_THRESHOLD their values are also proved
-    complete, by _prove_extremes on the Schur complements over the vertices
-    outside one side of a graph on the bipartite route below, or outside
-    the pruned larger sign class of the "SA" Ritz vector of any other graph
-    (see the module docstring).  Above _DENSE_MAX_N a connected regular
-    bipartite graph, the bipartite route, gets lambda_1 and lambda_n
-    exactly and lambda_2 from the Lanczos recurrence on a half-size
-    operator.  Any other graph above DENSE_THRESHOLD gets lambda_n from the
-    Chebyshev filter of _filtered_lambda_n, or from plain "SA" when the
-    filter fails.
+    x must be connected and regular with at least two vertices, as certify
+    requires; any other graph raises ValidationError.  The dense path
+    serves n <= _DENSE_MAX_N.  Above it lambda_1 = k exactly, and lambda_2
+    comes from the Lanczos recurrence on the mean-free vectors: on a
+    half-size operator for a bipartite graph, whose lambda_n = -k, and
+    otherwise on A, where up to DENSE_THRESHOLD the same run also gives
+    lambda_n.  Past DENSE_THRESHOLD lambda_n of a graph that is not
+    bipartite comes from the Chebyshev filter of _filtered_lambda_n, or
+    from plain "SA" when the filter fails.  Up to DENSE_THRESHOLD the
+    values are also proved complete by _prove_extremes (see the module
+    docstring).
     """
-    if x.n < 2:
-        raise ValidationError("need at least two vertices for lambda_2")
+    k = regularity(x)
+    if x.n < 2 or k is None or not is_connected(x):
+        raise ValidationError("extreme_eigs needs a connected regular graph "
+                              "of at least two vertices")
     if x.n <= _DENSE_MAX_N:
         values, res = _dense_eigs(x, tol)
         return Spectrum(float(values[0]), float(values[1]), float(values[-1]),
                         res, "dense")
-    k = regularity(x)
     sides = bipartition(x)
-    if k is not None and sides is not None and is_connected(x):
-        lambda2, res = _bipartite_lambda2(x, sides, tol)
-        lambda1, lambda_n = float(k), -float(k)
-        v1 = np.full(x.n, 1.0 / math.sqrt(x.n))
+    if sides is not None:
+        lambda2, res = _bipartite_lambda2(x, k, sides, tol)
         # The lambda_n eigenvector: its sign classes are the two sides.
-        vn = np.where(sides == 0, 1.0, -1.0)
+        lambda_n, vn = -float(k), np.where(sides == 0, 1.0, -1.0)
     else:
-        (lambda1, lambda2), res_t, v1 = _iterative_extremes(x, 2, "LA", tol)
-        lambda_n = None
+        a = x.adjacency_sparse()
+        pairs = _ritz_pairs(lambda z: a @ z, x.n, float(k),
+                            (-1, 0) if x.n <= DENSE_THRESHOLD else (-1,))
         if x.n > DENSE_THRESHOLD:
             try:
-                lambda_n, res_b = _filtered_lambda_n(x, tol)
-            except ConvergenceError:
-                pass  # plain "SA" below decides and names the failure
-        if lambda_n is None:
-            (lambda_n,), res_b, vn = _iterative_extremes(x, 1, "SA", tol)
-        res = max(res_t, res_b)
+                pairs.append(_filtered_lambda_n(x, tol))
+            except ConvergenceError:  # plain "SA" decides
+                (theta,), vecs = _eigsh(a, 1, "SA")
+                pairs.append((float(theta), vecs[:, 0]))
+        res = max(_residual(a, v, theta, tol) for theta, v in pairs)
+        (lambda2, _), (lambda_n, vn) = pairs
     if x.n > DENSE_THRESHOLD:
-        return Spectrum(lambda1, lambda2, lambda_n, res, "iterative")
-    _prove_extremes(x, lambda1, lambda2, lambda_n, v1, vn, tol)
-    return Spectrum(lambda1, lambda2, lambda_n, res, "iterative+inertia")
+        return Spectrum(float(k), lambda2, lambda_n, res, "iterative")
+    v1 = np.full(x.n, 1.0 / math.sqrt(x.n))
+    _prove_extremes(x, float(k), lambda2, lambda_n, v1, vn, tol)
+    return Spectrum(float(k), lambda2, lambda_n, res, "iterative+inertia")
 
 
 @dataclass(frozen=True)

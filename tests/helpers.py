@@ -43,7 +43,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from expanderlab import cartesian_k2, extreme_eigs, regularity
+from expanderlab import cartesian_k2, extreme_eigs, is_connected, regularity
 from expanderlab.errors import ValidationError
 from expanderlab.expansion import expanding_constant_exact
 from expanderlab.graph_core import Graph, Matching, from_edge_list
@@ -412,18 +412,20 @@ def proof_matrices(x: Graph, lambda1: float, lambda2: float,
 def isoperimetric_check(x: Graph, *, tol: float = 1e-9) -> dict:
     """Sandwich (k - lambda_2)/2 <= h(X) <= sqrt(2k(k - lambda_2)), exactly h.
 
-    Only defined for connected regular graphs small enough for the exact
-    search.  Returns every ingredient so failures are inspectable.
+    Only defined for regular graphs small enough for the exact search.
+    Returns every ingredient so failures are inspectable.
     """
     k = regularity(x)
     if k is None:
         raise ValidationError("isoperimetric check requires a regular graph")
-    s = extreme_eigs(x)
-    lam2 = s.lambda2
+    # extreme_eigs takes connected graphs only; any other k-regular graph
+    # has lambda_2 = k exactly, and h = 0.
+    s = extreme_eigs(x) if is_connected(x) else None
+    lam2 = s.lambda2 if s else float(k)
     h, witness = expanding_constant_exact(x)
     lower = (k - lam2) / 2.0
     upper = math.sqrt(2.0 * k * max(k - lam2, 0.0))
-    pad = tol + s.residual
+    pad = tol + (s.residual if s else 0.0)
     return {
         "n": x.n,
         "k": k,
@@ -585,6 +587,14 @@ def complete_bipartite(h: int) -> Graph:
     """K_{h,h}: sides 0..h-1 and h..2h-1."""
     return from_edge_list(2 * h, [(u, h + v) for u in range(h)
                                   for v in range(h)])
+
+
+def complete_multipartite(parts: int, size: int) -> Graph:
+    """K_{size, ..., size} with parts parts, vertex v in part v // size;
+    complete_multipartite(n, 1) is K_n."""
+    n = parts * size
+    return from_edge_list(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                              if u // size != v // size])
 
 
 def line_parse_graph(text: str) -> Graph:

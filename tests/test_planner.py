@@ -278,7 +278,7 @@ def test_certify_loaded_graph_matches_reference():
     assert len(cert.bounds) == 5
     assert not any(b["valid"] for b in cert.bounds)
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "b8c77be5f745b4091c146143f0a4d72dea1c22d37cb7fba9ed9491e4f8f31edc")
+        "31a59c3a57ca7509b93d5d01c37f6eb02fa1a699c9f6964613c06e5a769514f0")
 
 
 def test_certify_large_graph_skips_expansion(x513):
@@ -313,9 +313,10 @@ def test_k7_pipeline_script_writes_the_reference(tmp_path):
 
 
 def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
-    # n = 2184 is certified by ARPACK plus Cholesky, and the bipartite
-    # product (n = 4368) by the half-size Lanczos recurrence; neither's
-    # digits follow the OpenBLAS thread count the way a dense eigh's did.
+    # n = 2184 is certified by the Lanczos recurrence on A plus Cholesky,
+    # and the bipartite product (n = 4368) by the half-size recurrence;
+    # neither's digits follow the OpenBLAS thread count the way a dense
+    # eigh's did.
     code = ("import sys; from expanderlab import construct; "
             "sys.stdout.write(construct(7, 1000)[1].to_json()); "
             "sys.stdout.write(construct(7, 1000, 'k2product')[1].to_json())")
@@ -339,13 +340,13 @@ def test_construct_k29_exchange_steps_match_reference():
     # exposed after the greedy pass, some four, and so run the exchange.
     # The graph digest is the output of the blossom search that earlier
     # releases ran.  The certificate's proof eliminates no vertex set here
-    # (64 k > n), but its values come from ARPACK, so a child process with
-    # two OpenBLAS threads must write the same certificate.
+    # (64 k > n), and a child process with two OpenBLAS threads must write
+    # the same certificate.
     x, cert = construct(29, 1000)
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "5f172f7decb65d471d26a13b5c11ec584395741162078bf35a5297929b852f59")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "f9882d04678612195d4c17482d929ca49fb33847a8589005516b75ce598c4015")
+        "0c8aa4c135ad27d63cf650e7662e69efaee03423cc4d3eda01befb579809738d")
     code = ("import sys; from expanderlab import construct; "
             "sys.stdout.write(construct(29, 1000)[1].to_json())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -367,20 +368,21 @@ def test_construct_k7_product_iterative_path_matches_reference(k7_product):
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "2a5f0f0489332e31842584156186c81eecf3062ea681edbf224f420cec985916")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "bc2e82a6de205a422b4e062fbc6fd12d82eb367afa80a0fa051abe891c5a9b2a")
+        "1fddfdcefb5d52643fc419542b4418c1a92492c304fff83d56c7831c66444704")
 
 
 def test_construct_k8_filtered_lambda_n_matches_reference():
     # X^{5,29} plus two increments: n = 12180 > DENSE_THRESHOLD and not
-    # bipartite, so lambda_n comes from the Chebyshev-filtered solve.  The
-    # digests were computed with one OpenBLAS thread, as the suite runs, and
-    # a child process with two threads writes the same certificate.
+    # bipartite, so lambda_2 comes from the Lanczos recurrence and lambda_n
+    # from the Chebyshev-filtered ARPACK solve.  The digests were computed
+    # with one OpenBLAS thread, as the suite runs, and a child process with
+    # two threads writes the same certificate.
     x, cert = construct(8, 10000)
     assert cert.method == "iterative" and not cert.bipartite
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "ef69eabf3dc564271c2acc6d9f47c4ba3ba6dd1461e739cf8542ac7f81ef559d")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "20b3a678400386c0fc6399f7c5e080886a76d011ad9df3e71c15be60a73fc8c3")
+        "5ea6eaa367ca2bd88dd57ed0d02abde2ae8f05032582be54970842ec6121fc09")
     code = ("import sys; from expanderlab import construct; "
             "sys.stdout.write(construct(8, 10000)[1].to_json())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -216,27 +216,28 @@ def test_build_lps_at_q_max_is_pinned():
 def test_x513_is_ramanujan(x513):
     s = extreme_eigs(x513)
     assert s.method == "iterative+inertia"
-    assert s.lambda1 == pytest.approx(6.0, abs=1e-9)
+    assert s.lambda1 == 6.0
     assert s.lambda2 <= 2.0 * math.sqrt(5) + 1e-6
-    assert s.lambda_n == pytest.approx(-6.0, abs=1e-9)  # bipartite mirror
+    assert s.lambda_n == -6.0  # bipartite mirror
     assert s.residual <= 1e-8
     assert certify(x513).ramanujan
 
 
 def test_x1317_is_ramanujan(x1317):
     s = extreme_eigs(x1317)
-    assert s.lambda1 == pytest.approx(14.0, abs=1e-9)
+    assert s.lambda1 == 14.0
     assert s.lambda2 <= 2.0 * math.sqrt(13) + 1e-6
     assert s.lambda_n > -14.0 + 1e-6  # non-bipartite
     assert certify(x1317).ramanujan
 
 
 def test_x529_is_ramanujan_iterative():
-    # n = 12180 > dense threshold, so this exercises the ARPACK path.
+    # n = 12180 > dense threshold, so this exercises the iterative path:
+    # lambda_2 from the Lanczos recurrence, lambda_n from the ARPACK filter.
     x = build_lps(5, 29)
     s = extreme_eigs(x)
     assert s.method == "iterative"
-    assert s.lambda1 == pytest.approx(6.0, abs=1e-7)
+    assert s.lambda1 == 6.0
     assert s.lambda2 <= 2.0 * math.sqrt(5) + 1e-6
     assert s.lambda_n > -6.0 + 1e-6
     assert s.residual <= 1e-8

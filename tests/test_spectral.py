@@ -28,16 +28,19 @@ from expanderlab.spectral import (
     DENSE_THRESHOLD,
     _DENSE_MAX_N,
     _V0_SEED,
+    _FILTER_TOL,
+    _LOOSE_TOL,
     Spectrum,
     _bipartite_lambda2,
     _filtered_lambda_n,
-    _iterative_extremes,
     _matching_side,
     _packed_index,
     _prove_extremes,
+    _ritz_pairs,
 )
 from helpers import (
     complete_bipartite,
+    complete_multipartite,
     cycle,
     double_cover,
     eigvalsh,
@@ -47,7 +50,6 @@ from helpers import (
     petersen,
     product_spectrum_oracle,
     proof_matrices,
-    random_gnp,
     random_regular,
     script_env,
     two_triangles,
@@ -110,13 +112,32 @@ def test_extreme_eigs_small_graphs():
     assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((2, 1, -2), abs=1e-9)
 
 
+def _lanczos_route(x: Graph) -> tuple[float, float, float, np.ndarray,
+                                         np.ndarray]:
+    """lambda_1, lambda_2 and lambda_n of a connected regular graph, with
+    the lambda_1 and lambda_n vectors, as extreme_eigs finds them on a graph
+    that is not bipartite, up to DENSE_THRESHOLD."""
+    a = x.adjacency_sparse()
+    k = regularity(x)
+    (lambda2, _), (lambda_n, vn) = _ritz_pairs(lambda z: a @ z, x.n, k,
+                                               (-1, 0))
+    return float(k), lambda2, lambda_n, np.full(x.n, x.n ** -0.5), vn
+
+
+def _sa_lambda_n(x: Graph) -> float:
+    """lambda_n by plain ARPACK "SA", as extreme_eigs takes it when the
+    filter fails."""
+    return float(spectral._eigsh(x.adjacency_sparse(), 1, "SA")[0][0])
+
+
 def test_iterative_agrees_with_dense(x513):
+    # The recurrence on the mean-free vectors finds lambda_2 and lambda_n
+    # of any connected regular graph, bipartite or not, and so does "SA".
     dense = eigvalsh(x513)
-    top, _, _ = _iterative_extremes(x513, 2, "LA", DEFAULT_TOL)
-    assert abs(top[0] - dense[0]) <= 1e-8
-    assert abs(top[1] - dense[1]) <= 1e-8
-    bot, _, _ = _iterative_extremes(x513, 1, "SA", DEFAULT_TOL)
-    assert abs(bot[0] - dense[-1]) <= 1e-8
+    _, lambda2, lambda_n, _, _ = _lanczos_route(x513)
+    assert abs(lambda2 - dense[1]) <= 1e-12
+    assert abs(lambda_n - dense[-1]) <= 1e-12
+    assert abs(_sa_lambda_n(x513) - dense[-1]) <= 1e-12
 
 
 def test_top_eigs_guards():
@@ -128,9 +149,10 @@ def test_top_eigs_guards():
 
 
 def test_iterative_unreachable_tolerance_raises():
-    x = cartesian_k2(cycle(40))  # n = 80
-    with pytest.raises(ConvergenceError):
-        _iterative_extremes(x, 2, "LA", 1e-300)
+    x = cartesian_k2(cycle(41))  # n = 82, not bipartite
+    assert not is_bipartite(x)
+    with pytest.raises(ConvergenceError, match="residual"):
+        extreme_eigs(x, tol=1e-300)
 
 
 def test_dense_unreachable_tolerance_raises():
@@ -144,7 +166,7 @@ def test_extreme_eigs_dispatch(x513):
     assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((3, 1, -2), abs=1e-9)
     s = extreme_eigs(x513)
     assert s.method == "iterative+inertia"  # 64 < 2184 <= 4096
-    assert s.lambda1 == pytest.approx(6, abs=1e-9)
+    assert s.lambda1 == 6.0
     assert s.lambda_n == pytest.approx(-6, abs=1e-9)
 
 
@@ -363,17 +385,19 @@ def test_proof_keeps_full_size_below_shift_two(x, factored, monkeypatch):
 def test_proof_of_a_degenerate_gap(factored):
     # Two disjoint copies: lambda_1 = lambda_2 = 5, so the rank-one term
     # adds c = 1 and the lambda_2 claim rests on the complement alone.
+    # extreme_eigs refuses a graph that is not connected, so the proof runs
+    # on the exact extremes.
     half = random_regular(5, 512, 11)
     x = from_edge_list(2 * half.n,
                        np.concatenate([half.edges, half.edges + half.n]))
     assert x.n <= DENSE_THRESHOLD and 64 * 5 <= x.n
-    s = extreme_eigs(x)
+    w, vecs = np.linalg.eigh(x.adjacency_matrix())
+    assert abs(w[-1] - w[-2]) <= 1e-9
+    _prove_extremes(x, w[-1], w[-2], w[0], vecs[:, -1], vecs[:, 0],
+                    DEFAULT_TOL)
     assert len(factored) == 2 and factored[0][0] < x.n
-    w = eigvalsh(x)
-    assert s.method == "iterative+inertia"
-    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
-        (w[0], w[1], w[-1]), abs=1e-9)
-    assert abs(s.lambda1 - s.lambda2) <= 1e-9
+    with pytest.raises(ValidationError, match="connected regular"):
+        extreme_eigs(x)
 
 
 @pytest.mark.parametrize("k", [7, 12])
@@ -383,8 +407,7 @@ def test_schur_rounding_slack_is_below_tol(k, construct_1000, factored):
     # margin of S, as of the K it complements, is about tol.
     x = construct_1000[k][0]
     tol = DEFAULT_TOL
-    (lambda1, lambda2), _, v1 = _iterative_extremes(x, 2, "LA", tol)
-    (lambda_n,), _, vn = _iterative_extremes(x, 1, "SA", tol)
+    lambda1, lambda2, lambda_n, v1, vn = _lanczos_route(x)
     _prove_extremes(x, lambda1, lambda2, lambda_n, v1, vn, tol)
     size = len(_expected_right(x, lambda1, lambda2, lambda_n, vn))
     assert size < x.n and len(factored) == 2
@@ -400,8 +423,7 @@ def test_proof_allocates_no_square_array(construct_1000):
     # The packed buffer holds |R|(|R|+1)/2 doubles, |R| = n/2 here: an
     # eighth of one n x n array.
     x = construct_1000[7][0]
-    (lambda1, lambda2), _, v1 = _iterative_extremes(x, 2, "LA", DEFAULT_TOL)
-    (lambda_n,), _, vn = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
+    lambda1, lambda2, lambda_n, v1, vn = _lanczos_route(x)
     tracemalloc.start()
     try:
         _prove_extremes(x, lambda1, lambda2, lambda_n, v1, vn, DEFAULT_TOL)
@@ -632,7 +654,7 @@ def test_bipartite_lanczos_matches_arpack(lps37):
     v0 = np.random.default_rng(_V0_SEED).standard_normal(b.shape[0])
     op = LinearOperator(2 * (b.shape[0],), matvec=matvec, dtype=np.float64)
     mu = eigsh(op, k=1, which="LA", v0=v0 - v0.mean(), tol=0.0)[0][0]
-    lambda2, res = _bipartite_lambda2(x, sides, DEFAULT_TOL)
+    lambda2, res = _bipartite_lambda2(x, 6, sides, DEFAULT_TOL)
     assert abs(lambda2 - math.sqrt(mu)) <= 1e-12
     assert res <= 1e-14
 
@@ -646,14 +668,14 @@ def test_bipartite_lanczos_step_cap_raises(bipartite_route_graphs,
 
 
 def test_bipartite_lanczos_stops_on_breakdown(monkeypatch):
-    # K_{33,33}: P B B^T P = 0, so the first step's beta is exactly 0, and
-    # each of the two passes takes one step.
+    # K_{33,33}: P B B^T P = 0, so the first step's beta is rounding noise
+    # below _EPS k^2, and each of the two passes takes one step.
     steps = []
     lanczos = spectral._lanczos
 
-    def counted(matvec, q):
+    def counted(matvec, q, scale):
         steps.append(0)
-        for step in lanczos(matvec, q):
+        for step in lanczos(matvec, q, scale):
             steps[-1] += 1
             yield step
 
@@ -669,10 +691,10 @@ def test_bipartite_lambda2_memory(lps37):
     # workspace, as ARPACK does, peaks near 67.
     x = lps37
     sides = bipartition(x)
-    _bipartite_lambda2(x, sides, DEFAULT_TOL)  # imports, the cached CSR
+    _bipartite_lambda2(x, 6, sides, DEFAULT_TOL)  # imports, the cached CSR
     tracemalloc.start()
     try:
-        _bipartite_lambda2(x, sides, DEFAULT_TOL)
+        _bipartite_lambda2(x, 6, sides, DEFAULT_TOL)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -693,35 +715,67 @@ def test_lps_certificate_holds_with_two_blas_threads(lps37):
 
 
 def _general_route(x: Graph) -> Spectrum:
-    """What extreme_eigs returns for any graph by the two ARPACK solves."""
-    top, res_t, v1 = _iterative_extremes(x, 2, "LA", DEFAULT_TOL)
-    bot, res_b, vn = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
-    _prove_extremes(x, top[0], top[1], bot[0], v1, vn, DEFAULT_TOL)
-    return Spectrum(top[0], top[1], bot[0], max(res_t, res_b),
-                    "iterative+inertia")
+    """What extreme_eigs returns for a graph that is not bipartite, up to
+    DENSE_THRESHOLD, from one run of the recurrence for both ends."""
+    a = x.adjacency_sparse()
+    k = float(regularity(x))
+    pairs = _ritz_pairs(lambda z: a @ z, x.n, k, (-1, 0))
+    (lambda2, _), (lambda_n, vn) = pairs
+    _prove_extremes(x, k, lambda2, lambda_n, np.full(x.n, x.n ** -0.5), vn,
+                    DEFAULT_TOL)
+    res = max(spectral._residual(a, v, t, DEFAULT_TOL) for t, v in pairs)
+    return Spectrum(k, lambda2, lambda_n, res, "iterative+inertia")
 
 
-@pytest.fixture(scope="module")
-def off_route_bipartite() -> tuple[Graph, Graph]:
-    """Bipartite graphs off the half-size route: a disconnected one and an
-    irregular one."""
+def test_other_graphs_keep_the_general_route():
+    for x in (cartesian_k2(random_regular(3, 40, 1)), random_regular(5, 66, 2),
+              cartesian_k2(cycle(41))):
+        assert regularity(x) is not None and is_connected(x)
+        assert not is_bipartite(x) and x.n > _DENSE_MAX_N
+        assert extreme_eigs(x) == _general_route(x)
+
+
+def test_extreme_eigs_refuses_irregular_or_disconnected():
+    # Among them bipartite graphs, a disconnected one and an irregular one,
+    # and the edgeless graphs of test_edgeless_graph_raises_convergence_error.
     cover = double_cover(random_regular(3, 40, 6))
     disconnected = from_edge_list(
         2 * cover.n, np.concatenate([cover.edges, cover.edges + cover.n]))
     # Vertex 0 and its copy lie on opposite sides of the cover.
     uneven = from_edge_list(cover.n, np.concatenate(
         [cover.edges, [[0, cover.n // 2]]]))
-    return disconnected, uneven
-
-
-def test_other_graphs_keep_the_general_route(off_route_bipartite):
-    disconnected, uneven = off_route_bipartite
-    odd = cartesian_k2(random_regular(3, 40, 1))
-    for x in (disconnected, uneven, path(80), odd):
-        assert regularity(x) is None or not is_connected(x) or not is_bipartite(x)
-        assert extreme_eigs(x) == _general_route(x)
+    a, b = random_regular(3, 150, 5), random_regular(4, 160, 6)
+    union = from_edge_list(a.n + b.n, np.concatenate([a.edges, b.edges + a.n]))
+    cases = (disconnected, uneven, path(80), union, path(5),
+             from_edge_list(65, []), from_edge_list(5000, []))
     assert is_bipartite(disconnected) and regularity(disconnected) == 3
     assert is_bipartite(uneven) and is_connected(uneven)
+    for x in cases:
+        assert regularity(x) is None or not is_connected(x)
+        with pytest.raises(ValidationError, match="connected regular"):
+            extreme_eigs(x)
+
+
+@pytest.mark.parametrize("x", [
+    complete_multipartite(65, 1), complete_multipartite(3, 22),
+    complete_multipartite(6, 13)], ids=["K65", "K22,22,22", "K13x6"])
+def test_degenerate_spectra(x, monkeypatch):
+    # K_65 has lambda_2 = lambda_n = -1, and the complete multipartite
+    # graphs lambda_2 = 0, each with one Krylov vector per distinct
+    # eigenvalue: the recurrence breaks down within two steps, at a beta
+    # of rounding size, and no ARPACK call runs.
+    def refuse(*args, **kwargs):
+        raise AssertionError("ARPACK ran")
+
+    monkeypatch.setattr(spectral, "_eigsh", refuse)
+    w = eigvalsh(x)
+    assert x.n > _DENSE_MAX_N and not is_bipartite(x)
+    s = extreme_eigs(x)
+    assert s.method == "iterative+inertia"
+    assert s.lambda1 == float(regularity(x))
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
+        (w[0], w[1], w[-1]), abs=1e-12)
+    assert s.residual <= 1e-13
 
 
 # -- the filtered lambda_n route -----------------------------------------------------
@@ -743,23 +797,21 @@ def filtered_calls(monkeypatch) -> list[int]:
 
 @pytest.fixture(scope="module")
 def filtered_route_graphs(construct_1000):
-    """Non-bipartite graphs with their dense spectra: a random 4-regular
-    graph, whose lambda_n lies inside the bulk, the k7 graph, whose lambda_n
-    is an outlier, and an irregular, disconnected union."""
-    a, b = random_regular(3, 150, 5), random_regular(4, 160, 6)
-    union = from_edge_list(a.n + b.n,
-                           np.concatenate([a.edges, b.edges + a.n]))
-    graphs = (random_regular(4, 400, 1), construct_1000[7][0], union)
+    """Non-bipartite graphs with their dense spectra: random 4-regular and
+    3-regular graphs, whose lambda_n lies inside the bulk, and the k7 graph,
+    whose lambda_n is an outlier."""
+    graphs = (random_regular(4, 400, 1), construct_1000[7][0],
+              random_regular(3, 310, 5))
     return [(x, eigvalsh(x)) for x in graphs]
 
 
 def test_filtered_route_matches_dense(filtered_route_graphs, filtered_calls,
                                       monkeypatch):
-    (_, w_bulk), (_, w_k7), (union, _) = filtered_route_graphs
+    (_, w_bulk), (_, w_k7), (_, w_cubic) = filtered_route_graphs
     # The bulk of a random k-regular graph ends near -2 sqrt(k - 1).
     assert w_bulk[-1] > -2.0 * math.sqrt(3)
     assert w_k7[-1] < -2.0 * math.sqrt(6) - 1.0
-    assert regularity(union) is None and not is_connected(union)
+    assert w_cubic[-1] > -2.0 * math.sqrt(2)
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
     for x, w in filtered_route_graphs:
         assert not is_bipartite(x)
@@ -770,7 +822,7 @@ def test_filtered_route_matches_dense(filtered_route_graphs, filtered_calls,
         assert s.lambda_n == _filtered_lambda_n(x, DEFAULT_TOL)[0]
         assert s.method == "iterative"
         assert abs(s.lambda_n - w[-1]) <= 1e-10
-        assert abs(s.lambda1 - w[0]) <= 1e-10
+        assert s.lambda1 == float(regularity(x))
         assert abs(s.lambda2 - w[1]) <= 1e-10
         assert s.residual <= DEFAULT_TOL
 
@@ -781,10 +833,10 @@ def test_filtered_route_on_a_multiple_lambda_n():
     # residual of 3.4e-9 here; plain "SA" gives 6e-15.
     x = build_lps(5, 29)
     assert x.n > DENSE_THRESHOLD and not is_bipartite(x)
-    lambda_n, res = _filtered_lambda_n(x, DEFAULT_TOL)
-    (want,), _, _ = _iterative_extremes(x, 1, "SA", DEFAULT_TOL)
+    lambda_n, v = _filtered_lambda_n(x, DEFAULT_TOL)
+    want = _sa_lambda_n(x)
     assert abs(lambda_n - want) <= 1e-12
-    assert res <= 1e-12
+    assert spectral._residual(x.adjacency_sparse(), v, lambda_n, 1.0) <= 1e-12
     # A tolerance that plain "SA" meets here is met on the route too.
     s = extreme_eigs(x, tol=1e-13)
     assert abs(s.lambda_n - want) <= 1e-12
@@ -814,15 +866,15 @@ def test_filtered_route_rejects_a_ritz_value_above_c(filtered_route_graphs,
 
 
 def test_filtered_route_falls_back_to_sa(monkeypatch):
-    # On this graph the filter's residual is 1.8e-13 and that of plain
-    # "SA" 1.3e-14, so at tol = 1e-13 "SA" decides.
-    x = random_gnp(300, 0.02, 107)
+    # On this graph the filter's residual is 1.3e-13 and that of plain
+    # "SA" 4.1e-15, so at tol = 1e-13 "SA" decides.
+    x = random_regular(6, 300, 17)
     assert not is_bipartite(x)
     with pytest.raises(ConvergenceError, match="residual"):
         _filtered_lambda_n(x, 1e-13)
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
     s = extreme_eigs(x, tol=1e-13)
-    (want,), _, _ = _iterative_extremes(x, 1, "SA", 1e-13)
+    want = _sa_lambda_n(x)
     assert s.lambda_n == want and s.method == "iterative"
     assert s.residual <= 1e-13
     assert abs(s.lambda_n - eigvalsh(x)[-1]) <= 1e-10
@@ -840,9 +892,8 @@ def test_filtered_route_needs_room_below_delta(filtered_route_graphs,
 
 
 def test_filtered_route_dispatch(filtered_calls, construct_1000,
-                                 bipartite_route_graphs, off_route_bipartite,
-                                 monkeypatch):
-    # Up to DENSE_THRESHOLD lambda_n comes from plain "SA" and the proof.
+                                 bipartite_route_graphs, monkeypatch):
+    # Up to DENSE_THRESHOLD lambda_n comes from the recurrence and the proof.
     k7 = construct_1000[7][0]
     assert not is_bipartite(k7) and k7.n <= DENSE_THRESHOLD
     assert extreme_eigs(k7).method == "iterative+inertia"
@@ -858,25 +909,49 @@ def test_filtered_route_dispatch(filtered_calls, construct_1000,
     assert filtered_calls == []
     extreme_eigs(k7)
     assert filtered_calls == [k7.n]
-    # Bipartite graphs off the half-size route take the filter too.
-    for x in off_route_bipartite:
-        assert is_bipartite(x) and x.n > _DENSE_MAX_N
-        filtered_calls.clear()
-        s = extreme_eigs(x)
-        assert filtered_calls == [x.n]
-        assert s.lambda_n == _filtered_lambda_n(x, DEFAULT_TOL)[0]
-        assert abs(s.lambda_n - eigvalsh(x)[-1]) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [65, 5000])
 def test_edgeless_graph_raises_convergence_error(n):
     # ARPACK rejects the zero operator ("starting vector is zero"); that
     # error must surface as ConvergenceError, like a missed convergence.
+    # extreme_eigs refuses the graph before any solve: it is not connected.
     x = from_edge_list(n, [])
-    with pytest.raises(ConvergenceError, match="ARPACK"):
+    with pytest.raises(ValidationError, match="connected regular"):
         extreme_eigs(x)
     with pytest.raises(ConvergenceError, match="ARPACK"):
         _filtered_lambda_n(x, DEFAULT_TOL)
+
+
+@pytest.fixture
+def arpack_calls(monkeypatch) -> list[tuple[str, float]]:
+    """(which, tol) of every ARPACK call from now on."""
+    calls: list[tuple[str, float]] = []
+    eigsh = spectral._eigsh
+
+    def recording(op, k, which, **kwargs):
+        calls.append((which, kwargs.get("tol", 0.0)))
+        return eigsh(op, k, which, **kwargs)
+
+    monkeypatch.setattr(spectral, "_eigsh", recording)
+    return calls
+
+
+def test_arpack_runs_only_for_the_lambda_n_filter(arpack_calls, lps37):
+    # Up to DENSE_THRESHOLD, and on the bipartite route at any size, no
+    # ARPACK call runs; past it a graph that is not bipartite gets lambda_n
+    # from the filter's two calls, and lambda_1 = k exactly everywhere.
+    for k, n in ((7, 1000), (29, 1000), (8, 10000)):
+        arpack_calls.clear()
+        cert = construct(k, n)[1]
+        assert cert.lambda1 == float(k)
+        assert arpack_calls == ([] if cert.n <= DENSE_THRESHOLD else
+                                [("SA", _LOOSE_TOL), ("LA", _FILTER_TOL)])
+        assert cert.n > DENSE_THRESHOLD or cert.method == "iterative+inertia"
+    assert not cert.bipartite and cert.n > DENSE_THRESHOLD
+    arpack_calls.clear()
+    assert certify(lps37).lambda1 == 6.0
+    assert arpack_calls == []
 
 
 # -- certificates ------------------------------------------------------------------------
