@@ -22,14 +22,12 @@ from pathlib import Path
 
 # The reference under out/ is written with one OpenBLAS thread, as the tests
 # run.  Its certificate comes from a Lanczos recurrence and a Cholesky
-# proof, and a test checks that two threads give the same bytes for this
-# graph (and for construct(8, 10000)); that does not hold for every graph:
-# past 4096 vertices ARPACK finds lambda_n of a graph that is not
-# bipartite, and the residual of certify(build_lps(5, 61)) changes in its
-# last digits.  The pin keeps the script on the tested setting.  The
-# variable only takes effect if it is set before numpy or scipy is first
-# imported; scipy brings its own OpenBLAS, which now loads at the first
-# sparse call.
+# proof whose reductions are np.sum, and a test checks that two threads
+# give the same bytes for this graph; the dense eigh that serves graphs of
+# 64 vertices or fewer is not checked.  The pin keeps the script on the
+# tested setting.  The variable only takes effect if it is set before
+# numpy or scipy is first imported; scipy brings its own OpenBLAS, which
+# now loads at the first sparse call.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from expanderlab import construct, plan, replay, save_graph  # noqa: E402

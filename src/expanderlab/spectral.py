@@ -9,12 +9,10 @@ ValidationError.  The method field names one of three size regimes:
 - "iterative+inertia", 64 < n <= DENSE_THRESHOLD: lambda_1 = k exactly,
   the Lanczos recurrence below gives lambda_2 and lambda_n, and two
   Cholesky factorizations, of Schur complements of about half the size
-  where the graph allows, prove that no eigenvalue was missed.  No ARPACK
-  call runs.
-- "iterative", n > DENSE_THRESHOLD: those values alone; lambda_n of a graph
-  that is not bipartite comes through the Chebyshev filter below, whose
-  ARPACK solves, with plain "SA" as its fallback, are the only ARPACK
-  calls left.
+  where the graph allows, prove that no eigenvalue was missed.
+- "iterative", n > DENSE_THRESHOLD: the same values from the same
+  recurrence, without the proof; that the Ritz values are the extreme
+  eigenvalues is then the recurrence's claim.
 
 Every solve starts from a fixed, seeded vector, so repeated runs agree bit
 for bit.  Every eigenpair is accepted only after an explicit residual check
@@ -46,8 +44,8 @@ recurrence sound; each says what the code did without it:
   converged, and the second pass sums each Ritz vector over its own m
   steps only.  A later T_m holds ghost copies of a converged Ritz value,
   among which its vector's weight is split: on construct(60, 1000),
-  reading the lambda_n pair from the T_m at which lambda_2 converged
-  raised the residual from 1.4e-14 to 3.1e-13.
+  reading the lambda_2 pair from the T_m at which lambda_n converged, 168
+  steps later, raised its residual from 9.8e-15 to 3.1e-13.
 - The mean is removed from every new Lanczos vector, not only from the
   operator's output; otherwise rounding lets the all-ones vector back in,
   as an eigenvector of P A P for 0.  On K_65, where lambda_2 = -1, that
@@ -64,7 +62,9 @@ recurrence sound; each says what the code did without it:
 
 Past _LANCZOS_STEPS steps the recurrence raises ConvergenceError.  On
 construct(7, 1000), n = 2184, it stops after 264 steps, 528 sparse
-products in all.
+products in all.  On construct(8, 10000), n = 12 180, lambda_2 freezes
+after 104 steps and lambda_n, which lies at the edge of the bulk of the
+spectrum, after 376; on build_lps(5, 61), n = 113 460, both by 184.
 
 Bipartite graphs.  Order the vertices of a bipartite graph side by side and
 its adjacency is A = [[0, B], [B^T, 0]], whose spectrum is the singular
@@ -80,33 +80,6 @@ itself.  On a complete bipartite graph, where lambda_2 = 0, P B B^T P is
 the zero operator: the first step breaks down and u is the starting
 vector.  On build_lps(5, 53), n/2 = 74 412, the recurrence stops after 88
 steps, and the two passes hold a few vectors of n/2 and no basis.
-
-The lambda_n filter.  Past DENSE_THRESHOLD lambda_n of a graph that is not
-bipartite often lies at the edge of the continuous bulk of the spectrum,
-where the recurrence, or a plain "SA" solve, needs many steps.  There
-lambda_n is found as the top eigenvalue of a polynomial filter p(A) (Zhou
-and Saad, Chebyshev-filtered subspace iteration, 2007).
-A loose "SA" solve gives a vector whose Rayleigh quotient theta0 is at
-least lambda_n.  Every eigenvalue lies in [-Delta, Delta], Delta the
-maximum degree, which bounds the spectral radius, so
-c = theta0 + 1e-3 (Delta - theta0) lies above lambda_n and below Delta.
-p is the Chebyshev polynomial T_d of even degree d = 8 after the affine
-map of [c, Delta] onto [-1, 1].  On [c, Delta] |p| <= 1; below c,
-T_d(y) = cosh(d arccosh |y|) for y < -1, so p exceeds 1 and grows as its
-argument falls.  p(A) has the eigenvectors of A with eigenvalues p(lambda),
-so its largest eigenvalue is p(lambda_n): each eigenvalue in [c, Delta]
-maps to at most 1, and lambda_n < c to more than 1 and more than any other
-eigenvalue below c.  ARPACK "LA" runs on p(A), applied by the three-term
-recurrence in d sparse products, started from the loose vector and at a
-tolerance of 1e-14 rather than machine epsilon; its Ritz vector's
-Rayleigh quotient on A is lambda_n.  It is accepted only if its residual
-is within tol and it lies below c.  If either check fails, or ARPACK
-fails on p(A), plain "SA" runs and decides.  The filter's residuals are
-often ten times those of "SA" (up to 1.8e-13 against at most 1.5e-14 on
-240 random graphs of 300 vertices), so a tol near 1e-13 needs that.
-That the Ritz value is the extreme one is ARPACK's claim, as with "SA",
-and for lambda_2 the recurrence's, since no completeness proof runs past
-DENSE_THRESHOLD.
 
 The completeness proof.  A Ritz value is an eigenvalue within its residual,
 but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
@@ -174,8 +147,7 @@ quantity bounded by 2*sqrt(k-1) in a Ramanujan graph.  The test is
 non-strict: equality counts as Ramanujan.
 
 scipy is imported on first use, by the first CSR adjacency, tridiagonal
-eigensolve, ARPACK solve or Cholesky factorization, not when this module is
-imported.
+eigensolve or Cholesky factorization, not when this module is imported.
 """
 
 from __future__ import annotations
@@ -198,16 +170,6 @@ _DENSE_MAX_N = 64
 
 # Seed for the Lanczos starting vector; fixed so iterative runs reproduce.
 _V0_SEED = 1717
-
-# The lambda_n filter above DENSE_THRESHOLD: the ARPACK tolerance of the
-# loose solve that places it, its Chebyshev degree (even), where its lower
-# end c sits between the loose Rayleigh quotient and the maximum degree,
-# and the ARPACK tolerance of the solve on p(A).  CHANGES.md records the
-# sweeps that chose them.
-_LOOSE_TOL = 0.1
-_FILTER_DEGREE = 8
-_FILTER_MARGIN = 1e-3
-_FILTER_TOL = 1e-14
 
 # The completeness proof eliminates a vertex set only when the maximum
 # degree is at most n / _SCHUR_SPARSITY; the module docstring gives the
@@ -247,23 +209,6 @@ def _dense_eigs(x: Graph, tol: float) -> tuple[np.ndarray, float]:
     return w[::-1].copy(), res
 
 
-def _eigsh(op, k: int, which: str, *, v0: np.ndarray | None = None,
-           tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """scipy's eigsh from v0, by default the seeded starting vector.
-
-    Any ARPACK failure, not only a missed convergence, raises
-    ConvergenceError.
-    """
-    from scipy.sparse.linalg import ArpackError, eigsh
-
-    if v0 is None:
-        v0 = np.random.default_rng(_V0_SEED).standard_normal(op.shape[0])
-    try:
-        return eigsh(op, k=k, which=which, v0=v0, tol=tol)
-    except ArpackError as exc:
-        raise ConvergenceError(f"ARPACK failed: {exc}") from exc
-
-
 def _norm(v: np.ndarray) -> float:
     # np.sum, not a BLAS dot: OpenBLAS splits dots above 10^4 entries
     # across its threads, and the last bits then follow the thread count.
@@ -278,56 +223,6 @@ def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
         raise ConvergenceError(
             f"iterative eigensolve residual {res:.3e} > tolerance {tol:.3e}")
     return res
-
-
-def _rayleigh(a, v: np.ndarray) -> float:
-    # np.sum, not a BLAS dot (see _norm).
-    return float(np.sum(v * (a @ v)) / np.sum(v * v))
-
-
-def _filtered_lambda_n(x: Graph, tol: float) -> tuple[float, np.ndarray]:
-    """lambda_n and its Ritz vector as the top eigenpair of a Chebyshev
-    filter.
-
-    The module docstring derives the filter p and why the top eigenvalue of
-    p(A) belongs to lambda_n.  Raises ConvergenceError when the residual
-    exceeds tol or the Ritz value is not below the filter's lower end c.
-    """
-    from scipy.sparse.linalg import LinearOperator
-
-    a = x.adjacency_sparse()
-    u = _eigsh(a, 1, "SA", tol=_LOOSE_TOL)[1][:, 0]
-    theta0 = _rayleigh(a, u)
-    delta = float(x.degrees().max())
-    c = theta0 + _FILTER_MARGIN * (delta - theta0)
-    if not c < delta:
-        raise ConvergenceError(f"no room for a filter: its lower end "
-                               f"c = {c!r} is not below the maximum degree")
-    # y = (A - mid I) / half maps [c, delta] onto [-1, 1].
-    mid, half = (delta + c) / 2.0, (delta - c) / 2.0
-
-    def matvec(z: np.ndarray) -> np.ndarray:
-        prev = np.ravel(z)
-        cur = (a @ prev - mid * prev) / half
-        for _ in range(_FILTER_DEGREE - 1):
-            nxt = a @ cur
-            nxt -= mid * cur
-            nxt *= 2.0 / half
-            nxt -= prev
-            prev, cur = cur, nxt
-        return cur
-
-    op = LinearOperator(a.shape, matvec=matvec, dtype=np.float64)
-    # tol=0 means machine epsilon, also the rounding of one application of
-    # p(A); there ARPACK accepted Ritz vectors with residuals up to 3.4e-9
-    # on LPS bases, whose lambda_n is highly multiple ("SA": 6e-15).
-    v = _eigsh(op, 1, "LA", v0=u, tol=_FILTER_TOL)[1][:, 0]
-    theta = _rayleigh(a, v)
-    _residual(a, v, theta, tol)
-    if not theta < c:
-        raise ConvergenceError(f"filtered lambda_n {theta!r} is not below the "
-                               f"filter's lower end c = {c!r}")
-    return theta, v
 
 
 def _lanczos(matvec, q: np.ndarray, scale: float):
@@ -570,12 +465,9 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     serves n <= _DENSE_MAX_N.  Above it lambda_1 = k exactly, and lambda_2
     comes from the Lanczos recurrence on the mean-free vectors: on a
     half-size operator for a bipartite graph, whose lambda_n = -k, and
-    otherwise on A, where up to DENSE_THRESHOLD the same run also gives
-    lambda_n.  Past DENSE_THRESHOLD lambda_n of a graph that is not
-    bipartite comes from the Chebyshev filter of _filtered_lambda_n, or
-    from plain "SA" when the filter fails.  Up to DENSE_THRESHOLD the
-    values are also proved complete by _prove_extremes (see the module
-    docstring).
+    otherwise on A, where the same run also gives lambda_n.  Up to
+    DENSE_THRESHOLD the values are also proved complete by
+    _prove_extremes (see the module docstring).
     """
     k = regularity(x)
     if x.n < 2 or k is None or not is_connected(x):
@@ -592,14 +484,7 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
         lambda_n, vn = -float(k), np.where(sides == 0, 1.0, -1.0)
     else:
         a = x.adjacency_sparse()
-        pairs = _ritz_pairs(lambda z: a @ z, x.n, float(k),
-                            (-1, 0) if x.n <= DENSE_THRESHOLD else (-1,))
-        if x.n > DENSE_THRESHOLD:
-            try:
-                pairs.append(_filtered_lambda_n(x, tol))
-            except ConvergenceError:  # plain "SA" decides
-                (theta,), vecs = _eigsh(a, 1, "SA")
-                pairs.append((float(theta), vecs[:, 0]))
+        pairs = _ritz_pairs(lambda z: a @ z, x.n, float(k), (-1, 0))
         res = max(_residual(a, v, theta, tol) for theta, v in pairs)
         (lambda2, _), (lambda_n, vn) = pairs
     if x.n > DENSE_THRESHOLD:

@@ -4,13 +4,11 @@ import os
 # suite runs with one too.  Above 64 vertices a certificate comes from a
 # Lanczos recurrence summed with np.sum, residuals summed the same way and,
 # up to 4096 vertices, a Cholesky proof; none of these follows the thread
-# count.  Past 4096 vertices ARPACK finds lambda_n of a graph that is not
-# bipartite, and its BLAS calls may follow the thread count above 10^4
-# vertices: the residual of certify(build_lps(5, 61)) does.  Tests in
-# test_planner.py check that two threads give the same bytes for
-# construct(7, 1000), its k2product route, construct(29, 1000) and
-# construct(8, 10000), and test_spectral.py for certify(build_lps(5, 37));
-# no other certificate is checked.  The dense eigh that serves graphs of 64
+# count.  Tests in test_planner.py check that two threads give the same
+# bytes for construct(7, 1000), its k2product route, construct(29, 1000)
+# and construct(8, 10000), and test_spectral.py for
+# certify(build_lps(5, 37)) and certify(build_lps(5, 61)); no other
+# certificate is checked.  The dense eigh that serves graphs of 64
 # vertices or fewer is not checked either.  The variable only takes effect
 # if it is set before numpy or scipy is first imported; scipy brings its
 # own OpenBLAS, which now loads at the first sparse call.

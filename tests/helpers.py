@@ -359,6 +359,16 @@ def eigvalsh(x: Graph) -> np.ndarray:
     return np.linalg.eigvalsh(x.adjacency_matrix())[::-1]
 
 
+def arpack_lambda_n(x: Graph) -> float:
+    """lambda_n by scipy's ARPACK ("SA", to machine precision) from a fixed
+    starting vector: the reference for graphs too large for eigvalsh."""
+    from scipy.sparse.linalg import eigsh
+
+    v0 = np.random.default_rng(0).standard_normal(x.n)
+    return float(eigsh(x.adjacency_sparse(), k=1, which="SA", v0=v0,
+                       tol=0.0)[0][0])
+
+
 def matching_side(x: Graph, vn: np.ndarray) -> list[int]:
     """The vertex set spectral._matching_side must pick, by a plain walk:
     the larger sign class of vn (a tie takes vn > 0), walked in index order,

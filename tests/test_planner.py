@@ -371,18 +371,18 @@ def test_construct_k7_product_iterative_path_matches_reference(k7_product):
         "1fddfdcefb5d52643fc419542b4418c1a92492c304fff83d56c7831c66444704")
 
 
-def test_construct_k8_filtered_lambda_n_matches_reference():
+def test_construct_k8_iterative_path_matches_reference():
     # X^{5,29} plus two increments: n = 12180 > DENSE_THRESHOLD and not
-    # bipartite, so lambda_2 comes from the Lanczos recurrence and lambda_n
-    # from the Chebyshev-filtered ARPACK solve.  The digests were computed
-    # with one OpenBLAS thread, as the suite runs, and a child process with
-    # two threads writes the same certificate.
+    # bipartite, so lambda_2 and lambda_n come from one run of the Lanczos
+    # recurrence on A, with no completeness proof.  The digests were
+    # computed with one OpenBLAS thread, as the suite runs, and a child
+    # process with two threads writes the same certificate.
     x, cert = construct(8, 10000)
     assert cert.method == "iterative" and not cert.bipartite
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "ef69eabf3dc564271c2acc6d9f47c4ba3ba6dd1461e739cf8542ac7f81ef559d")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "5ea6eaa367ca2bd88dd57ed0d02abde2ae8f05032582be54970842ec6121fc09")
+        "19cb4af84996c860e250cb41cd4c1ce2e553235c94fe5e674d7c3d49c1625235")
     code = ("import sys; from expanderlab import construct; "
             "sys.stdout.write(construct(8, 10000)[1].to_json())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -1,6 +1,7 @@
 """The package root exports every name the benchmark harness imports,
 pyproject.toml declares every third-party module the tests import, scipy
-stays unloaded until a graph needs it, and no check relies on assert."""
+stays unloaded until a graph needs it, no package module calls ARPACK, and
+no check relies on assert."""
 
 import ast
 import re
@@ -97,6 +98,28 @@ def test_no_assert_statements_outside_tests():
     found = [f"{path.relative_to(_ROOT)}:{node.lineno}" for path in sources
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
+    assert not found
+
+
+def _imported_modules(tree: ast.Module):
+    """(line, dotted name) of every module or module member imported."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield from ((node.lineno, f"{node.module}.{a.name}")
+                        for a in node.names)
+
+
+def test_package_runs_no_arpack_solve():
+    # Every iterative eigensolve is the package's own Lanczos recurrence;
+    # nothing imports scipy.sparse.linalg, where ARPACK lives.
+    sources = sorted((_ROOT / "src" / "expanderlab").glob("*.py"))
+    assert sources
+    found = [f"{path.relative_to(_ROOT)}:{line} {name}" for path in sources
+             for line, name in _imported_modules(
+                 ast.parse(path.read_text(encoding="utf-8")))
+             if (name + ".").startswith("scipy.sparse.linalg.")]
     assert not found
 
 

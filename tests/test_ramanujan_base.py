@@ -233,7 +233,7 @@ def test_x1317_is_ramanujan(x1317):
 
 def test_x529_is_ramanujan_iterative():
     # n = 12180 > dense threshold, so this exercises the iterative path:
-    # lambda_2 from the Lanczos recurrence, lambda_n from the ARPACK filter.
+    # lambda_2 and lambda_n from one run of the Lanczos recurrence.
     x = build_lps(5, 29)
     s = extreme_eigs(x)
     assert s.method == "iterative"

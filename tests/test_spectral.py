@@ -28,17 +28,15 @@ from expanderlab.spectral import (
     DENSE_THRESHOLD,
     _DENSE_MAX_N,
     _V0_SEED,
-    _FILTER_TOL,
-    _LOOSE_TOL,
     Spectrum,
     _bipartite_lambda2,
-    _filtered_lambda_n,
     _matching_side,
     _packed_index,
     _prove_extremes,
     _ritz_pairs,
 )
 from helpers import (
+    arpack_lambda_n,
     complete_bipartite,
     complete_multipartite,
     cycle,
@@ -124,20 +122,15 @@ def _lanczos_route(x: Graph) -> tuple[float, float, float, np.ndarray,
     return float(k), lambda2, lambda_n, np.full(x.n, x.n ** -0.5), vn
 
 
-def _sa_lambda_n(x: Graph) -> float:
-    """lambda_n by plain ARPACK "SA", as extreme_eigs takes it when the
-    filter fails."""
-    return float(spectral._eigsh(x.adjacency_sparse(), 1, "SA")[0][0])
-
-
 def test_iterative_agrees_with_dense(x513):
     # The recurrence on the mean-free vectors finds lambda_2 and lambda_n
-    # of any connected regular graph, bipartite or not, and so does "SA".
+    # of any connected regular graph, bipartite or not, and so does
+    # ARPACK's "SA", the reference past eigvalsh's reach.
     dense = eigvalsh(x513)
     _, lambda2, lambda_n, _, _ = _lanczos_route(x513)
     assert abs(lambda2 - dense[1]) <= 1e-12
     assert abs(lambda_n - dense[-1]) <= 1e-12
-    assert abs(_sa_lambda_n(x513) - dense[-1]) <= 1e-12
+    assert abs(arpack_lambda_n(x513) - dense[-1]) <= 1e-12
 
 
 def test_top_eigs_guards():
@@ -348,8 +341,8 @@ def test_packed_fill_matches_the_dense_recipe(exact_pairs, monkeypatch):
 @pytest.fixture(scope="module")
 def construct_1000():
     """construct(k, 1000) for k = 6 (bipartite), 7 and 12, whose proofs
-    eliminate a vertex set, and k = 29, whose 64 k > n does not."""
-    return {k: construct(k, 1000) for k in (6, 7, 12, 29)}
+    eliminate a vertex set, and k = 29 and 60, whose 64 k > n does not."""
+    return {k: construct(k, 1000) for k in (6, 7, 12, 29, 60)}
 
 
 def test_proof_route_factorization_counts(factored, construct_1000):
@@ -608,11 +601,7 @@ def bipartite_route_graphs(x513):
     return pairs + [(cartesian_k2(x513), max(w[1] + 1.0, w[0] - 1.0))]
 
 
-def test_bipartite_route_matches_dense(bipartite_route_graphs, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("ARPACK ran on the bipartite route")
-
-    monkeypatch.setattr(spectral, "_eigsh", refuse)
+def test_bipartite_route_matches_dense(bipartite_route_graphs):
     for x, lambda2 in bipartite_route_graphs:
         k = regularity(x)
         assert k is not None and is_bipartite(x) and x.n > _DENSE_MAX_N
@@ -759,15 +748,11 @@ def test_extreme_eigs_refuses_irregular_or_disconnected():
 @pytest.mark.parametrize("x", [
     complete_multipartite(65, 1), complete_multipartite(3, 22),
     complete_multipartite(6, 13)], ids=["K65", "K22,22,22", "K13x6"])
-def test_degenerate_spectra(x, monkeypatch):
+def test_degenerate_spectra(x):
     # K_65 has lambda_2 = lambda_n = -1, and the complete multipartite
     # graphs lambda_2 = 0, each with one Krylov vector per distinct
     # eigenvalue: the recurrence breaks down within two steps, at a beta
-    # of rounding size, and no ARPACK call runs.
-    def refuse(*args, **kwargs):
-        raise AssertionError("ARPACK ran")
-
-    monkeypatch.setattr(spectral, "_eigsh", refuse)
+    # of rounding size.
     w = eigvalsh(x)
     assert x.n > _DENSE_MAX_N and not is_bipartite(x)
     s = extreme_eigs(x)
@@ -778,25 +763,11 @@ def test_degenerate_spectra(x, monkeypatch):
     assert s.residual <= 1e-13
 
 
-# -- the filtered lambda_n route -----------------------------------------------------
-
-
-@pytest.fixture
-def filtered_calls(monkeypatch) -> list[int]:
-    """The n of every graph handed to _filtered_lambda_n from now on."""
-    calls: list[int] = []
-    solve = spectral._filtered_lambda_n
-
-    def recording(x: Graph, tol: float) -> tuple[float, float]:
-        calls.append(x.n)
-        return solve(x, tol)
-
-    monkeypatch.setattr(spectral, "_filtered_lambda_n", recording)
-    return calls
+# -- lambda_n past DENSE_THRESHOLD ------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def filtered_route_graphs(construct_1000):
+def past_threshold_graphs(construct_1000):
     """Non-bipartite graphs with their dense spectra: random 4-regular and
     3-regular graphs, whose lambda_n lies inside the bulk, and the k7 graph,
     whose lambda_n is an outlier."""
@@ -805,21 +776,18 @@ def filtered_route_graphs(construct_1000):
     return [(x, eigvalsh(x)) for x in graphs]
 
 
-def test_filtered_route_matches_dense(filtered_route_graphs, filtered_calls,
-                                      monkeypatch):
-    (_, w_bulk), (_, w_k7), (_, w_cubic) = filtered_route_graphs
+def test_filtered_route_matches_dense(past_threshold_graphs, monkeypatch):
+    # Past DENSE_THRESHOLD the recurrence's lambda_n stands unproved, so it
+    # must match the dense value, inside the bulk as well as outside it.
+    (_, w_bulk), (_, w_k7), (_, w_cubic) = past_threshold_graphs
     # The bulk of a random k-regular graph ends near -2 sqrt(k - 1).
     assert w_bulk[-1] > -2.0 * math.sqrt(3)
     assert w_k7[-1] < -2.0 * math.sqrt(6) - 1.0
     assert w_cubic[-1] > -2.0 * math.sqrt(2)
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
-    for x, w in filtered_route_graphs:
+    for x, w in past_threshold_graphs:
         assert not is_bipartite(x)
-        filtered_calls.clear()
         s = extreme_eigs(x)
-        assert filtered_calls == [x.n]
-        # The filter's own value, not that of the "SA" fallback.
-        assert s.lambda_n == _filtered_lambda_n(x, DEFAULT_TOL)[0]
         assert s.method == "iterative"
         assert abs(s.lambda_n - w[-1]) <= 1e-10
         assert s.lambda1 == float(regularity(x))
@@ -829,129 +797,68 @@ def test_filtered_route_matches_dense(filtered_route_graphs, filtered_calls,
 
 def test_filtered_route_on_a_multiple_lambda_n():
     # X^{5,29}: n = 12180 takes the route unpatched, and lambda_n is
-    # highly multiple.  Run to machine epsilon, the solve on p(A) gave a
-    # residual of 3.4e-9 here; plain "SA" gives 6e-15.
+    # highly multiple.
     x = build_lps(5, 29)
     assert x.n > DENSE_THRESHOLD and not is_bipartite(x)
-    lambda_n, v = _filtered_lambda_n(x, DEFAULT_TOL)
-    want = _sa_lambda_n(x)
-    assert abs(lambda_n - want) <= 1e-12
-    assert spectral._residual(x.adjacency_sparse(), v, lambda_n, 1.0) <= 1e-12
-    # A tolerance that plain "SA" meets here is met on the route too.
     s = extreme_eigs(x, tol=1e-13)
-    assert abs(s.lambda_n - want) <= 1e-12
+    assert abs(s.lambda_n - arpack_lambda_n(x)) <= 1e-12
     assert s.residual <= 1e-13
 
 
-def test_filtered_route_unreachable_tolerance_raises(filtered_route_graphs):
-    for x, _ in filtered_route_graphs:
-        with pytest.raises(ConvergenceError, match="residual"):
-            _filtered_lambda_n(x, 1e-300)
-
-
-def test_filtered_route_rejects_a_ritz_value_above_c(filtered_route_graphs,
+def test_filtered_route_unreachable_tolerance_raises(past_threshold_graphs,
                                                      monkeypatch):
-    # The solve on p(A) is made to return lambda_1's eigenvector: an exact
-    # eigenpair, so the residual check passes, but not lambda_n's.
-    eigsh = spectral._eigsh
-    for x, _ in filtered_route_graphs:
-        def top_of_a(op, k, which, **kwargs):
-            if which == "LA":
-                return eigsh(x.adjacency_sparse(), 1, "LA")
-            return eigsh(op, k, which, **kwargs)
-
-        monkeypatch.setattr(spectral, "_eigsh", top_of_a)
-        with pytest.raises(ConvergenceError, match="not below the filter"):
-            _filtered_lambda_n(x, DEFAULT_TOL)
-
-
-def test_filtered_route_falls_back_to_sa(monkeypatch):
-    # On this graph the filter's residual is 1.3e-13 and that of plain
-    # "SA" 4.1e-15, so at tol = 1e-13 "SA" decides.
-    x = random_regular(6, 300, 17)
-    assert not is_bipartite(x)
-    with pytest.raises(ConvergenceError, match="residual"):
-        _filtered_lambda_n(x, 1e-13)
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
-    s = extreme_eigs(x, tol=1e-13)
-    want = _sa_lambda_n(x)
-    assert s.lambda_n == want and s.method == "iterative"
-    assert s.residual <= 1e-13
-    assert abs(s.lambda_n - eigvalsh(x)[-1]) <= 1e-10
+    for x, _ in past_threshold_graphs:
+        with pytest.raises(ConvergenceError, match="residual"):
+            extreme_eigs(x, tol=1e-300)
 
 
-@pytest.mark.parametrize("margin", [1.0 + 1e-9, 2.0])
-def test_filtered_route_needs_room_below_delta(filtered_route_graphs,
-                                               monkeypatch, margin):
-    # A margin past 1 puts c above Delta, with no interval [c, Delta] to
-    # map onto [-1, 1]; the route stops before it divides by Delta - c.
-    monkeypatch.setattr(spectral, "_FILTER_MARGIN", margin)
-    x, _ = filtered_route_graphs[0]
-    with pytest.raises(ConvergenceError, match="no room for a filter"):
-        _filtered_lambda_n(x, DEFAULT_TOL)
+def test_ritz_pairs_are_frozen_where_they_converge(construct_1000):
+    # construct(60, 1000), n = 2448: lambda_2 converges after 80 steps and
+    # lambda_n after 248.  Frozen at their own steps the pairs' residuals
+    # are 9.8e-15 and 1.4e-14; the lambda_2 pair read from T_248 gave
+    # 3.06e-13.
+    x = construct_1000[60][0]
+    assert x.n == 2448 and not is_bipartite(x)
+    a = x.adjacency_sparse()
+    for theta, v in _ritz_pairs(lambda z: a @ z, x.n, 60.0, (-1, 0)):
+        assert spectral._residual(a, v, theta, 1.0) <= 1e-13
 
 
-def test_filtered_route_dispatch(filtered_calls, construct_1000,
-                                 bipartite_route_graphs, monkeypatch):
-    # Up to DENSE_THRESHOLD lambda_n comes from the recurrence and the proof.
-    k7 = construct_1000[7][0]
-    assert not is_bipartite(k7) and k7.n <= DENSE_THRESHOLD
-    assert extreme_eigs(k7).method == "iterative+inertia"
-    # The k7 product, n = 4368, takes the half-size bipartite route.
-    product, _ = bipartite_route_graphs[-1]
-    assert product.n > DENSE_THRESHOLD
-    assert extreme_eigs(product).method == "iterative"
-    # So does every connected regular bipartite graph, at any threshold.
-    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
-    for x, _ in bipartite_route_graphs[:-1]:
-        assert x.n > _DENSE_MAX_N
-        assert extreme_eigs(x).method == "iterative"
-    assert filtered_calls == []
-    extreme_eigs(k7)
-    assert filtered_calls == [k7.n]
+def test_lps_certificate_past_the_threshold_holds_with_two_blas_threads():
+    # X^{5,61}, n = 113 460, is not bipartite: lambda_2 and lambda_n come
+    # from one run of the recurrence on A, whose reductions are np.sum, so
+    # a child process with two OpenBLAS threads writes the same bytes.
+    x = build_lps(5, 61)
+    assert x.n == 113460 and not is_bipartite(x)
+    code = ("import sys; from expanderlab import build_lps, certify; "
+            "sys.stdout.write(certify(build_lps(5, 61)).to_json())")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=script_env(OPENBLAS_NUM_THREADS="2"),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == certify(x).to_json().encode("ascii")
 
 
 @pytest.mark.parametrize("n", [65, 5000])
 def test_edgeless_graph_raises_convergence_error(n):
-    # ARPACK rejects the zero operator ("starting vector is zero"); that
-    # error must surface as ConvergenceError, like a missed convergence.
     # extreme_eigs refuses the graph before any solve: it is not connected.
     x = from_edge_list(n, [])
     with pytest.raises(ValidationError, match="connected regular"):
         extreme_eigs(x)
-    with pytest.raises(ConvergenceError, match="ARPACK"):
-        _filtered_lambda_n(x, DEFAULT_TOL)
 
 
-@pytest.fixture
-def arpack_calls(monkeypatch) -> list[tuple[str, float]]:
-    """(which, tol) of every ARPACK call from now on."""
-    calls: list[tuple[str, float]] = []
-    eigsh = spectral._eigsh
-
-    def recording(op, k, which, **kwargs):
-        calls.append((which, kwargs.get("tol", 0.0)))
-        return eigsh(op, k, which, **kwargs)
-
-    monkeypatch.setattr(spectral, "_eigsh", recording)
-    return calls
-
-
-def test_arpack_runs_only_for_the_lambda_n_filter(arpack_calls, lps37):
-    # Up to DENSE_THRESHOLD, and on the bipartite route at any size, no
-    # ARPACK call runs; past it a graph that is not bipartite gets lambda_n
-    # from the filter's two calls, and lambda_1 = k exactly everywhere.
+def test_lambda1_is_k_and_method_follows_size(lps37):
+    # lambda_1 = k exactly on every route; the proof runs up to
+    # DENSE_THRESHOLD and nowhere past it.
     for k, n in ((7, 1000), (29, 1000), (8, 10000)):
-        arpack_calls.clear()
         cert = construct(k, n)[1]
         assert cert.lambda1 == float(k)
-        assert arpack_calls == ([] if cert.n <= DENSE_THRESHOLD else
-                                [("SA", _LOOSE_TOL), ("LA", _FILTER_TOL)])
-        assert cert.n > DENSE_THRESHOLD or cert.method == "iterative+inertia"
+        assert cert.method == ("iterative+inertia" if cert.n <= DENSE_THRESHOLD
+                               else "iterative")
     assert not cert.bipartite and cert.n > DENSE_THRESHOLD
-    arpack_calls.clear()
-    assert certify(lps37).lambda1 == 6.0
-    assert arpack_calls == []
+    cert = certify(lps37)
+    assert cert.lambda1 == 6.0 and cert.method == "iterative"
 
 
 # -- certificates ------------------------------------------------------------------------
