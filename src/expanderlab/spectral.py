@@ -26,19 +26,24 @@ eigenvector is mean-free.  Let P be the projection that removes the mean.
 lambda_2 and lambda_n are then the top and bottom eigenvalues of P A P on
 the mean-free vectors, and one run of the plain three-term Lanczos
 recurrence finds both, started from the seeded vector less its mean, with
-no reorthogonalization and no stored basis.  The first pass keeps only the
-recurrence coefficients alpha_j and beta_j, which form a tridiagonal T_m.
-Every 8 steps it takes the extreme eigenpairs (theta, y) of T_m, since each
-eigh_tridiagonal call costs O(m), and a Ritz pair converges once its Ritz
-estimate |beta_m y_m| is at most machine epsilon times ||M||, where M is
-the operator and ||M|| <= k.  The basis loses orthogonality as Ritz values
-converge, but a Ritz value with a small Ritz estimate is still accurate
-(Paige, Linear Algebra Appl. 34, 1980).  The second pass reruns the
-identical recurrence, bit for bit, and sums y_j q_j into each Ritz vector
-(Cullum and Willoughby, Lanczos Algorithms for Large Symmetric Eigenvalue
-Computations, 1985).  Every reduction is an np.sum.  A poor Ritz vector can
-only fail the residual check, never pass it.  Four rules keep the
-recurrence sound; each says what the code did without it:
+no reorthogonalization and no stored basis.  The first pass keeps only
+three scalars per step: the recurrence coefficients alpha_j and beta_j,
+which form a tridiagonal T_m, and the mean mu_j it removes.  Every 8 steps
+it takes the extreme eigenpairs (theta, y) of T_m, by LAPACK's bisection
+dstebz and inverse iteration dstein, called directly, since each solve
+costs O(m), and a Ritz pair converges once its Ritz estimate |beta_m y_m|
+is at most machine epsilon times ||M||, where M is the operator and
+||M|| <= k.  The basis loses orthogonality as Ritz values converge, but a
+Ritz value with a small Ritz estimate is still accurate (Paige, Linear
+Algebra Appl. 34, 1980).  The second pass rebuilds the same vectors, bit
+for bit, and sums y_j q_j into each Ritz vector (Cullum and Willoughby,
+Lanczos Algorithms for Large Symmetric Eigenvalue Computations, 1985).  It
+replays the recorded scalars rather than reducing again: it applies M and
+makes the same subtractions and division in the same order, so each q_j
+keeps its bits without the three reductions of a step.  Every reduction
+is an np.sum.  A poor Ritz vector can only fail the residual check, never
+pass it.  Four rules keep the recurrence sound; each says what the code
+did without it:
 
 - Each end's (theta, y) is frozen at the step where its estimate
   converged, and the second pass sums each Ritz vector over its own m
@@ -152,6 +157,7 @@ eigensolve or Cholesky factorization, not when this module is imported.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -225,34 +231,70 @@ def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
     return res
 
 
-def _lanczos(matvec, q: np.ndarray, scale: float):
+def _lanczos(matvec, q: np.ndarray, scale: float, replay=None):
     """The three-term Lanczos recurrence of P M P from the unit, mean-free
     vector q, without reorthogonalization.
 
     matvec applies the symmetric M, which maps the all-ones vector to a
     multiple of itself, and scale bounds ||M||; P removes the mean, from
     every new basis vector.  Yields, step after step, the basis vector q_j
-    with alpha_j = q_j^T M q_j and beta_j, the norm of the next residual,
-    and ends after a beta of at most _EPS * scale, a breakdown.  Every
-    reduction is an np.sum (see _norm), so a rerun from the same q yields
-    the same bits at any thread count; it is called as np.add.reduce,
-    without np.sum's Python wrapper, which costs as much as the sum itself
-    at a few thousand entries.
+    with alpha_j = q_j^T M q_j, beta_j, the norm of the next residual, and
+    the mean mu_j removed from that residual, and ends after a beta of at
+    most _EPS * scale, a breakdown.  Every reduction is an np.sum (see
+    _norm), so a rerun from the same q yields the same bits at any thread
+    count; it is called as np.add.reduce, without np.sum's Python wrapper,
+    which costs as much as the sum itself at a few thousand entries.
+
+    replay, an iterable of the (alpha_j, beta_j, mu_j) an earlier run from
+    the same q yielded, makes the run take its scalars from there instead
+    of reducing: it applies M and subtracts and divides as before, in the
+    same order, so every q_j keeps its bits, and skips the three
+    reductions and the two products they sum.
     """
     prev, beta = np.zeros_like(q), 0.0
     tmp = np.empty_like(q)
-    while True:
+    for step in itertools.repeat(None) if replay is None else replay:
         w = matvec(q)
         w -= np.multiply(beta, prev, out=tmp)
-        alpha = float(np.add.reduce(np.multiply(q, w, out=tmp)))
-        w -= np.multiply(alpha, q, out=tmp)
-        w -= np.add.reduce(w) / len(w)
-        beta = math.sqrt(float(np.add.reduce(np.multiply(w, w, out=tmp))))
-        yield q, alpha, beta
+        if step is None:
+            alpha = float(np.add.reduce(np.multiply(q, w, out=tmp)))
+            w -= np.multiply(alpha, q, out=tmp)
+            mean = np.add.reduce(w) / len(w)
+            w -= mean
+            beta = math.sqrt(float(np.add.reduce(np.multiply(w, w, out=tmp))))
+        else:
+            alpha, beta, mean = step
+            w -= np.multiply(alpha, q, out=tmp)
+            w -= mean
+        yield q, alpha, beta, mean
         if beta <= _EPS * scale:
             return
         w /= beta
         prev, q = q, w
+
+
+def _tridiagonal_pair(d: np.ndarray, e: np.ndarray,
+                      i: int) -> tuple[float, np.ndarray]:
+    """The i-th smallest eigenvalue of the symmetric tridiagonal matrix
+    with diagonal d and off-diagonal e, and its unit eigenvector.
+
+    Bisection by LAPACK dstebz, then inverse iteration by dstein: the calls
+    scipy's eigh_tridiagonal(select="i") makes, with the same result bits,
+    without the wrapper's argument checks, which cost as much as the
+    solve at a few dozen steps.  A nonzero info raises ConvergenceError.
+    """
+    if len(d) == 1:  # LAPACK takes no empty e; T_1 is its own eigenvalue
+        return float(d[0]), np.ones(1)
+    from scipy.linalg import lapack
+
+    _, w, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 0.0, i + 1,
+                                               i + 1, 0.0, "B")
+    if info == 0:
+        y, info = lapack.dstein(d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolve failed (LAPACK "
+                               f"info {info}) at m = {len(d)}")
+    return float(w[0]), y[:, 0]
 
 
 def _ritz_pairs(matvec, n: int, scale: float,
@@ -260,40 +302,43 @@ def _ritz_pairs(matvec, n: int, scale: float,
     """Extreme Ritz pairs of P M P on the mean-free vectors of length n.
 
     matvec and scale are those of _lanczos; ends holds -1 for the top
-    pair, 0 for the bottom one.  The first pass checks every _CHECK_EVERY
-    steps, and at a breakdown, and freezes each end's (theta, y) once its
-    Ritz estimate |beta_m y_m| is at most _EPS * scale.  The second pass
-    sums each end's Ritz vector over its own m steps (see the module
-    docstring).  Raises ConvergenceError past _LANCZOS_STEPS steps.
+    pair, 0 for the bottom one.  The first pass records alpha_j, beta_j and
+    mu_j, checks every _CHECK_EVERY steps, and at a breakdown, and freezes
+    each end's (theta, y), from _tridiagonal_pair, once its Ritz estimate
+    |beta_m y_m| is at most _EPS * scale.  The second pass replays the
+    recorded scalars and sums each end's Ritz vector over its own m steps
+    (see the module docstring).  Raises ConvergenceError past
+    _LANCZOS_STEPS steps.
     """
-    from scipy.linalg import eigh_tridiagonal
-
     q = np.random.default_rng(_V0_SEED).standard_normal(n)
     q -= q.mean()
     q /= _norm(q)
-    alphas, betas = [], []
+    alphas, betas, means = [], [], []
     frozen: dict[int, tuple[float, np.ndarray]] = {}
-    for m, (_, alpha, beta) in enumerate(_lanczos(matvec, q, scale), 1):
+    for m, (_, alpha, beta, mean) in enumerate(_lanczos(matvec, q, scale), 1):
         alphas.append(alpha)
         betas.append(beta)
+        means.append(mean)
         if m % _CHECK_EVERY == 0 or beta <= _EPS * scale:
+            d, e = np.array(alphas), np.array(betas[:-1])
             for end in set(ends) - set(frozen):
-                i = end % m  # the index of the end among T_m's eigenvalues
-                (theta,), y = eigh_tridiagonal(alphas, betas[:-1], select="i",
-                                               select_range=(i, i))
-                if abs(beta * y[-1, 0]) <= _EPS * scale:
-                    frozen[end] = (float(theta), y[:, 0])
+                # end % m is the index of the end among T_m's eigenvalues.
+                theta, y = _tridiagonal_pair(d, e, end % m)
+                if abs(beta * y[-1]) <= _EPS * scale:
+                    frozen[end] = (theta, y)
             if len(frozen) == len(ends):
                 break
         if m == _LANCZOS_STEPS:
             raise ConvergenceError(f"the Lanczos recurrence did not converge "
                                    f"in {m} steps")
     vecs = {end: np.zeros(n) for end in ends}
+    tmp = np.empty(n)
     steps = max(len(y) for _, y in frozen.values())
-    for j, (qj, _, _) in zip(range(steps), _lanczos(matvec, q, scale)):
+    replay = zip(alphas[:steps], betas, means)
+    for j, (qj, _, _, _) in enumerate(_lanczos(matvec, q, scale, replay)):
         for end, (_, y) in frozen.items():
             if j < len(y):
-                vecs[end] += y[j] * qj
+                vecs[end] += np.multiply(y[j], qj, out=tmp)
     return [(frozen[end][0], vecs[end]) for end in ends]
 
 

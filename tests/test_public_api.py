@@ -123,6 +123,37 @@ def test_package_runs_no_arpack_solve():
     assert not found
 
 
+def test_lapack_routines_resolve():
+    # Every LAPACK routine the package calls, as lapack.<name> or imported
+    # from scipy.linalg.lapack, exists in the installed scipy, and the
+    # tridiagonal eigensolves call LAPACK directly, not through scipy's
+    # eigh_tridiagonal.
+    from scipy.linalg import lapack
+
+    sources = sorted((_ROOT / "src" / "expanderlab").glob("*.py"))
+    assert sources
+    routines, wrapped = set(), []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "lapack"):
+                routines.add(node.attr)
+            if (isinstance(node, ast.Attribute)
+                    and node.attr == "eigh_tridiagonal"):
+                wrapped.append(f"{path.relative_to(_ROOT)}:{node.lineno}")
+        for line, name in _imported_modules(tree):
+            module, _, member = name.rpartition(".")
+            if module == "scipy.linalg.lapack":
+                routines.add(member)
+            if member == "eigh_tridiagonal":
+                wrapped.append(f"{path.relative_to(_ROOT)}:{line}")
+    assert {"dstebz", "dstein", "dpftrf", "dsfrk"} <= routines
+    assert not sorted(r for r in routines if not hasattr(lapack, r))
+    assert not wrapped
+
+
 # Definitions nothing in src/, scripts/ or perfbench/ refers to by name.
 _UNREFERENCED_BY_DESIGN = {
     # argparse calls ArgumentParser.error on a usage error.

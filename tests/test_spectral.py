@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -34,6 +35,7 @@ from expanderlab.spectral import (
     _packed_index,
     _prove_extremes,
     _ritz_pairs,
+    _tridiagonal_pair,
 )
 from helpers import (
     arpack_lambda_n,
@@ -625,6 +627,12 @@ def lps37() -> Graph:
     return build_lps(5, 37)
 
 
+@pytest.fixture(scope="module")
+def lps29() -> Graph:
+    """X^{5,29}: not bipartite, n = 12 180, past DENSE_THRESHOLD."""
+    return build_lps(5, 29)
+
+
 def test_bipartite_lanczos_matches_arpack(lps37):
     # scipy's ARPACK on the same half-size operator P B B^T P, started from
     # the same projected vector, serves only as the oracle here.
@@ -662,9 +670,9 @@ def test_bipartite_lanczos_stops_on_breakdown(monkeypatch):
     steps = []
     lanczos = spectral._lanczos
 
-    def counted(matvec, q, scale):
+    def counted(matvec, q, scale, replay=None):
         steps.append(0)
-        for step in lanczos(matvec, q, scale):
+        for step in lanczos(matvec, q, scale, replay):
             steps[-1] += 1
             yield step
 
@@ -726,7 +734,8 @@ def test_other_graphs_keep_the_general_route():
 
 def test_extreme_eigs_refuses_irregular_or_disconnected():
     # Among them bipartite graphs, a disconnected one and an irregular one,
-    # and the edgeless graphs of test_edgeless_graph_raises_convergence_error.
+    # and edgeless graphs on both sides of DENSE_THRESHOLD: each is refused
+    # before any solve.
     cover = double_cover(random_regular(3, 40, 6))
     disconnected = from_edge_list(
         2 * cover.n, np.concatenate([cover.edges, cover.edges + cover.n]))
@@ -776,7 +785,8 @@ def past_threshold_graphs(construct_1000):
     return [(x, eigvalsh(x)) for x in graphs]
 
 
-def test_filtered_route_matches_dense(past_threshold_graphs, monkeypatch):
+def test_past_threshold_route_matches_dense(past_threshold_graphs,
+                                            monkeypatch):
     # Past DENSE_THRESHOLD the recurrence's lambda_n stands unproved, so it
     # must match the dense value, inside the bulk as well as outside it.
     (_, w_bulk), (_, w_k7), (_, w_cubic) = past_threshold_graphs
@@ -795,18 +805,18 @@ def test_filtered_route_matches_dense(past_threshold_graphs, monkeypatch):
         assert s.residual <= DEFAULT_TOL
 
 
-def test_filtered_route_on_a_multiple_lambda_n():
+def test_past_threshold_route_on_a_multiple_lambda_n(lps29):
     # X^{5,29}: n = 12180 takes the route unpatched, and lambda_n is
     # highly multiple.
-    x = build_lps(5, 29)
+    x = lps29
     assert x.n > DENSE_THRESHOLD and not is_bipartite(x)
     s = extreme_eigs(x, tol=1e-13)
     assert abs(s.lambda_n - arpack_lambda_n(x)) <= 1e-12
     assert s.residual <= 1e-13
 
 
-def test_filtered_route_unreachable_tolerance_raises(past_threshold_graphs,
-                                                     monkeypatch):
+def test_past_threshold_route_unreachable_tolerance_raises(
+        past_threshold_graphs, monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
     for x, _ in past_threshold_graphs:
         with pytest.raises(ConvergenceError, match="residual"):
@@ -825,6 +835,138 @@ def test_ritz_pairs_are_frozen_where_they_converge(construct_1000):
         assert spectral._residual(a, v, theta, 1.0) <= 1e-13
 
 
+# -- the two Lanczos passes ---------------------------------------------------------
+
+
+def _half_size_operator(x: Graph):
+    """matvec and length of P B B^T P's B B^T for a bipartite graph, as
+    _bipartite_lambda2 builds it."""
+    sides = bipartition(x)
+    b = x.adjacency_sparse()[np.flatnonzero(sides == 0)][
+        :, np.flatnonzero(sides == 1)]
+    bt = b.T.tocsr()
+    return (lambda z: b @ (bt @ z)), b.shape[0]
+
+
+def test_replayed_pass_keeps_every_lanczos_vector(construct_1000, lps37):
+    # The vector pass takes alpha_j, beta_j and mu_j from the recording
+    # pass instead of reducing again; every q_j must keep its bits, on A of
+    # construct(7, 1000) over its 264 steps and on the half-size B B^T of
+    # X^{5,37}.
+    a = construct_1000[7][0].adjacency_sparse()
+    operators = [((lambda z: a @ z), a.shape[0], 7.0, 264),
+                 (*_half_size_operator(lps37), 36.0, 120)]
+    for matvec, n, scale, steps in operators:
+        q = np.random.default_rng(_V0_SEED).standard_normal(n)
+        q -= q.mean()
+        q /= spectral._norm(q)
+        fresh = [(qj.copy(), scalars) for qj, *scalars in itertools.islice(
+            spectral._lanczos(matvec, q, scale), steps)]
+        assert len(fresh) == steps
+        replayed = spectral._lanczos(matvec, q, scale,
+                                     [scalars for _, scalars in fresh])
+        for (want, scalars), (got, *again) in zip(fresh, replayed,
+                                                  strict=True):
+            assert np.array_equal(got, want)
+            assert again == scalars
+
+
+def _assert_same_pair(d: np.ndarray, e: np.ndarray, i: int) -> None:
+    from scipy.linalg import eigh_tridiagonal
+
+    theta, y = _tridiagonal_pair(d, e, i)
+    (want,), v = eigh_tridiagonal(d, e, select="i", select_range=(i, i))
+    assert np.float64(theta).tobytes() == want.tobytes()
+    assert y.tobytes() == v[:, 0].tobytes()
+
+
+def test_tridiagonal_pair_matches_eigh_tridiagonal(construct_1000,
+                                                   monkeypatch):
+    # The direct dstebz/dstein calls give the bits of the scipy wrapper:
+    # for both ends at each of the 33 + 7 checks of construct(7, 1000)'s
+    # run, on random tridiagonals, and at m = 1, where LAPACK is not called.
+    checks = []
+
+    def checked(d, e, i):
+        for end in (0, len(d) - 1):
+            _assert_same_pair(d, e, end)
+        checks.append(len(d))
+        return _tridiagonal_pair(d, e, i)
+
+    monkeypatch.setattr(spectral, "_tridiagonal_pair", checked)
+    x = construct_1000[7][0]
+    a = x.adjacency_sparse()
+    _ritz_pairs(lambda z: a @ z, x.n, 7.0, (-1, 0))
+    assert len(checks) == 40 and max(checks) == 264
+    rng = np.random.default_rng(23)
+    for m in (2, 3, 8, 57, 264, 1000):
+        d, e = rng.standard_normal(m), rng.standard_normal(m - 1)
+        for i in (0, m - 1, int(rng.integers(m))):
+            _assert_same_pair(d, e, i)
+    _assert_same_pair(np.array([2.5]), np.array([]), 0)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_tridiagonal_pair_raises_on_lapack_failure(routine, monkeypatch):
+    from scipy.linalg import lapack
+
+    solve = getattr(lapack, routine)
+    monkeypatch.setattr(lapack, routine,
+                        lambda *args: (*solve(*args)[:-1], 1))
+    with pytest.raises(ConvergenceError, match="LAPACK info 1"):
+        _tridiagonal_pair(np.ones(3), np.ones(2), 0)
+
+
+def test_lanczos_operator_and_tridiagonal_counts(construct_1000, monkeypatch):
+    # Replaying the scalars leaves the work of the recurrence as it was:
+    # each pass applies the operator once per step, and the first solves
+    # one tridiagonal per unfrozen end every _CHECK_EVERY steps.
+    from scipy.linalg import lapack
+
+    lanczos, dstebz = spectral._lanczos, lapack.dstebz
+    applied, solves = [], []
+
+    def counted(matvec, q, scale, replay=None):
+        applied.append(0)
+
+        def counting(z):
+            applied[-1] += 1
+            return matvec(z)
+
+        return lanczos(counting, q, scale, replay)
+
+    def counted_dstebz(*args):
+        solves.append(len(args[0]))
+        return dstebz(*args)
+
+    monkeypatch.setattr(spectral, "_lanczos", counted)
+    monkeypatch.setattr(lapack, "dstebz", counted_dstebz)
+    for x, steps, checks in ((construct_1000[7][0], 264, 40),
+                             (construct(8, 10000)[0], 376, 60),
+                             (build_lps(5, 53), 88, 11)):
+        applied.clear()
+        solves.clear()
+        extreme_eigs(x)
+        assert applied == [steps, steps]
+        assert len(solves) == checks and max(solves) == steps
+
+
+def test_general_route_memory(lps29):
+    # X^{5,29}, n = 12 180, is not bipartite: both passes on A hold about
+    # 8 vectors of n at their peak, and no basis, besides what the graph
+    # caches.  A solver that kept its Krylov basis for the second pass
+    # would hold one vector per step, 88 of them.
+    x = lps29
+    extreme_eigs(x)  # imports, the cached CSR and graph checks
+    tracemalloc.start()
+    try:
+        extreme_eigs(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 * x.n * 8
+
+
 def test_lps_certificate_past_the_threshold_holds_with_two_blas_threads():
     # X^{5,61}, n = 113 460, is not bipartite: lambda_2 and lambda_n come
     # from one run of the recurrence on A, whose reductions are np.sum, so
@@ -838,14 +980,6 @@ def test_lps_certificate_past_the_threshold_holds_with_two_blas_threads():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout == certify(x).to_json().encode("ascii")
-
-
-@pytest.mark.parametrize("n", [65, 5000])
-def test_edgeless_graph_raises_convergence_error(n):
-    # extreme_eigs refuses the graph before any solve: it is not connected.
-    x = from_edge_list(n, [])
-    with pytest.raises(ValidationError, match="connected regular"):
-        extreme_eigs(x)
 
 
 def test_lambda1_is_k_and_method_follows_size(lps37):
