@@ -19,8 +19,9 @@ spectral gap k - lambda_2:
                hypothesis (C tunes the constant in the conjectured gap),
                valid for every k > 2.
 
-gap_bounds is the one table of these models: every caller reads their
-values, validity and conditionality from it.  All logarithms are natural.
+gap_bounds is the one table of these models, bound_entries alone decides a
+certificate's bound entries and their validity, and is_ramanujan its
+Ramanujan verdict.  All logarithms are natural.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import partial
 from typing import Callable, NamedTuple
 
 from .errors import ValidationError
-from .numtheory import PrimePlan, max_delta_in_range
+from .numtheory import PrimePlan, max_delta_in_range, prev_prime
 
 # Onset of the unconditional prime-gap interval behind the Trudgian model.
 TRUDGIAN_MIN_K = 2898239
@@ -138,13 +139,14 @@ class GapBound(NamedTuple):
 
     value() is the lower bound on k - lambda_2, deferred so a bound that
     overflows fails only when read; valid says whether the model's own
-    theorem covers k.
+    theorem covers k, and advisory that it covers no k.
     """
 
     name: str
     value: Callable[[], float]
     valid: bool
     conditional: bool
+    advisory: bool = False
 
 
 def gap_bounds(k: int, rh_constant: float = 1.0) -> tuple[GapBound, ...]:
@@ -156,6 +158,44 @@ def gap_bounds(k: int, rh_constant: float = 1.0) -> tuple[GapBound, ...]:
     return (
         GapBound("trudgian", partial(gap_bound_trudgian, k),
                  k >= TRUDGIAN_MIN_K, False),
-        GapBound("bhp", partial(gap_bound_bhp, k), False, False),
+        GapBound("bhp", partial(gap_bound_bhp, k), False, False, True),
         GapBound("rh", partial(gap_bound_rh, k, rh_constant), k > 2, True),
     )
+
+
+def bound_entries(k: int, p: int | None, by_matching: bool) -> list[dict]:
+    """Bound lines for a k-regular graph grown from X^{p,q} (p None: no base).
+
+    valid on a lambda_2 entry means the inequality provably applies: every
+    step was a matching increment (by_matching), and for the chain entries
+    p = prev_prime(k).  A gap entry needs by_matching and the validity
+    gap_bounds gives its model.  Values above lambda_2 <= k are reported
+    beside the capped version.
+    """
+    def lambda2_entry(model: str, v: float, valid: bool) -> dict:
+        return {"model": model, "value": v, "value_capped": min(v, float(k)),
+                "valid": valid, "conditional": False}
+
+    entries = []
+    if p is not None:
+        chain = 2.0 * math.sqrt(p) + (k - p - 1)
+        entries.append(lambda2_entry("lambda2_matching_chain", chain, by_matching))
+    if k >= 3:
+        anchored = by_matching and p == prev_prime(k)
+        for name, v in zip(("intermediate", "normalized"),
+                           lambda2_bound_chain(k)):
+            entries.append(lambda2_entry(f"lambda2_chain_{name}", v, anchored))
+        rh_constant = 1.0
+        for bound in gap_bounds(k, rh_constant):
+            entry = {"model": f"gap_{bound.name}", "value": bound.value(),
+                     "valid": by_matching and bound.valid,
+                     "conditional": bound.conditional}
+            if bound.name == "rh":
+                entry["rh_constant"] = rh_constant
+            entries.append(entry)
+    return entries
+
+
+def is_ramanujan(k: int, lambda2: float, slack: float) -> bool:
+    """lambda_2 <= 2*sqrt(k - 1) + slack; lambda_n never disqualifies."""
+    return 2.0 * math.sqrt(k - 1) + slack - lambda2 >= 0.0

@@ -156,8 +156,8 @@ def _cmd_bounds(args) -> int:
             tags = ["valid" if bound.valid else "not-valid-here"]
             if bound.conditional:
                 tags.append("conditional")
-            if bound.name == "bhp":
-                tags.append("advisory")  # valid for no k: no published onset
+            if bound.advisory:
+                tags.append("advisory")
             print(f"{bound.name:<10} gap >= {bound.value():.12g} "
                   f"[{', '.join(tags)}]")
     return 0

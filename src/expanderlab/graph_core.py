@@ -430,5 +430,9 @@ def save_graph(x: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
-    with open(path, "r", encoding="ascii") as fh:
-        return graph_from_text(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return graph_from_text(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValidationError(
+            f"{path}: byte {exc.start} is not ASCII") from None

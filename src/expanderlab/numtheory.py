@@ -1,4 +1,4 @@
-"""Exact integer arithmetic for prime-gap planning and Cayley generators.
+"""Exact integer arithmetic for prime-gap planning and Legendre symbols.
 
 Point queries (``is_prime``, ``prev_prime``, ``next_prime``, and
 ``PrimePlan.for_target``, whose ``delta`` is the normalized gap delta_k)
@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -182,42 +181,6 @@ def legendre(a: int, q: int) -> int:
         return 0
     t = pow(a, (q - 1) // 2, q)
     return 1 if t == 1 else -1
-
-
-def four_square_generators(p: int) -> list[tuple[int, int, int, int]]:
-    """All four-square representations of p with a0 odd positive, a1..a3 even.
-
-    For a prime p = 1 (mod 4) there are exactly p + 1 such tuples (Jacobi's
-    four-square theorem restricted to this parity class); they index the
-    generators of the degree-(p+1) Cayley graphs built downstream.  Returned
-    in lexicographic order.
-    """
-    if p < 5 or p % 4 != 1 or not is_prime(p):
-        raise ValidationError(f"need a prime p = 1 (mod 4) with p >= 5, got {p}")
-    lim = math.isqrt(p)
-    found = set()
-    for a0 in range(1, lim + 1, 2):
-        r0 = p - a0 * a0
-        for a1 in range(0, lim + 1, 2):
-            r1 = r0 - a1 * a1
-            if r1 < 0:
-                break
-            for a2 in range(0, lim + 1, 2):
-                r2 = r1 - a2 * a2
-                if r2 < 0:
-                    break
-                a3 = math.isqrt(r2)
-                if a3 * a3 != r2 or a3 % 2 != 0:
-                    continue
-                signs = [(v, -v) if v else (0,) for v in (a1, a2, a3)]
-                for s1, s2, s3 in _iproduct(*signs):
-                    found.add((a0, s1, s2, s3))
-    tuples = sorted(found)
-    if len(tuples) != p + 1:
-        raise AssertionError(
-            f"four-square count for p={p} is {len(tuples)}, expected {p + 1}"
-        )
-    return tuples
 
 
 @dataclass(frozen=True)

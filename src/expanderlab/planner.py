@@ -2,10 +2,11 @@
 
 Two plans exist for every target k.  The theoretical plan anchors at
 p = prev_prime(k) and drives the bound chain; the buildable plan anchors at
-p* = the largest prime p <= k - 1 with p = 1 (mod 4) and p >= 5, because
-only those primes admit the Cayley base construction.  When no such p*
-exists (k = 3, 4, 5) the base is the smallest graph of regularity k in
-ramanujan_base.LIBRARY, a fixed table of four, with enough vertices.
+p* = ramanujan_base.base_prime(k), the largest p <= k - 1 that admits a
+Cayley base.  When there is none (k = 3, 4, 5) the base is the smallest
+graph of regularity k in ramanujan_base.LIBRARY with enough vertices.
+ramanujan_base alone decides which (p, q) make a base, and bounds alone
+decides every bound entry and its validity.
 
 Increments come in two strategies:
 
@@ -13,26 +14,21 @@ Increments come in two strategies:
                 step provably moves lambda_2 by at most +1, so the final
                 bound 2*sqrt(p*) + (k - p* - 1) is certified;
     k2product   Cartesian product with a single edge per step; doubles n
-                and shifts the spectrum to {lambda +- 1}, whose second
-                value is max(lambda_2 + 1, lambda_1 - 1).  After one step
-                on a graph with gap > 2 that is lambda_1 - 1 = k_new - 2,
-                so the chain bound does NOT transfer.  Certificates for
-                this strategy carry measured eigenvalues only and mark the
-                chain entries invalid.
+                and shifts the spectrum to {lambda +- 1}, so after one step
+                on a graph with gap > 2, lambda_2 = lambda_1 - 1 = k_new - 2
+                and the chain does NOT transfer: its entries are invalid.
 
-"matching" is the default strategy for exactly that reason: its
-certificates may cite the chain, the product's may not.  construct and
-replay run every step through one increment driver, _apply_step, so the
-two strategies are compared by constructing each at the same k.
+"matching", whose certificates may cite the chain, is the default.
+construct and replay run every step through one increment driver,
+_apply_step, so the two strategies are compared at the same k.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ._version import __version__
-from .bounds import gap_bounds, lambda2_bound_chain
+from .bounds import bound_entries, is_ramanujan
 from .errors import ValidationError
 from .expansion import MAX_EXACT_N, expanding_constant_exact
 from .graph_core import (
@@ -43,9 +39,9 @@ from .graph_core import (
     regularity,
 )
 from .matching import increment_regularity
-from .numtheory import PrimePlan, is_prime, prev_prime
-from .ramanujan_base import (LIBRARY, Q_MAX, build_lps, lps_params,
-                             small_ramanujan)
+from .numtheory import PrimePlan
+from .ramanujan_base import (LIBRARY, base_prime, build_lps, small_ramanujan,
+                             smallest_modulus)
 from .spectral import DEFAULT_TOL, SpectralCertificate, extreme_eigs
 
 # Increment strategy -> the provenance step that runs one increment.
@@ -68,36 +64,17 @@ class BuildPlan:
 def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
     """(theoretical, buildable) plans for target regularity k >= 3."""
     theory = PrimePlan.for_target(k)
-    p = theory.p
-    while p >= 5:
-        if p % 4 == 1:
-            return theory, BuildPlan(source="lps", p_star=p,
-                                     increments=k - p - 1)
-        p = prev_prime(p)
-    return theory, BuildPlan(source="library", p_star=None, increments=0)
+    p = base_prime(k)
+    if p is None:
+        return theory, BuildPlan(source="library", p_star=None, increments=0)
+    return theory, BuildPlan(source="lps", p_star=p, increments=k - p - 1)
 
 
 def choose_q(p: int, min_vertices: int) -> int:
-    """Smallest valid modulus q with at least min_vertices vertices.
-
-    Valid means q prime, q = 1 (mod 4), q != p and 2*sqrt(p) < q <= Q_MAX.
-    The n that goes with each q depends on the Legendre symbol, so
-    candidates are checked in ascending order rather than solved in closed
-    form.
-    """
+    """Least modulus q admitted at p whose X^{p,q} has min_vertices or more."""
     if min_vertices < 1:
         raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
-    q = 5
-    while q <= Q_MAX:
-        if q % 4 == 1 and q != p and q * q > 4 * p:
-            if lps_params(p, q).n >= min_vertices:
-                return q
-        q += 2
-        while not is_prime(q):
-            q += 2
-    raise ValidationError(
-        f"no modulus q <= {Q_MAX} gives a base with {min_vertices} vertices "
-        f"at p={p}")
+    return smallest_modulus(p, min_vertices)
 
 
 def _library_name(k: int, min_vertices: int) -> str:
@@ -109,44 +86,6 @@ def _library_name(k: int, min_vertices: int) -> str:
     raise ValidationError(
         f"regularity {k} is served from a fixed library whose largest graph "
         f"has {largest} vertices; cannot reach {min_vertices}")
-
-
-def _bound_entries(k: int, strategy: str | None,
-                   build: BuildPlan | None) -> list[dict]:
-    """Bound lines for a certificate.
-
-    valid on a lambda_2 entry means the inequality provably applies to the
-    certified graph: it was built by matching increments from the cited
-    base, and for the chain entries that base sits at p = prev_prime(k).
-    A gap entry needs the matching build and the validity that
-    bounds.gap_bounds gives its model.  Values above the trivial ceiling
-    lambda_2 <= k are still reported, alongside the capped version.
-    """
-    def lambda2_entry(model: str, v: float, valid: bool) -> dict:
-        return {"model": model, "value": v, "value_capped": min(v, float(k)),
-                "valid": valid, "conditional": False}
-
-    by_matching = strategy == "matching"
-    lps = build is not None and build.source == "lps"
-    entries = []
-    if lps and strategy is not None:
-        entries.append(lambda2_entry(
-            "lambda2_matching_chain",
-            2.0 * math.sqrt(build.p_star) + build.increments, by_matching))
-    if k >= 3:
-        anchored = by_matching and lps and build.p_star == prev_prime(k)
-        for name, v in zip(("intermediate", "normalized"),
-                           lambda2_bound_chain(k)):
-            entries.append(lambda2_entry(f"lambda2_chain_{name}", v, anchored))
-        rh_constant = 1.0
-        for bound in gap_bounds(k, rh_constant):
-            entry = {"model": f"gap_{bound.name}", "value": bound.value(),
-                     "valid": by_matching and bound.valid,
-                     "conditional": bound.conditional}
-            if bound.name == "rh":
-                entry["rh_constant"] = rh_constant
-            entries.append(entry)
-    return entries
 
 
 def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
@@ -174,7 +113,8 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     if 2 <= x.n <= MAX_EXACT_N:
         h, witness = expanding_constant_exact(x)
         expansion = {"h": h, "witness": list(witness)}
-    bounds = tuple(_bound_entries(k, strategy, build))
+    base = build.p_star if build is not None and strategy is not None else None
+    bounds = tuple(bound_entries(k, base, strategy == "matching"))
     s = extreme_eigs(x)
     return SpectralCertificate(
         version=__version__,
@@ -185,10 +125,7 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
         lambda2=s.lambda2,
         lambda_n=s.lambda_n,
         spectral_gap=k - s.lambda2,
-        # Non-strict Ramanujan test, padded by the solver residual; lambda_n
-        # never disqualifies (bipartite graphs have lambda_n = -k).
-        ramanujan=(2.0 * math.sqrt(k - 1) + s.residual + DEFAULT_TOL
-                   - s.lambda2 >= 0.0),
+        ramanujan=is_ramanujan(k, s.lambda2, s.residual + DEFAULT_TOL),
         bipartite=is_bipartite(x),
         residual=s.residual,
         method=s.method,

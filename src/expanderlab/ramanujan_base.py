@@ -34,12 +34,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import ValidationError
 from .graph_core import Graph, from_edge_list
-from .numtheory import four_square_generators, is_prime, legendre
+from .numtheory import is_prime, legendre
 
 # Largest modulus of any LPS build: n <= 101*(101^2-1) = 1 030 200.
 Q_MAX = 101
@@ -55,23 +56,50 @@ class LpsParams:
     n: int
 
 
+def _fault(p: int, q: int | None = None) -> str | None:
+    """Why (p, q) gives no X^{p,q}, or None; with q None, p alone is checked.
+
+    This is the one statement of which (p, q) make a base.
+    """
+    for name, v in (("p", p), ("q", q)):
+        if v is not None and (v < 5 or v % 4 != 1 or not is_prime(v)):
+            return f"{name}={v} must be a prime = 1 (mod 4), at least 5"
+    if q is None:
+        return None
+    if q > Q_MAX:
+        return f"q={q} exceeds the largest modulus {Q_MAX}"
+    if p == q:
+        return "p and q must be distinct"
+    if q * q <= 4 * p:
+        return (f"q={q} must exceed 2*sqrt(p)={2 * math.sqrt(p):.3f} "
+                "for a simple loop-free graph")
+    return None
+
+
 def lps_params(p: int, q: int) -> LpsParams:
     """Validate (p, q) and resolve the group and its size."""
-    for name, v in (("p", p), ("q", q)):
-        if v < 5 or v % 4 != 1 or not is_prime(v):
-            raise ValidationError(
-                f"{name}={v} must be a prime = 1 (mod 4), at least 5")
-    if q > Q_MAX:
-        raise ValidationError(f"q={q} exceeds the largest modulus {Q_MAX}")
-    if p == q:
-        raise ValidationError("p and q must be distinct")
-    if q * q <= 4 * p:
-        raise ValidationError(
-            f"q={q} must exceed 2*sqrt(p)={2 * math.sqrt(p):.3f} "
-            "for a simple loop-free graph")
+    if (fault := _fault(p, q)) is not None:
+        raise ValidationError(fault)
     if legendre(p, q) == 1:
         return LpsParams(p=p, q=q, group="PSL2", n=q * (q * q - 1) // 2)
     return LpsParams(p=p, q=q, group="PGL2", n=q * (q * q - 1))
+
+
+def base_prime(k: int) -> int | None:
+    """The largest p <= k - 1 that the base rule admits, or None."""
+    return next((p for p in range(k - 1, 4, -1) if _fault(p) is None), None)
+
+
+def smallest_modulus(p: int, min_vertices: int) -> int:
+    """Least q giving an X^{p,q} with min_vertices or more vertices, tried in
+    ascending order, since n depends on the Legendre symbol.  An unusable p
+    raises lps_params' error for it."""
+    for q in range(5, Q_MAX + 1):
+        if _fault(p, q) is None and lps_params(p, q).n >= min_vertices:
+            return q
+    raise ValidationError(_fault(p) or (
+        f"no modulus q <= {Q_MAX} gives a base with {min_vertices} vertices "
+        f"at p={p}"))
 
 
 def _decode(codes: np.ndarray, q: int) -> tuple[np.ndarray, ...]:
@@ -117,6 +145,34 @@ def _sqrt_minus_one(q: int) -> int:
         z += 1
     i = pow(z, (q - 1) // 4, q)
     return min(i, q - i)
+
+
+def four_square_generators(p: int) -> list[tuple[int, int, int, int]]:
+    """The p + 1 four-square tuples of p behind the generators of X^{p,q}.
+
+    a0 is odd positive and a1..a3 even; Jacobi's four-square theorem gives
+    their count.  Returned in lexicographic order.
+    """
+    if (fault := _fault(p)) is not None:
+        raise ValidationError(fault)
+    lim = math.isqrt(p)
+    found = set()
+    for a0 in range(1, lim + 1, 2):
+        for a1 in range(0, lim + 1, 2):
+            for a2 in range(0, lim + 1, 2):
+                r = p - a0 * a0 - a1 * a1 - a2 * a2
+                if r < 0:
+                    break
+                a3 = math.isqrt(r)
+                if a3 * a3 == r and a3 % 2 == 0:
+                    found.update(product([a0], (a1, -a1), (a2, -a2),
+                                         (a3, -a3)))
+    tuples = sorted(found)
+    if len(tuples) != p + 1:
+        raise AssertionError(
+            f"four-square count for p={p} is {len(tuples)}, expected {p + 1}"
+        )
+    return tuples
 
 
 def _generators(p: int, q: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import subprocess
@@ -13,13 +15,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expanderlab import delta_table
+from expanderlab import delta_table, plan
 from expanderlab.bounds import (
     TRUDGIAN_MIN_K,
+    bound_entries,
     gap_bound_bhp,
     gap_bound_rh,
     gap_bound_trudgian,
     gap_bounds,
+    is_ramanujan,
     lambda2_bound_chain,
     rh_exponent,
 )
@@ -244,6 +248,11 @@ def test_model_conditionality():
     assert conditional == ["rh"]
 
 
+def test_model_advisory():
+    advisory = [bound.name for bound in gap_bounds(7) if bound.advisory]
+    assert advisory == ["bhp"]
+
+
 def test_model_rejects_bad_config():
     for c in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValidationError):
@@ -259,3 +268,37 @@ def test_model_values_are_lazy():
         assert table["bhp"].value() == gap_bound_bhp(k)
         with pytest.raises(ValidationError, match="overflows"):
             table["rh"].value()
+
+
+# ---------------------------------------------------------------------------
+# certificate entries and verdict
+# ---------------------------------------------------------------------------
+
+# sha256 of the JSON rows below: any change to a certificate's bound
+# entries, their values or their validity shows here.
+_ENTRIES_SHA256 = (
+    "6d0c42e3711f3a60a0759bd932bf48cae6cb16d912a1af81dd8151a99c1a63a6")
+
+
+def test_bound_entries_are_pinned_for_every_input_kind():
+    # (base prime, by matching) for the planned base grown by matchings,
+    # the planned base grown by K2 products, a library base, and a bare
+    # certify of a loaded graph.
+    rows = []
+    for k in range(3, 201):
+        p = plan(k)[1].p_star
+        for kind, base, by_matching in (("matching", p, True),
+                                        ("product", p, False),
+                                        ("library", None, True),
+                                        ("bare", None, False)):
+            rows.append([k, kind, bound_entries(k, base, by_matching)])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == _ENTRIES_SHA256
+
+
+def test_ramanujan_verdict_is_padded_by_the_slack():
+    bound = 2.0 * math.sqrt(6)
+    assert is_ramanujan(7, bound, 0.0)
+    assert is_ramanujan(7, bound + 1e-9, 1e-8)
+    assert not is_ramanujan(7, bound + 1e-7, 1e-8)
+    assert is_ramanujan(7, -7.0, 0.0)

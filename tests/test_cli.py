@@ -123,6 +123,24 @@ def test_certify_rejects_missing_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("command", ["certify", "expansion"])
+@pytest.mark.parametrize("data, offset", [(b"4 2\n0 1\n2 3\xc3\xa9\n", 11),
+                                          (b"\xff\xfe", 0)],
+                         ids=["utf8-accent", "utf16-bom"])
+def test_non_ascii_graph_file_exits_1(tmp_path, capsys, command, data,
+                                      offset):
+    gpath = tmp_path / "g.txt"
+    gpath.write_bytes(data)
+    argv = [command, "--graph", str(gpath)]
+    if command == "certify":
+        argv += ["--cert-out", str(tmp_path / "c.json")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {gpath}: byte {offset} is not ASCII\n"
+    assert not (tmp_path / "c.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # delta-table
 # ---------------------------------------------------------------------------

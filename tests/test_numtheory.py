@@ -14,12 +14,12 @@ from expanderlab.numtheory import (
     RANGE_MAX,
     PrimePlan,
     _prime_blocks,
-    four_square_generators,
     is_prime,
     legendre,
     next_prime,
     prev_prime,
 )
+from expanderlab.ramanujan_base import four_square_generators
 from helpers import walk_max_delta
 
 mp.mp.dps = 50

@@ -22,7 +22,7 @@ from expanderlab import (
 )
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import from_edge_list
-from expanderlab.ramanujan_base import LIBRARY
+from expanderlab.ramanujan_base import LIBRARY, lps_params
 from expanderlab.spectral import SpectralCertificate
 
 from helpers import k4, path, petersen, script_env, two_triangles
@@ -118,6 +118,18 @@ def test_choose_q_exhaustion():
         choose_q(5, 10**9)
     with pytest.raises(ValidationError):
         choose_q(5, 0)
+
+
+@pytest.mark.parametrize("p", [3, 4, 7])
+def test_choose_q_refuses_an_unusable_p_with_the_lps_params_message(p):
+    # Some q passes every test on q at each of these p, so the error must
+    # name p, not an exhausted search.
+    with pytest.raises(ValidationError) as want:
+        lps_params(p, 13)
+    with pytest.raises(ValidationError) as got:
+        choose_q(p, 1)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"p={p} must be a prime")
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """The package root exports every name the benchmark harness imports,
 pyproject.toml declares every third-party module the tests import, scipy
-stays unloaded until a graph needs it, no package module calls ARPACK, and
-no check relies on assert."""
+stays unloaded until a graph needs it, no package module calls ARPACK, no
+check relies on assert, and each build rule is stated in one module."""
 
 import ast
 import re
@@ -152,6 +152,36 @@ def test_lapack_routines_resolve():
     assert {"dstebz", "dstein", "dpftrf", "dsfrk"} <= routines
     assert not sorted(r for r in routines if not hasattr(lapack, r))
     assert not wrapped
+
+
+def test_each_build_rule_has_one_owner():
+    # ramanujan_base alone decides which (p, q) make a base, so only it
+    # takes a name mod 4; bounds alone decides bound validity, so only it
+    # compares anything with a gap model's name.
+    models = {"trudgian", "bhp", "rh"}
+    mod4, named = set(), set()
+    for path in sorted((_ROOT / "src" / "expanderlab").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                    and isinstance(node.left, ast.Name)
+                    and isinstance(node.right, ast.Constant)
+                    and node.right.value == 4):
+                mod4.add(path.stem)
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                operands += [e for o in operands
+                             if isinstance(o, (ast.Tuple, ast.List, ast.Set))
+                             for e in o.elts]
+                if any(isinstance(o, ast.Constant) and o.value in models
+                       for o in operands):
+                    named.add(path.stem)
+        if path.stem == "planner":
+            imported = {name.rpartition(".")[2]
+                        for _, name in _imported_modules(tree)}
+    assert mod4 == {"ramanujan_base"}
+    assert named == {"bounds"}
+    assert not imported & {"Q_MAX", "is_prime", "prev_prime", "lps_params"}
 
 
 # Definitions nothing in src/, scripts/ or perfbench/ refers to by name.

@@ -19,7 +19,7 @@ from expanderlab import (
 )
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import graph_to_text
-from expanderlab.numtheory import four_square_generators, is_prime
+from expanderlab.numtheory import is_prime
 from expanderlab.ramanujan_base import (
     LIBRARY,
     Q_MAX,
@@ -28,6 +28,7 @@ from expanderlab.ramanujan_base import (
     _normalize,
     _sqrt_minus_one,
     _vertices,
+    four_square_generators,
     lps_params,
     small_ramanujan,
 )
