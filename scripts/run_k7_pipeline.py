@@ -22,10 +22,9 @@ from pathlib import Path
 
 # The reference under out/ is written with one OpenBLAS thread, as the tests
 # run.  Its certificate comes from a Lanczos recurrence and a Cholesky
-# proof whose reductions are np.sum, and a test checks that two threads
-# give the same bytes for this graph; the dense eigh that serves graphs of
-# 64 vertices or fewer is not checked.  The pin keeps the script on the
-# tested setting.  The variable only takes effect if it is set before
+# proof whose reductions are np.sum, as every certificate does, and a test
+# checks that two threads give the same bytes for this graph.  The pin
+# keeps the script on the tested setting.  The variable only takes effect if it is set before
 # numpy or scipy is first imported; scipy brings its own OpenBLAS, which
 # now loads at the first sparse call.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -35,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct",
                        help="build a certified k-regular graph")
     c.add_argument("--k", type=int, required=True,
-                   help="target regularity (>= 3)")
+                   help="target regularity, from 3 to 2557")
     c.add_argument("--min-vertices", type=int, required=True,
                    help="smallest acceptable vertex count")
     c.add_argument("--strategy", choices=["matching", "k2product"],

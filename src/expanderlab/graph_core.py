@@ -56,9 +56,6 @@ class Graph:
         # Sorted rows put parallel edges next to each other.
         return not (self.edges[1:] == self.edges[:-1]).all(axis=1).any()
 
-    def adjacency_matrix(self) -> np.ndarray:
-        return self.adjacency_sparse().toarray()
-
     def adjacency_sparse(self) -> sparse.csr_matrix:
         """CSR adjacency (multiplicities, sorted columns), shared: do not modify."""
         if self._csr is None:

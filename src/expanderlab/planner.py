@@ -62,7 +62,8 @@ class BuildPlan:
 
 
 def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
-    """(theoretical, buildable) plans for target regularity k >= 3."""
+    """(theoretical, buildable) plans for target regularity 3 <= k <= 2557;
+    past 2557 base_prime refuses k, whose anchor has no modulus q <= 101."""
     theory = PrimePlan.for_target(k)
     p = base_prime(k)
     if p is None:

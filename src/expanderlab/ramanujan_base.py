@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 import numpy as np
 
@@ -85,9 +85,21 @@ def lps_params(p: int, q: int) -> LpsParams:
     return LpsParams(p=p, q=q, group="PGL2", n=q * (q * q - 1))
 
 
+def _unserved(p: int) -> bool:
+    """Whether the rule admits p but no q <= Q_MAX makes an X^{p,q}."""
+    return _fault(p) is None and all(_fault(p, q) for q in range(5, Q_MAX + 1))
+
+
 def base_prime(k: int) -> int | None:
-    """The largest p <= k - 1 that the base rule admits, or None."""
-    return next((p for p in range(k - 1, 4, -1) if _fault(p) is None), None)
+    """The largest p <= k - 1 that the base rule admits, or None.  k is
+    capped: a k whose p has no modulus (k >= 2558) raises ValidationError."""
+    p = next((p for p in range(k - 1, 4, -1) if _fault(p) is None), None)
+    if p is not None and _unserved(p):
+        raise ValidationError(
+            f"k={k} anchors at p={p}, and no modulus q <= {Q_MAX} exceeds "
+            f"2*sqrt(p); the largest k whose anchor has one is "
+            f"{next(filter(_unserved, count(5)))}")
+    return p
 
 
 def smallest_modulus(p: int, min_vertices: int) -> int:

@@ -3,11 +3,11 @@
 extreme_eigs is the one eigensolver entry point: it returns lambda_1,
 lambda_2 and lambda_n of the adjacency of a connected regular graph, the
 graphs certify accepts, as a Spectrum, and refuses any other graph with
-ValidationError.  The method field names one of three size regimes:
+ValidationError.  lambda_1 = k exactly at every size, and the Lanczos
+recurrence below gives lambda_2 and lambda_n.  The method field names one
+of two size regimes:
 
-- "dense", n <= 64: numpy.linalg.eigh solves the full spectrum.
-- "iterative+inertia", 64 < n <= DENSE_THRESHOLD: lambda_1 = k exactly,
-  the Lanczos recurrence below gives lambda_2 and lambda_n, and two
+- "iterative+inertia", n <= DENSE_THRESHOLD: these values, and two
   Cholesky factorizations, of Schur complements of about half the size
   where the graph allows, prove that no eigenvalue was missed.
 - "iterative", n > DENSE_THRESHOLD: the same values from the same
@@ -40,10 +40,11 @@ for bit, and sums y_j q_j into each Ritz vector (Cullum and Willoughby,
 Lanczos Algorithms for Large Symmetric Eigenvalue Computations, 1985).  It
 replays the recorded scalars rather than reducing again: it applies M and
 makes the same subtractions and division in the same order, so each q_j
-keeps its bits without the three reductions of a step.  Every reduction
-is an np.sum.  A poor Ritz vector can only fail the residual check, never
-pass it.  Four rules keep the recurrence sound; each says what the code
-did without it:
+keeps its bits without the three reductions of a step, and it stops at
+the last q_j a Ritz vector uses, without applying M to it.  Every
+reduction is an np.sum.  A poor Ritz vector can only fail the residual
+check, never pass it.  Four rules keep the recurrence sound; each says
+what the code did without it:
 
 - Each end's (theta, y) is frozen at the step where its estimate
   converged, and the second pass sums each Ritz vector over its own m
@@ -66,7 +67,7 @@ did without it:
   lambda_2 = 0 and no lift; K_{40,40} gave a residual of 31.
 
 Past _LANCZOS_STEPS steps the recurrence raises ConvergenceError.  On
-construct(7, 1000), n = 2184, it stops after 264 steps, 528 sparse
+construct(7, 1000), n = 2184, it stops after 264 steps, 264 + 263 sparse
 products in all.  On construct(8, 10000), n = 12 180, lambda_2 freezes
 after 104 steps and lambda_n, which lies at the edge of the bulk of the
 spectrum, after 376; on build_lps(5, 61), n = 113 460, both by 184.
@@ -75,16 +76,18 @@ Bipartite graphs.  Order the vertices of a bipartite graph side by side and
 its adjacency is A = [[0, B], [B^T, 0]], whose spectrum is the singular
 values of B and their negatives: (u, w) is an eigenvector for s exactly
 when (u, -w) is one for -s.  For a connected k-regular bipartite graph
-above 64 vertices this gives lambda_n = -k (+1 on one side, -1 on the
-other) exactly, with residual 0, and makes lambda_2 the largest singular
-value of B off the all-ones vector.  One solve of half the size finds it:
-the largest eigenvalue of P B B^T P on one side, found by the recurrence
-above with M = B B^T and ||M|| <= k^2, is lambda_2^2.  Its Ritz vector u
+this gives lambda_n = -k (+1 on one side, -1 on the other) exactly, with
+residual 0, and makes lambda_2 the largest singular value of B off the
+all-ones vector.  One solve of half the size finds it: the largest
+eigenvalue of P B B^T P on one side, found by the recurrence above with
+M = B B^T and ||M|| <= k^2, is lambda_2^2.  Its Ritz vector u
 lifts to (u, B^T u / lambda_2), and the residual is checked against A
 itself.  On a complete bipartite graph, where lambda_2 = 0, P B B^T P is
 the zero operator: the first step breaks down and u is the starting
-vector.  On build_lps(5, 53), n/2 = 74 412, the recurrence stops after 88
-steps, and the two passes hold a few vectors of n/2 and no basis.
+vector.  On two vertices, k parallel edges, neither side has a mean-free
+vector, and lambda_2 = lambda_n = -k with residual 0.  On
+build_lps(5, 53), n/2 = 74 412, the recurrence stops after 88 steps, and
+the two passes hold a few vectors of n/2 and no basis.
 
 The completeness proof.  A Ritz value is an eigenvalue within its residual,
 but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
@@ -148,8 +151,7 @@ products; the tests check that it stays below tol on the paper's graphs.
 
 Eigenvalues are ordered as a non-increasing multiset: lambda_1 >= lambda_2
 >= ... >= lambda_n, so lambda_2 of a k-regular connected graph is the
-quantity bounded by 2*sqrt(k-1) in a Ramanujan graph.  The test is
-non-strict: equality counts as Ramanujan.
+quantity bounded by 2*sqrt(k-1) in a Ramanujan graph.
 
 scipy is imported on first use, by the first CSR adjacency, tridiagonal
 eigensolve or Cholesky factorization, not when this module is imported.
@@ -157,7 +159,6 @@ eigensolve or Cholesky factorization, not when this module is imported.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -170,9 +171,6 @@ from .graph_core import Graph, bipartition, is_connected, regularity
 
 DENSE_THRESHOLD = 4096
 DEFAULT_TOL = 1e-8
-
-# Graphs up to this size are solved in full by a dense eigh.
-_DENSE_MAX_N = 64
 
 # Seed for the Lanczos starting vector; fixed so iterative runs reproduce.
 _V0_SEED = 1717
@@ -192,27 +190,14 @@ _LANCZOS_STEPS = 2000
 
 @dataclass(frozen=True)
 class Spectrum:
-    """The extreme adjacency eigenvalues lambda_1 >= lambda_2 and lambda_n.
-
-    residual is the worst per-pair residual accepted by the solver, method
-    names the solver path that produced the values.
-    """
+    """The extreme adjacency eigenvalues lambda_1 >= lambda_2 and lambda_n,
+    the worst residual the solver accepted, and its method (size regime)."""
 
     lambda1: float
     lambda2: float
     lambda_n: float
     residual: float
     method: str
-
-
-def _dense_eigs(x: Graph, tol: float) -> tuple[np.ndarray, float]:
-    a = x.adjacency_matrix()
-    w, vecs = np.linalg.eigh(a)
-    res = float(np.abs(a @ vecs - vecs * w).max())
-    # eigh returns ascending order with unit-norm columns.
-    if res > tol:
-        raise ConvergenceError(f"dense eigensolve residual {res:.3e} > {tol:.3e}")
-    return w[::-1].copy(), res
 
 
 def _norm(v: np.ndarray) -> float:
@@ -231,7 +216,7 @@ def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
     return res
 
 
-def _lanczos(matvec, q: np.ndarray, scale: float, replay=None):
+def _lanczos(matvec, q: np.ndarray, scale: float):
     """The three-term Lanczos recurrence of P M P from the unit, mean-free
     vector q, without reorthogonalization.
 
@@ -244,33 +229,39 @@ def _lanczos(matvec, q: np.ndarray, scale: float, replay=None):
     _norm), so a rerun from the same q yields the same bits at any thread
     count; it is called as np.add.reduce, without np.sum's Python wrapper,
     which costs as much as the sum itself at a few thousand entries.
-
-    replay, an iterable of the (alpha_j, beta_j, mu_j) an earlier run from
-    the same q yielded, makes the run take its scalars from there instead
-    of reducing: it applies M and subtracts and divides as before, in the
-    same order, so every q_j keeps its bits, and skips the three
-    reductions and the two products they sum.
     """
     prev, beta = np.zeros_like(q), 0.0
     tmp = np.empty_like(q)
-    for step in itertools.repeat(None) if replay is None else replay:
+    while True:
         w = matvec(q)
         w -= np.multiply(beta, prev, out=tmp)
-        if step is None:
-            alpha = float(np.add.reduce(np.multiply(q, w, out=tmp)))
-            w -= np.multiply(alpha, q, out=tmp)
-            mean = np.add.reduce(w) / len(w)
-            w -= mean
-            beta = math.sqrt(float(np.add.reduce(np.multiply(w, w, out=tmp))))
-        else:
-            alpha, beta, mean = step
-            w -= np.multiply(alpha, q, out=tmp)
-            w -= mean
+        alpha = float(np.add.reduce(np.multiply(q, w, out=tmp)))
+        w -= np.multiply(alpha, q, out=tmp)
+        mean = np.add.reduce(w) / len(w)
+        w -= mean
+        beta = math.sqrt(float(np.add.reduce(np.multiply(w, w, out=tmp))))
         yield q, alpha, beta, mean
         if beta <= _EPS * scale:
             return
         w /= beta
         prev, q = q, w
+
+
+def _replay(matvec, q: np.ndarray, scalars: list):
+    """The q_j that _lanczos yielded from q with the m (alpha_j, beta_j,
+    mu_j) in scalars, rebuilt without its reductions: the same products,
+    subtractions and division in the same order keep their bits, and M is
+    not applied to q_{m-1}, whose product no q_j needs."""
+    prev, beta, tmp = np.zeros_like(q), 0.0, np.empty_like(q)
+    yield q
+    for alpha, beta_next, mean in scalars[:-1]:
+        w = matvec(q)
+        w -= np.multiply(beta, prev, out=tmp)
+        w -= np.multiply(alpha, q, out=tmp)
+        w -= mean
+        w /= beta_next
+        prev, q, beta = q, w, beta_next
+        yield q
 
 
 def _tridiagonal_pair(d: np.ndarray, e: np.ndarray,
@@ -305,10 +296,10 @@ def _ritz_pairs(matvec, n: int, scale: float,
     pair, 0 for the bottom one.  The first pass records alpha_j, beta_j and
     mu_j, checks every _CHECK_EVERY steps, and at a breakdown, and freezes
     each end's (theta, y), from _tridiagonal_pair, once its Ritz estimate
-    |beta_m y_m| is at most _EPS * scale.  The second pass replays the
-    recorded scalars and sums each end's Ritz vector over its own m steps
-    (see the module docstring).  Raises ConvergenceError past
-    _LANCZOS_STEPS steps.
+    |beta_m y_m| is at most _EPS * scale.  The second pass, _replay,
+    rebuilds the vectors from the recorded scalars, and each end's Ritz
+    vector is summed over its own m steps (see the module docstring).
+    Raises ConvergenceError past _LANCZOS_STEPS steps.
     """
     q = np.random.default_rng(_V0_SEED).standard_normal(n)
     q -= q.mean()
@@ -334,8 +325,8 @@ def _ritz_pairs(matvec, n: int, scale: float,
     vecs = {end: np.zeros(n) for end in ends}
     tmp = np.empty(n)
     steps = max(len(y) for _, y in frozen.values())
-    replay = zip(alphas[:steps], betas, means)
-    for j, (qj, _, _, _) in enumerate(_lanczos(matvec, q, scale, replay)):
+    scalars = list(zip(alphas[:steps], betas, means))
+    for j, qj in enumerate(_replay(matvec, q, scalars)):
         for end, (_, y) in frozen.items():
             if j < len(y):
                 vecs[end] += np.multiply(y[j], qj, out=tmp)
@@ -350,11 +341,14 @@ def _bipartite_lambda2(x: Graph, k: int, sides: np.ndarray,
     half-size operator P B B^T P, of norm at most k^2, and the lift of its
     top Ritz pair.  A Ritz value theta within _EPS k^2 of 0 is rounding
     noise and gives lambda_2 = 0, with no lift: B^T u / sqrt(theta) would
-    blow the noise up.  Raises ConvergenceError when the recurrence takes
-    more than _LANCZOS_STEPS steps or the residual exceeds tol.
+    blow the noise up.  On two vertices lambda_2 = -k, with residual 0.
+    Raises ConvergenceError when the recurrence takes more than
+    _LANCZOS_STEPS steps or the residual exceeds tol.
     """
     a = x.adjacency_sparse()
     left, right = np.flatnonzero(sides == 0), np.flatnonzero(sides == 1)
+    if len(left) == 1:
+        return -float(k), 0.0
     b = a[left][:, right]
     bt = b.T.tocsr()
     scale = float(k * k)
@@ -376,10 +370,9 @@ def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
 
     lambda1 must be within tol of an eigenvalue (extreme_eigs passes k,
     with the all-ones v1); v1 and vn are the lambda1 and lambda_n Ritz
-    vectors.
-    The claims are that K1 = tau I - A + c v1 v1^T, with tau = lambda2 + tol
-    and c = lambda1 - lambda2 + 1, and K2 = A - sigma I, with
-    sigma = lambda_n - tol, are positive definite.  Each is proved by
+    vectors.  The claims are that K1 = tau I - A + c v1 v1^T, with
+    tau = lambda2 + tol and c = lambda1 - lambda2 + 1, and K2 = A - sigma I,
+    with sigma = lambda_n - tol, are positive definite.  Each is proved by
     Cholesky of its Schur complement on the vertices R outside
     L = _matching_side(a, vn), or of itself when L is empty (see the module
     docstring), held in one packed buffer of |R|(|R|+1)/2 doubles (see
@@ -506,11 +499,11 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
     x must be connected and regular with at least two vertices, as certify
-    requires; any other graph raises ValidationError.  The dense path
-    serves n <= _DENSE_MAX_N.  Above it lambda_1 = k exactly, and lambda_2
-    comes from the Lanczos recurrence on the mean-free vectors: on a
-    half-size operator for a bipartite graph, whose lambda_n = -k, and
-    otherwise on A, where the same run also gives lambda_n.  Up to
+    requires; any other graph raises ValidationError.  lambda_1 = k
+    exactly, and lambda_2 comes from the Lanczos recurrence on the
+    mean-free vectors: on a half-size operator for a bipartite graph, whose
+    lambda_n = -k, and otherwise on A, where the same run also gives
+    lambda_n.  Up to
     DENSE_THRESHOLD the values are also proved complete by
     _prove_extremes (see the module docstring).
     """
@@ -518,10 +511,6 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     if x.n < 2 or k is None or not is_connected(x):
         raise ValidationError("extreme_eigs needs a connected regular graph "
                               "of at least two vertices")
-    if x.n <= _DENSE_MAX_N:
-        values, res = _dense_eigs(x, tol)
-        return Spectrum(float(values[0]), float(values[1]), float(values[-1]),
-                        res, "dense")
     sides = bipartition(x)
     if sides is not None:
         lambda2, res = _bipartite_lambda2(x, k, sides, tol)

@@ -1,17 +1,16 @@
 import os
 
 # The references under out/ were written with one OpenBLAS thread, and the
-# suite runs with one too.  Above 64 vertices a certificate comes from a
+# suite runs with one too.  At every size a certificate comes from a
 # Lanczos recurrence summed with np.sum, residuals summed the same way and,
 # up to 4096 vertices, a Cholesky proof; none of these follows the thread
 # count.  Tests in test_planner.py check that two threads give the same
-# bytes for construct(7, 1000), its k2product route, construct(29, 1000)
-# and construct(8, 10000), and test_spectral.py for
-# certify(build_lps(5, 37)) and certify(build_lps(5, 61)); no other
-# certificate is checked.  The dense eigh that serves graphs of 64
-# vertices or fewer is not checked either.  The variable only takes effect
-# if it is set before numpy or scipy is first imported; scipy brings its
-# own OpenBLAS, which now loads at the first sparse call.
+# bytes for construct(7, 1000), its k2product route, construct(3|4|5, 1),
+# the 6-cube, K64, construct(29, 1000) and construct(8, 10000), and
+# test_spectral.py for certify(build_lps(5, 37)) and
+# certify(build_lps(5, 61)); no other certificate is checked.  The variable
+# only takes effect if it is set before numpy or scipy is first imported;
+# scipy brings its own OpenBLAS, which now loads at the first sparse call.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import pytest  # noqa: E402

@@ -26,6 +26,8 @@ reproduce.  proof_matrices is no oracle either: it forms, dense and from
 the full matrices, the Schur complements that spectral._prove_extremes
 fills into one packed triangle, which the fill must reproduce to
 rounding; matching_side is the plain walk that picks their vertex set.
+adjacency_matrix is the dense adjacency that every dense oracle reads,
+formed from the edge list rather than from the package's sparse one.
 """
 
 from __future__ import annotations
@@ -103,6 +105,12 @@ def k4() -> Graph:
 
 def cycle(n: int) -> Graph:
     return from_edge_list(n, [(v, (v + 1) % n) for v in range(n)])
+
+
+def hypercube(d: int) -> Graph:
+    """The d-cube Q_d: v ~ v with bit b set, for each bit b clear in v."""
+    return from_edge_list(2 ** d, [(v, v | 1 << b) for v in range(2 ** d)
+                                   for b in range(d) if not v >> b & 1])
 
 
 def path(n: int) -> Graph:
@@ -354,9 +362,18 @@ def brute_force_expansion(x: Graph) -> tuple[Fraction, tuple[int, ...]]:
     return best, min(minimizers)
 
 
+def adjacency_matrix(x: Graph) -> np.ndarray:
+    """The dense adjacency, counting multiplicity, from the edge list."""
+    a = np.zeros((x.n, x.n))
+    u, v = x.edges[:, 0], x.edges[:, 1]
+    np.add.at(a, (u, v), 1.0)
+    np.add.at(a, (v, u), 1.0)
+    return a
+
+
 def eigvalsh(x: Graph) -> np.ndarray:
     """The full adjacency spectrum, non-increasing, by numpy's dense solver."""
-    return np.linalg.eigvalsh(x.adjacency_matrix())[::-1]
+    return np.linalg.eigvalsh(adjacency_matrix(x))[::-1]
 
 
 def arpack_lambda_n(x: Graph) -> float:
@@ -400,7 +417,7 @@ def proof_matrices(x: Graph, lambda1: float, lambda2: float,
     off on 3-regular graphs of 256 vertices, the refined one within 1.
     Long double products run without BLAS, so keep n in the hundreds.
     """
-    a = x.adjacency_matrix()
+    a = adjacency_matrix(x)
     eye = np.eye(x.n)
     k1 = ((lambda2 + tol) * eye - a
           + (lambda1 - lambda2 + 1.0) * np.outer(v1, v1))

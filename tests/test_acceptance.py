@@ -32,6 +32,7 @@ from expanderlab.errors import ValidationError
 from expanderlab.planner import certify
 
 from helpers import (
+    adjacency_matrix,
     cycle,
     decrement_regularity,
     doubled_cycle,
@@ -63,7 +64,7 @@ def _report(num: int, desc: str, ok: bool) -> None:
 
 def _lambda12(x) -> tuple[float, float]:
     """Independent (lambda1, lambda2) by a full numpy eigensolve."""
-    w = np.linalg.eigvalsh(x.adjacency_matrix())[::-1]
+    w = np.linalg.eigvalsh(adjacency_matrix(x))[::-1]
     return float(w[0]), float(w[1])
 
 

@@ -64,6 +64,18 @@ def test_construct_rejects_bad_k(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_construct_rejects_k_past_the_modulus_cap(tmp_path, capsys):
+    code = main(["construct", "--k", "2558", "--min-vertices", "1",
+                 "--graph-out", str(tmp_path / "g"),
+                 "--cert-out", str(tmp_path / "c")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k=2558 anchors at p=2557, and no modulus "
+                          "q <= 101")
+    assert "the largest k whose anchor has one is 2557" in err
+    assert not (tmp_path / "g").exists() and not (tmp_path / "c").exists()
+
+
 def test_construct_rejects_unreachable_size(tmp_path, capsys):
     code = main(["construct", "--k", "4", "--min-vertices", "100",
                  "--graph-out", str(tmp_path / "g"),

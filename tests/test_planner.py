@@ -18,6 +18,7 @@ from expanderlab import (
     graph_to_text,
     load_graph,
     plan,
+    planner,
     replay,
 )
 from expanderlab.errors import ValidationError
@@ -25,7 +26,15 @@ from expanderlab.graph_core import from_edge_list
 from expanderlab.ramanujan_base import LIBRARY, lps_params
 from expanderlab.spectral import SpectralCertificate
 
-from helpers import k4, path, petersen, script_env, two_triangles
+from helpers import (
+    complete_multipartite,
+    hypercube,
+    k4,
+    path,
+    petersen,
+    script_env,
+    two_triangles,
+)
 
 _ROOT = Path(__file__).resolve().parent.parent
 _REFERENCE = _ROOT / "out"
@@ -94,6 +103,29 @@ def test_plan_rejects_tiny_k():
         plan(2)
     with pytest.raises(ValidationError):
         plan(1)
+
+
+def test_plan_anchors_the_largest_k_that_has_a_modulus():
+    # X^{2549,101} is never built here: it would take several GB.
+    _, build = plan(2557)
+    assert (build.p_star, build.increments) == (2549, 7)
+    assert choose_q(2549, 1) == 101
+
+
+@pytest.mark.parametrize("k, p", [(2558, 2557), (2600, 2593)])
+def test_construct_refuses_k_past_the_modulus_cap(k, p, monkeypatch):
+    # Past k = 2557 the anchor p has no q <= Q_MAX = 101 with q^2 > 4p, and
+    # construct refuses k before any base is built or any modulus tried.
+    def never(*args):
+        raise AssertionError("called past the cap")
+
+    monkeypatch.setattr(planner, "build_lps", never)
+    monkeypatch.setattr(planner, "smallest_modulus", never)
+    with pytest.raises(ValidationError) as err:
+        construct(k, 1)
+    assert str(err.value) == (
+        f"k={k} anchors at p={p}, and no modulus q <= 101 exceeds "
+        f"2*sqrt(p); the largest k whose anchor has one is 2557")
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +260,7 @@ def test_construct_library_route_matches_reference():
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "9c3528d98663acb8787c1f08381b6591c46b657d1c4c0061ae09a1e908653f00")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "905149e1d2740abdf98f22d2ddadb017b664d7c729a72339442c890a8b6a4ec6")
+        "0713152822cde589564fd4cff2dfbbbf598136fd54c7c58d5a3c61d5d8f3f885")
 
 
 def test_construct_rejections():
@@ -328,16 +360,31 @@ def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
     # n = 2184 is certified by the Lanczos recurrence on A plus Cholesky,
     # and the bipartite product (n = 4368) by the half-size recurrence;
     # neither's digits follow the OpenBLAS thread count the way a dense
-    # eigh's did.
-    code = ("import sys; from expanderlab import construct; "
+    # eigh's did.  Nor do those of small graphs, which take the same
+    # routes: the library bases of construct(3|4|5, 1), the 6-cube Q6
+    # (bipartite) and K64.
+    code = ("import sys; from expanderlab import certify, construct; "
+            "from expanderlab.graph_core import from_edge_list; "
             "sys.stdout.write(construct(7, 1000)[1].to_json()); "
-            "sys.stdout.write(construct(7, 1000, 'k2product')[1].to_json())")
+            "sys.stdout.write(construct(7, 1000, 'k2product')[1].to_json()); "
+            "[sys.stdout.write(construct(k, 1)[1].to_json()) "
+            " for k in (3, 4, 5)]; "
+            "sys.stdout.write(certify(from_edge_list(64, [(v, v | 1 << b) "
+            " for v in range(64) for b in range(6) if not v >> b & 1]))"
+            " .to_json()); "
+            "sys.stdout.write(certify(from_edge_list(64, [(u, v) "
+            " for u in range(64) for v in range(u + 1, 64)])).to_json())")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           env=script_env(OPENBLAS_NUM_THREADS="2"),
                           timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
+    small = [construct(k, 1)[1] for k in (3, 4, 5)]
+    small += [certify(hypercube(6)), certify(complete_multipartite(64, 1))]
+    assert [(c.n, c.bipartite) for c in small] == [
+        (4, False), (5, False), (6, False), (64, True), (64, False)]
     assert proc.stdout == ((_REFERENCE / "k7_n2184.json").read_bytes()
-                           + k7_product[1].to_json().encode("ascii"))
+                           + k7_product[1].to_json().encode("ascii")
+                           + "".join(c.to_json() for c in small).encode())
 
 
 def test_construct_is_deterministic(k7):

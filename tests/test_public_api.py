@@ -1,7 +1,8 @@
 """The package root exports every name the benchmark harness imports,
 pyproject.toml declares every third-party module the tests import, scipy
-stays unloaded until a graph needs it, no package module calls ARPACK, no
-check relies on assert, and each build rule is stated in one module."""
+stays unloaded until a graph needs it, no package module calls ARPACK or
+a dense eigensolver, no check relies on assert, and each build rule is
+stated in one module."""
 
 import ast
 import re
@@ -111,16 +112,35 @@ def _imported_modules(tree: ast.Module):
                         for a in node.names)
 
 
-def test_package_runs_no_arpack_solve():
-    # Every iterative eigensolve is the package's own Lanczos recurrence;
-    # nothing imports scipy.sparse.linalg, where ARPACK lives.
+# numpy.linalg's and scipy.linalg's dense symmetric and general eigensolvers.
+_DENSE_EIGENSOLVERS = {"eigh", "eigvalsh", "eig", "eigvals"}
+
+
+def test_package_runs_one_eigen_engine():
+    # Every eigenvalue the package reports comes from its own Lanczos
+    # recurrence, proved complete by Cholesky up to DENSE_THRESHOLD: no
+    # module imports scipy.sparse.linalg, where ARPACK lives, or imports or
+    # calls a dense eigensolver, as a name or as an attribute such as
+    # np.linalg.eigh, and a Spectrum names one of the two methods.
     sources = sorted((_ROOT / "src" / "expanderlab").glob("*.py"))
     assert sources
-    found = [f"{path.relative_to(_ROOT)}:{line} {name}" for path in sources
-             for line, name in _imported_modules(
-                 ast.parse(path.read_text(encoding="utf-8")))
-             if (name + ".").startswith("scipy.sparse.linalg.")]
+    found, methods = [], set()
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        where = path.relative_to(_ROOT)
+        found += [f"{where}:{line} {name}"
+                  for line, name in _imported_modules(tree)
+                  if (name + ".").startswith("scipy.sparse.linalg.")
+                  or name.rpartition(".")[2] in _DENSE_EIGENSOLVERS]
+        found += [f"{where}:{node.lineno} .{node.attr}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in _DENSE_EIGENSOLVERS]
+        methods.update(node.args[-1].value for node in ast.walk(tree)
+                       if isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "Spectrum")
     assert not found
+    assert methods == {"iterative+inertia", "iterative"}
 
 
 def test_lapack_routines_resolve():

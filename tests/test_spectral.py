@@ -24,10 +24,10 @@ from expanderlab import (
 )
 from expanderlab.errors import ConvergenceError, ValidationError
 from expanderlab.graph_core import Graph, bipartition, from_edge_list
+from expanderlab.ramanujan_base import LIBRARY, small_ramanujan
 from expanderlab.spectral import (
     DEFAULT_TOL,
     DENSE_THRESHOLD,
-    _DENSE_MAX_N,
     _V0_SEED,
     Spectrum,
     _bipartite_lambda2,
@@ -38,14 +38,17 @@ from expanderlab.spectral import (
     _tridiagonal_pair,
 )
 from helpers import (
+    adjacency_matrix,
     arpack_lambda_n,
     complete_bipartite,
     complete_multipartite,
     cycle,
     double_cover,
     eigvalsh,
+    hypercube,
     k4,
     matching_side,
+    parallel_k2,
     path,
     petersen,
     product_spectrum_oracle,
@@ -63,8 +66,10 @@ from helpers import (
 def test_spectrum_k4():
     assert np.allclose(eigvalsh(k4()), [3, -1, -1, -1], atol=1e-9)
     s = extreme_eigs(k4())
-    assert s.method == "dense"
-    assert s.residual <= 1e-8
+    assert s.method == "iterative+inertia"
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
+        (3, -1, -1), abs=1e-12)
+    assert s.residual <= 1e-15
 
 
 def test_spectrum_c6():
@@ -82,7 +87,7 @@ def test_petersen_charpoly_crosscheck():
     want = P.polypow([-3, 1], 1)
     want = P.polymul(want, P.polypow([-1, 1], 5))
     want = P.polymul(want, P.polypow([2, 1], 4))
-    got = np.poly(petersen().adjacency_matrix())[::-1]  # ascending coeffs
+    got = np.poly(adjacency_matrix(petersen()))[::-1]  # ascending coeffs
     assert np.allclose(got, want, atol=1e-6)
 
 
@@ -103,6 +108,34 @@ def test_spectrum_guards():
 
 
 # -- extreme_eigs --------------------------------------------------------------------
+
+
+_SMALL_GRAPHS = (
+    [pytest.param(lambda n=n: cycle(n), id=f"C{n}") for n in range(3, 65)]
+    + [pytest.param(lambda n=n: complete_multipartite(n, 1), id=f"K{n}")
+       for n in range(3, 65)]
+    + [pytest.param(lambda a=a: complete_bipartite(a), id=f"K{a},{a}")
+       for a in range(1, 33)]
+    + [pytest.param(lambda m=m: parallel_k2(m), id=f"K2x{m}")
+       for m in range(1, 5)]
+    + [pytest.param(lambda: hypercube(6), id="Q6")]
+    + [pytest.param(lambda name=name: small_ramanujan(name), id=name)
+       for name in LIBRARY])
+
+
+@pytest.mark.parametrize("make", _SMALL_GRAPHS)
+def test_small_graphs_match_eigvalsh(make):
+    # Every size takes the recurrence and the Cholesky proof, down to two
+    # vertices, where neither side of the bipartite route has a mean-free
+    # vector.
+    x = make()
+    w = eigvalsh(x)
+    s = extreme_eigs(x)
+    assert s.method == "iterative+inertia"
+    assert s.lambda1 == float(regularity(x))
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx(
+        (w[0], w[1], w[-1]), abs=1e-12)
+    assert s.residual <= DEFAULT_TOL
 
 
 def test_extreme_eigs_small_graphs():
@@ -150,25 +183,33 @@ def test_iterative_unreachable_tolerance_raises():
         extreme_eigs(x, tol=1e-300)
 
 
-def test_dense_unreachable_tolerance_raises():
-    with pytest.raises(ConvergenceError):
+def test_small_graph_unreachable_tolerance_raises():
+    # Petersen, n = 10, takes the recurrence like any other graph, and its
+    # residual check refuses a tolerance no eigenpair meets.
+    with pytest.raises(ConvergenceError, match="residual"):
         extreme_eigs(petersen(), tol=1e-300)
 
 
-def test_extreme_eigs_dispatch(x513):
+def test_extreme_eigs_dispatch(x513, monkeypatch):
+    # The method follows n alone: the proof runs up to DENSE_THRESHOLD, on
+    # ten vertices as on 2184, and nowhere past it.
     s = extreme_eigs(petersen())
-    assert s.method == "dense"
+    assert s.method == "iterative+inertia"
     assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((3, 1, -2), abs=1e-9)
     s = extreme_eigs(x513)
-    assert s.method == "iterative+inertia"  # 64 < 2184 <= 4096
+    assert s.method == "iterative+inertia"  # 2184 <= 4096
     assert s.lambda1 == 6.0
     assert s.lambda_n == pytest.approx(-6, abs=1e-9)
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 9)
+    s = extreme_eigs(petersen())
+    assert s.method == "iterative"
+    assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((3, 1, -2), abs=1e-9)
 
 
 def test_inertia_path_matches_dense(x513, x1317):
     graphs = (x513, x1317, construct(7, 1000)[0], construct(29, 1000)[0])
     for x in graphs:
-        assert _DENSE_MAX_N < x.n <= DENSE_THRESHOLD
+        assert x.n <= DENSE_THRESHOLD
         s = extreme_eigs(x)
         assert s.method == "iterative+inertia"
         w = eigvalsh(x)
@@ -189,7 +230,7 @@ def exact_pairs():
     pairs = []
     for k, n in ((3, 256), (4, 258), (5, 128), (6, 131)):
         x = random_regular(k, n, 7)
-        w, vecs = np.linalg.eigh(x.adjacency_matrix())
+        w, vecs = np.linalg.eigh(adjacency_matrix(x))
         pairs.append((x, w[::-1], vecs[:, ::-1]))
     sizes = [len(_expected_right(x, w[0], w[1], w[-1], vecs[:, -1]))
              for x, w, vecs in pairs]
@@ -386,7 +427,7 @@ def test_proof_of_a_degenerate_gap(factored):
     x = from_edge_list(2 * half.n,
                        np.concatenate([half.edges, half.edges + half.n]))
     assert x.n <= DENSE_THRESHOLD and 64 * 5 <= x.n
-    w, vecs = np.linalg.eigh(x.adjacency_matrix())
+    w, vecs = np.linalg.eigh(adjacency_matrix(x))
     assert abs(w[-1] - w[-2]) <= 1e-9
     _prove_extremes(x, w[-1], w[-2], w[0], vecs[:, -1], vecs[:, 0],
                     DEFAULT_TOL)
@@ -529,7 +570,7 @@ def test_weyl_diagonal_exact():
 def test_weyl_kron_tie_case():
     # A = adj(K4) x I2, B = I4 x adj(K2): A + B is the product graph's
     # adjacency and the lower inequality is tight at i = 2.
-    a = np.kron(k4().adjacency_matrix(), np.eye(2))
+    a = np.kron(adjacency_matrix(k4()), np.eye(2))
     b = np.kron(np.eye(4), np.array([[0.0, 1.0], [1.0, 0.0]]))
     rep = weyl_check(a, b, 2)
     assert rep["holds"]
@@ -588,9 +629,10 @@ def _bipartite_multigraph(h: int) -> Graph:
 
 @pytest.fixture(scope="module")
 def bipartite_route_graphs(x513):
-    """Connected regular bipartite graphs above the dense size, each with
-    its lambda_2 by a dense solve."""
-    graphs = [double_cover(random_regular(k, n, seed))
+    """Connected regular bipartite graphs, each with its lambda_2 by a
+    dense solve."""
+    graphs = [complete_bipartite(3), cycle(8), double_cover(petersen())]
+    graphs += [double_cover(random_regular(k, n, seed))
               for k, n, seed in ((3, 34, 1), (4, 90, 2), (5, 128, 3),
                                  (6, 256, 4))]
     graphs += [cartesian_k2(double_cover(random_regular(3, 40, 5))),
@@ -606,7 +648,7 @@ def bipartite_route_graphs(x513):
 def test_bipartite_route_matches_dense(bipartite_route_graphs):
     for x, lambda2 in bipartite_route_graphs:
         k = regularity(x)
-        assert k is not None and is_bipartite(x) and x.n > _DENSE_MAX_N
+        assert k is not None and is_bipartite(x)
         s = extreme_eigs(x)
         assert s.lambda1 == k and s.lambda_n == -k
         assert abs(s.lambda2 - lambda2) <= 1e-9
@@ -658,7 +700,8 @@ def test_bipartite_lanczos_matches_arpack(lps37):
 
 def test_bipartite_lanczos_step_cap_raises(bipartite_route_graphs,
                                            monkeypatch):
-    x, _ = bipartite_route_graphs[1]
+    x, _ = bipartite_route_graphs[4]
+    assert x.n == 180
     monkeypatch.setattr(spectral, "_LANCZOS_STEPS", 5)
     with pytest.raises(ConvergenceError, match="Lanczos recurrence .* 5 steps"):
         extreme_eigs(x)
@@ -668,15 +711,17 @@ def test_bipartite_lanczos_stops_on_breakdown(monkeypatch):
     # K_{33,33}: P B B^T P = 0, so the first step's beta is rounding noise
     # below _EPS k^2, and each of the two passes takes one step.
     steps = []
-    lanczos = spectral._lanczos
 
-    def counted(matvec, q, scale, replay=None):
-        steps.append(0)
-        for step in lanczos(matvec, q, scale, replay):
-            steps[-1] += 1
-            yield step
+    def counted(generator):
+        def run(*args):
+            steps.append(0)
+            for step in generator(*args):
+                steps[-1] += 1
+                yield step
+        return run
 
-    monkeypatch.setattr(spectral, "_lanczos", counted)
+    for name in ("_lanczos", "_replay"):
+        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
     s = extreme_eigs(complete_bipartite(33))
     assert steps == [1, 1]
     assert s.lambda2 == 0.0 and s.residual <= 1e-14
@@ -725,10 +770,10 @@ def _general_route(x: Graph) -> Spectrum:
 
 
 def test_other_graphs_keep_the_general_route():
-    for x in (cartesian_k2(random_regular(3, 40, 1)), random_regular(5, 66, 2),
-              cartesian_k2(cycle(41))):
+    for x in (petersen(), cartesian_k2(random_regular(3, 40, 1)),
+              random_regular(5, 66, 2), cartesian_k2(cycle(41))):
         assert regularity(x) is not None and is_connected(x)
-        assert not is_bipartite(x) and x.n > _DENSE_MAX_N
+        assert not is_bipartite(x)
         assert extreme_eigs(x) == _general_route(x)
 
 
@@ -763,7 +808,7 @@ def test_degenerate_spectra(x):
     # eigenvalue: the recurrence breaks down within two steps, at a beta
     # of rounding size.
     w = eigvalsh(x)
-    assert x.n > _DENSE_MAX_N and not is_bipartite(x)
+    assert not is_bipartite(x)
     s = extreme_eigs(x)
     assert s.method == "iterative+inertia"
     assert s.lambda1 == float(regularity(x))
@@ -794,7 +839,7 @@ def test_past_threshold_route_matches_dense(past_threshold_graphs,
     assert w_bulk[-1] > -2.0 * math.sqrt(3)
     assert w_k7[-1] < -2.0 * math.sqrt(6) - 1.0
     assert w_cubic[-1] > -2.0 * math.sqrt(2)
-    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 1)
     for x, w in past_threshold_graphs:
         assert not is_bipartite(x)
         s = extreme_eigs(x)
@@ -817,7 +862,7 @@ def test_past_threshold_route_on_a_multiple_lambda_n(lps29):
 
 def test_past_threshold_route_unreachable_tolerance_raises(
         past_threshold_graphs, monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", _DENSE_MAX_N)
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 1)
     for x, _ in past_threshold_graphs:
         with pytest.raises(ConvergenceError, match="residual"):
             extreme_eigs(x, tol=1e-300)
@@ -852,7 +897,7 @@ def test_replayed_pass_keeps_every_lanczos_vector(construct_1000, lps37):
     # The vector pass takes alpha_j, beta_j and mu_j from the recording
     # pass instead of reducing again; every q_j must keep its bits, on A of
     # construct(7, 1000) over its 264 steps and on the half-size B B^T of
-    # X^{5,37}.
+    # X^{5,37}, and the operator is applied once per vector but the last.
     a = construct_1000[7][0].adjacency_sparse()
     operators = [((lambda z: a @ z), a.shape[0], 7.0, 264),
                  (*_half_size_operator(lps37), 36.0, 120)]
@@ -863,12 +908,17 @@ def test_replayed_pass_keeps_every_lanczos_vector(construct_1000, lps37):
         fresh = [(qj.copy(), scalars) for qj, *scalars in itertools.islice(
             spectral._lanczos(matvec, q, scale), steps)]
         assert len(fresh) == steps
-        replayed = spectral._lanczos(matvec, q, scale,
-                                     [scalars for _, scalars in fresh])
-        for (want, scalars), (got, *again) in zip(fresh, replayed,
-                                                  strict=True):
+        applied = []
+
+        def counting(z, matvec=matvec):
+            applied.append(1)
+            return matvec(z)
+
+        replayed = spectral._replay(counting, q,
+                                    [scalars for _, scalars in fresh])
+        for (want, _), got in zip(fresh, replayed, strict=True):
             assert np.array_equal(got, want)
-            assert again == scalars
+        assert len(applied) == steps - 1
 
 
 def _assert_same_pair(d: np.ndarray, e: np.ndarray, i: int) -> None:
@@ -918,28 +968,32 @@ def test_tridiagonal_pair_raises_on_lapack_failure(routine, monkeypatch):
 
 
 def test_lanczos_operator_and_tridiagonal_counts(construct_1000, monkeypatch):
-    # Replaying the scalars leaves the work of the recurrence as it was:
-    # each pass applies the operator once per step, and the first solves
-    # one tridiagonal per unfrozen end every _CHECK_EVERY steps.
+    # The first pass applies the operator once per step and solves one
+    # tridiagonal per unfrozen end every _CHECK_EVERY steps; the replay
+    # applies it once per step but the last, whose product no Ritz vector
+    # uses.
     from scipy.linalg import lapack
 
-    lanczos, dstebz = spectral._lanczos, lapack.dstebz
+    dstebz = lapack.dstebz
     applied, solves = [], []
 
-    def counted(matvec, q, scale, replay=None):
-        applied.append(0)
+    def counted(generator):
+        def run(matvec, *args):
+            applied.append(0)
 
-        def counting(z):
-            applied[-1] += 1
-            return matvec(z)
+            def counting(z):
+                applied[-1] += 1
+                return matvec(z)
 
-        return lanczos(counting, q, scale, replay)
+            return generator(counting, *args)
+        return run
 
     def counted_dstebz(*args):
         solves.append(len(args[0]))
         return dstebz(*args)
 
-    monkeypatch.setattr(spectral, "_lanczos", counted)
+    for name in ("_lanczos", "_replay"):
+        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
     monkeypatch.setattr(lapack, "dstebz", counted_dstebz)
     for x, steps, checks in ((construct_1000[7][0], 264, 40),
                              (construct(8, 10000)[0], 376, 60),
@@ -947,7 +1001,7 @@ def test_lanczos_operator_and_tridiagonal_counts(construct_1000, monkeypatch):
         applied.clear()
         solves.clear()
         extreme_eigs(x)
-        assert applied == [steps, steps]
+        assert applied == [steps, steps - 1]
         assert len(solves) == checks and max(solves) == steps
 
 
