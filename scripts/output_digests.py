@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Print the sha256 of every graph text and certificate of five fixed builds.
+
+    python scripts/output_digests.py [src_dir]
+
+imports expanderlab from src_dir, by default the repository's src/, and
+prints one line '<sha256>  <build> <txt|json>' per output, in a fixed
+order: construct(7, 1000) by both strategies, construct(8, 10000),
+construct(29, 1000) and certify(build_lps(5, 53)).  Running it against two
+checkouts' src/ and diffing the two outputs shows whether a change moved
+any byte of them.  The hashed bytes are those save_graph and
+SpectralCertificate.save write, so the construct(7, 1000) lines are the
+digests of out/k7_n2184.txt and out/k7_n2184.json.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+# One OpenBLAS thread, as the tests and out/ use; the variable only takes
+# effect if it is set before numpy or scipy is first imported.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def main() -> int:
+    src = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
+    sys.path.insert(0, str(src.resolve()))
+    from expanderlab import build_lps, certify, construct, graph_to_text
+
+    def lps(p: int, q: int):
+        x = build_lps(p, q)
+        return x, certify(x)
+
+    builds = {
+        "construct(7, 1000)": lambda: construct(7, 1000),
+        "construct(7, 1000, 'k2product')":
+            lambda: construct(7, 1000, "k2product"),
+        "construct(8, 10000)": lambda: construct(8, 10000),
+        "construct(29, 1000)": lambda: construct(29, 1000),
+        "certify(build_lps(5, 53))": lambda: lps(5, 53),
+    }
+    for name, build in builds.items():
+        x, cert = build()
+        for kind, text in (("txt", graph_to_text(x)),
+                           ("json", cert.to_json())):
+            digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+            print(f"{digest}  {name} {kind}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,15 @@ parallel edges are allowed and carry multiplicity in degrees, adjacency
 matrices and boundary counts.  Connectivity and the 2-colouring come from
 one breadth-first search, cached beside the adjacency.
 
+Every edge array is checked by whole-array passes: the range by its
+minimum and maximum, loops, row order and repeats by comparing the two
+columns or neighbouring rows column by column.  An (m, 2) reduction along
+rows costs several times as much, so the row-wise mask is built only on
+failure, to name the first bad edge.  Ids must be integers; unsigned and
+oversized ids are kept as given until they are checked against n.  The
+CSR adjacency is handed to scipy's COO conversion (v, u) half first, which
+leaves every row ascending, so scipy skips its sort.
+
 Edge codes u*n + v sort like canonical rows, so adding a matching inserts
 its pairs at their searchsorted positions among the edge codes instead of
 sorting the union.  Edge-list text is written by one numpy writer that
@@ -20,6 +29,7 @@ matchings need numpy alone.
 
 from __future__ import annotations
 
+import numbers
 import re
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -54,15 +64,21 @@ class Graph:
 
     def is_simple(self) -> bool:
         # Sorted rows put parallel edges next to each other.
-        return not (self.edges[1:] == self.edges[:-1]).all(axis=1).any()
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        return not ((u[1:] == u[:-1]) & (v[1:] == v[:-1])).any()
 
     def adjacency_sparse(self) -> sparse.csr_matrix:
-        """CSR adjacency (multiplicities, sorted columns), shared: do not modify."""
+        """CSR adjacency (multiplicities, sorted columns), shared: do not modify.
+
+        The (v, u) half goes first: scipy's conversion keeps input order
+        within a row, so row w gets its neighbours below w, ascending by
+        canonical order, then those above it, and needs no sort.
+        """
         if self._csr is None:
             from scipy import sparse
 
             u, v = self.edges[:, 0], self.edges[:, 1]
-            rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+            rows, cols = np.concatenate([v, u]), np.concatenate([u, v])
             self._csr = sparse.csr_matrix(
                 (np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
         return self._csr
@@ -123,33 +139,60 @@ def _canonical(n: int, raw) -> np.ndarray:
     """(u, v) pairs, or the same ids flattened, as a canonical edge array.
 
     Ids are compared with n before they are narrowed to int64, so the first
-    bad edge in input order is reported, however large its ids.
+    bad edge in input order is reported, however large its ids.  Range,
+    loops, row order and repeats are each tested by whole-array reductions
+    and column comparisons; a row-wise mask is built only to name the first
+    bad edge.
     """
     if n < 0:
         raise ValidationError(f"vertex count must be >= 0, got {n}")
     raw = raw if isinstance(raw, np.ndarray) else list(raw)
-    try:
-        e = np.asarray(raw, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:
-        e = np.array(raw, dtype=object).reshape(-1, 2)
-    bad = ((e < 0) | (e >= n)).any(axis=1) | (e[:, 0] == e[:, 1])
-    if bad.any():
+    e = _id_rows(raw)
+    u, v = e[:, 0], e[:, 1]
+    if len(e) and (e.min() < 0 or e.max() >= n or (u == v).any()):
+        bad = ((e < 0) | (e >= n)).any(axis=1) | (u == v)
         u, v = e[bad.argmax()].tolist()
         if not (0 <= u < n and 0 <= v < n):
             raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
         raise ValidationError(f"loop at vertex {u} rejected")
     if e.dtype == object:
-        raise ValidationError(f"vertex ids beyond int64 are unsupported (n={n})")
+        try:
+            e = e.astype(np.int64)
+        except OverflowError:
+            raise ValidationError(
+                f"vertex ids beyond int64 are unsupported (n={n})") from None
     # Rows with u < v and rows already in order, as graph_to_text and
     # build_lps emit them, skip the row sort and the lexsort.
     if not (e[:, 0] < e[:, 1]).all():
         e = np.sort(e, axis=1)
     elif isinstance(raw, np.ndarray) and np.may_share_memory(e, raw):
         e = e.copy()                # the caller's array stays its own
-    step = np.diff(e, axis=0)
-    if not ((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] >= 0))).all():
-        e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    # Rows are in order when u never falls and v falls only where u rises.
+    u, v = e[:, 0], e[:, 1]
+    if not ((u[1:] >= u[:-1]).all()
+            and ((v[1:] >= v[:-1]) | (u[1:] > u[:-1])).all()):
+        e = e[np.lexsort((v, u))]
     e.flags.writeable = False
+    return e
+
+
+def _id_rows(raw: list | np.ndarray) -> np.ndarray:
+    """The ids of raw as (m, 2) rows: int64 when numpy reads them as signed
+    integers or booleans, else the ids as given, in an object array.
+
+    numpy reads an unsigned array as given, and a list holding an id of
+    2**63 or more as floats or objects; both take the object array, so an
+    out-of-range id is reported as given.  A non-integer id raises
+    ValidationError naming its edge, and empty input is accepted.
+    """
+    e = np.asarray(raw)
+    if e.dtype.kind in "ib" or e.size == 0:
+        return e.astype(np.int64, copy=False).reshape(-1, 2)
+    e = np.array(raw, dtype=object).reshape(-1, 2)
+    whole = np.array([isinstance(i, numbers.Integral) for i in e.flat])
+    if not whole.all():
+        u, v = e[whole.argmin() // 2].tolist()
+        raise ValidationError(f"edge ({u}, {v}) has a non-integer vertex id")
     return e
 
 

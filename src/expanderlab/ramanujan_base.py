@@ -28,6 +28,13 @@ where the code is not a vertex, so each generator's images are found for
 all vertices at once by one gather.  The cap q <= Q_MAX keeps n at most
 about 10^6, the table at 8.2 MB, and every code and intermediate product
 below 2**31, so the arrays are int32.
+
+The generators come in inverse pairs: the mate of (a, b, c, d) is its
+adjugate (d, -b, -c, a), the matrix of the conjugate quaternion.  Images
+are computed for one generator of each pair; once they are checked to
+permute the vertices, the mate's images are the inverse permutation, one
+scatter instead of a normalization.  A generator that is its own mate, an
+involution, is computed directly; p = 1 (mod 4) has none.
 """
 
 from __future__ import annotations
@@ -199,14 +206,37 @@ def _generators(p: int, q: int) -> np.ndarray:
     return gens
 
 
+def _mates(gens: np.ndarray, q: int) -> np.ndarray:
+    """For each generator code, the position in gens of its projective
+    inverse: the adjugate (d, -b, -c, a) of (a, b, c, d), the quaternion
+    conjugate's matrix.  AssertionError if an inverse is not in gens."""
+    a, b, c, d = _decode(gens, q)
+    inverse = _normalize((d, -b % q, -c % q, a), q)
+    mate = np.searchsorted(gens, inverse)
+    if not (gens[np.minimum(mate, len(gens) - 1)] == inverse).all():
+        raise AssertionError(f"generator set mod {q} is not closed under "
+                             "inversion")
+    return mate
+
+
+def _code_table(verts: np.ndarray, q: int) -> np.ndarray:
+    """Vertex number of each code in [0, 2q^3), -1 where it is no vertex;
+    a singular image normalizes to 0, which is no vertex."""
+    index = np.full(2 * q**3, -1, dtype=np.int32)
+    index[verts] = np.arange(len(verts), dtype=np.int32)
+    return index
+
+
 def build_lps(p: int, q: int) -> Graph:
     """Construct X^{p,q} with deterministic vertex numbering.
 
     Vertex j is the j-th smallest code; it is adjacent to s*j for each
     generator s.  The generator set is closed under projective inversion,
-    so the relation is symmetric and every vertex has degree p + 1.  Each
-    vertex's sorted neighbours above it give its edges, so they come out
-    in canonical order.
+    so the relation is symmetric and every vertex has degree p + 1.  The
+    images are computed for one generator of each inverse pair, checked to
+    permute the vertices, and the mate's images are that permutation's
+    inverse.  Each vertex's sorted neighbours above it give its edges, so
+    they come out in canonical order.
     """
     params = lps_params(p, q)
     verts = _vertices(q, square_det=params.group == "PSL2")
@@ -214,28 +244,39 @@ def build_lps(p: int, q: int) -> Graph:
         raise AssertionError(
             f"enumerated {len(verts)} vertices for ({p}, {q}), "
             f"expected {params.n}")
-    # -1 marks codes that are no vertex; a singular image normalizes to 0.
-    index = np.full(2 * q**3, -1, dtype=np.int32)
+    index = _code_table(verts, q)
     j = np.arange(params.n, dtype=np.int32)
-    index[verts] = j
     a, b, c, d = _decode(verts, q)
-    gens = zip(*_decode(_generators(p, q), q))
+    gens = _generators(p, q)
+    mate = _mates(gens, q)
     nbrs = np.empty((params.n, p + 1), dtype=np.int32)
-    for col, (s0, s1, s2, s3) in enumerate(gens):
+    for col, (s0, s1, s2, s3) in enumerate(
+            np.column_stack(_decode(gens, q)).tolist()):
+        if mate[col] < col:
+            continue                # the inverse of an earlier column
         image = _normalize(((s0 * a + s1 * c) % q, (s0 * b + s1 * d) % q,
                             (s2 * a + s3 * c) % q, (s2 * b + s3 * d) % q), q)
         h = index[image]
+        name = f"generator {(s0, s1, s2, s3)} of X^{{{p},{q}}}"
         if (h < 0).any():
-            raise AssertionError(f"vertex {(h < 0).argmax()} of X^{{{p},{q}}} "
-                                 "has an image outside the group")
+            raise AssertionError(f"{name} maps vertex {(h < 0).argmax()} "
+                                 "outside the group")
         if (h == j).any():
-            raise AssertionError(
-                f"loop at vertex {(h == j).argmax()} in X^{{{p},{q}}}")
+            raise AssertionError(f"{name} fixes vertex {(h == j).argmax()}, "
+                                 "a loop")
+        inverse = np.full(params.n, -1, dtype=np.int32)
+        inverse[h] = j
+        if (inverse < 0).any():
+            raise AssertionError(f"{name} does not permute the vertices: "
+                                 f"no vertex maps to {(inverse < 0).argmax()}")
         nbrs[:, col] = h
+        if mate[col] != col:
+            nbrs[:, mate[col]] = inverse
     nbrs.sort(axis=1)
-    up = nbrs > j[:, None]
+    # Flat positions of the neighbours above their row's vertex, row-major.
+    up = np.flatnonzero(nbrs > j[:, None])
     x = from_edge_list(params.n, np.column_stack(
-        [np.repeat(j, up.sum(axis=1)), nbrs[up]]))
+        [up // (p + 1), nbrs.ravel()[up]]))
     if len(x.edges) != params.n * (p + 1) // 2 or not x.is_simple():
         raise AssertionError(f"X^{{{p},{q}}} is not ({p + 1})-regular simple")
     return x

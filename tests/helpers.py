@@ -28,6 +28,9 @@ fills into one packed triangle, which the fill must reproduce to
 rounding; matching_side is the plain walk that picks their vertex set.
 adjacency_matrix is the dense adjacency that every dense oracle reads,
 formed from the edge list rather than from the package's sparse one.
+coo_adjacency is kept the same way as the blossom: the CSR that
+Graph.adjacency_sparse built before it ordered its halves so that scipy
+need not sort, which it must reproduce array for array.
 """
 
 from __future__ import annotations
@@ -369,6 +372,16 @@ def adjacency_matrix(x: Graph) -> np.ndarray:
     np.add.at(a, (u, v), 1.0)
     np.add.at(a, (v, u), 1.0)
     return a
+
+
+def coo_adjacency(x: Graph) -> sparse.csr_matrix:
+    """The CSR adjacency as Graph.adjacency_sparse built it before it put
+    the (v, u) half first: the (u, v) half leads, so scipy's conversion
+    leaves rows unsorted and sorts them before summing parallel edges."""
+    u, v = x.edges[:, 0], x.edges[:, 1]
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),
+                             shape=(x.n, x.n))
 
 
 def eigvalsh(x: Graph) -> np.ndarray:

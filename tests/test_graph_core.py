@@ -30,6 +30,7 @@ from helpers import (
     adjacency_matrix,
     brute_force_bipartite,
     complement,
+    coo_adjacency,
     cycle,
     double_cover,
     double_cover_is_bipartite,
@@ -38,6 +39,7 @@ from helpers import (
     fstring_lines,
     k4,
     line_parse_graph,
+    parallel_k2,
     path,
     petersen,
     random_gnp,
@@ -82,6 +84,11 @@ def test_from_edge_list_multiedge():
     assert edge_pairs(x) == ((0, 1), (0, 1), (1, 2))
     assert x.degrees().tolist() == [2, 3, 1]
     assert not x.is_simple()
+    # A repeat of any row, first, inner or last, is found.
+    rows = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    assert from_edge_list(4, rows).is_simple()
+    for pair in rows:
+        assert not from_edge_list(4, rows + [pair]).is_simple()
 
 
 def test_from_edge_list_rejects_loops_and_range():
@@ -91,6 +98,16 @@ def test_from_edge_list_rejects_loops_and_range():
         from_edge_list(3, [(0, 3)])
     with pytest.raises(ValidationError):
         from_edge_list(-1, [])
+    # Non-integer ids are refused, not truncated; empty input is no edges.
+    with pytest.raises(ValidationError, match=(
+            r"^edge \(0, 1\.7\) has a non-integer vertex id$")):
+        from_edge_list(3, [(0, 1.7)])
+    with pytest.raises(ValidationError, match="non-integer"):
+        from_edge_list(3, np.array([[0.0, 1.0]]))
+    for empty in ([], np.zeros((0, 2))):
+        assert from_edge_list(3, empty).num_edges == 0
+    assert from_edge_list(3, np.array([[2, 0]], dtype=np.uint64)) == (
+        from_edge_list(3, [(0, 2)]))
 
 
 def test_from_edge_list_reports_first_bad_edge():
@@ -145,32 +162,54 @@ def _reference_canonical(edges: np.ndarray) -> np.ndarray:
     return e[np.lexsort((e[:, 1], e[:, 0]))]
 
 
-# Edge lists on up to 12 vertices, drawn as loop-free pairs in three shapes:
-# mixed orientation and order, all u < v but out of order, and canonical
-# rows with one of them reversed.
+# Edge lists on up to 12 vertices, drawn as loop-free pairs in four shapes:
+# mixed orientation and order, all u < v but out of order, canonical rows
+# with one of them reversed, and mixed rows with one bad row, a loop or an
+# out-of-range id, put in at a drawn position.  A case is (n, edges, the
+# message the bad row must raise, or None).
 @st.composite
 def edge_arrays(draw):
     n = draw(st.integers(min_value=2, max_value=12))
     pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
     e = np.array(draw(st.lists(st.sampled_from(pairs), max_size=40)),
                  dtype=np.int64).reshape(-1, 2)
-    shape = draw(st.sampled_from(["mixed", "ordered rows", "one reversed"]))
-    if shape != "mixed":
+    shape = draw(st.sampled_from(["mixed", "ordered rows", "one reversed",
+                                  "one bad row"]))
+    if shape in ("ordered rows", "one reversed"):
         e = np.sort(e, axis=1)
     if shape == "one reversed" and len(e):
         e = _reference_canonical(e)
         i = draw(st.integers(min_value=0, max_value=len(e) - 1))
         e[i] = e[i, ::-1]
-    return n, e
+    error = None
+    if shape == "one bad row":
+        w = draw(st.integers(min_value=0, max_value=n - 1))
+        far = draw(st.one_of(st.integers(min_value=n, max_value=2**62),
+                             st.integers(min_value=-2**62, max_value=-1),
+                             st.just(w)))
+        row = draw(st.permutations([w, far]))
+        error = (f"loop at vertex {w} rejected" if far == w else
+                 f"edge ({row[0]}, {row[1]}) out of range for n={n}")
+        i = draw(st.integers(min_value=0, max_value=len(e)))
+        e = np.insert(e, i, row, axis=0)
+    return n, e, error
 
 
 @settings(max_examples=300)
 @given(edge_arrays())
-@example((5, np.array([[0, 1], [0, 1], [1, 4], [2, 3]])))
-@example((5, np.array([[1, 4], [0, 1], [2, 3]])))
-@example((5, np.array([[0, 1], [4, 1], [2, 3]])))
+@example((5, np.array([[0, 1], [0, 1], [1, 4], [2, 3]]), None))
+@example((5, np.array([[1, 4], [0, 1], [2, 3]]), None))
+@example((5, np.array([[0, 1], [4, 1], [2, 3]]), None))
+@example((5, np.array([[1, 0], [3, 3], [9, 2]]), "loop at vertex 3 rejected"))
 def test_from_edge_list_matches_reference_canonical_form(case):
-    n, e = case
+    n, e, error = case
+    if error is not None:
+        # The first bad row in input order is named, from an array or a
+        # list alike.
+        for edges in (e, e.tolist()):
+            with pytest.raises(ValidationError, match=f"^{re.escape(error)}$"):
+                from_edge_list(n, edges)
+        return
     given_edges = e.copy()
     x = from_edge_list(n, e)
     assert x.edges.dtype == np.int64
@@ -184,6 +223,25 @@ def test_from_edge_list_matches_reference_canonical_form(case):
     if len(e):
         e[:] = 0
         assert np.array_equal(x.edges, _reference_canonical(given_edges))
+
+
+@given(multigraphs())
+@example(from_edge_list(3, []))
+@example(from_edge_list(4, [(0, 3), (1, 2), (0, 3), (0, 1), (0, 1), (0, 1)]))
+@example(parallel_k2(1))
+@example(parallel_k2(2))
+@example(parallel_k2(7))
+def test_adjacency_sparse_is_born_sorted(x):
+    # The (v, u) half goes first, so scipy's conversion needs no sort, and
+    # the CSR is the one the old order built after sorting: parallel edges
+    # summed into multiplicities.
+    a = x.adjacency_sparse()
+    assert a.has_sorted_indices and a.has_canonical_format
+    want = coo_adjacency(x)
+    assert a.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        got, wanted = getattr(a, name), getattr(want, name)
+        assert got.dtype == wanted.dtype and np.array_equal(got, wanted), name
 
 
 # -- regularity / connectivity / bipartiteness ---------------------------------
@@ -367,6 +425,15 @@ def test_matching_validation():
         with pytest.raises(ValidationError, match="out of range"):
             Matching([pair])
     assert Matching([(0, 2**63 - 1)]).to_text() == f"0 {2**63 - 1}\n"
+    # Non-integer ids are refused, and an unsigned id past int64 is named
+    # as given.
+    with pytest.raises(ValidationError, match=(
+            r"^edge \(0\.5, 2\.0\) has a non-integer vertex id$")):
+        Matching(np.array([[0.5, 2]]))
+    with pytest.raises(ValidationError, match=(
+            rf"^edge \(0, {2**63}\) out of range for n={2**63}$")):
+        Matching(np.array([[0, 2**63]], dtype=np.uint64))
+    assert Matching(np.array([[3, 0]], dtype=np.uint8)) == Matching([(0, 3)])
     # The caller's array stays writeable and its own.
     a = np.array([[0, 1], [2, 3]])
     Matching(a)

@@ -356,6 +356,21 @@ def test_k7_pipeline_script_writes_the_reference(tmp_path):
         assert (tmp_path / name).read_bytes() == (_REFERENCE / name).read_bytes()
 
 
+def test_output_digests_script_names_the_reference():
+    # One sha256 line per graph text and certificate of five builds; the
+    # construct(7, 1000) lines are the digests of the files under out/.
+    proc = subprocess.run(
+        [sys.executable, str(_ROOT / "scripts" / "output_digests.py")],
+        capture_output=True, text=True, env=script_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 10
+    for kind in ("txt", "json"):
+        digest = hashlib.sha256(
+            (_REFERENCE / f"k7_n2184.{kind}").read_bytes()).hexdigest()
+        assert f"{digest}  construct(7, 1000) {kind}" in lines
+
+
 def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
     # n = 2184 is certified by the Lanczos recurrence on A plus Cholesky,
     # and the bipartite product (n = 4368) by the half-size recurrence;

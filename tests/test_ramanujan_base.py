@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from expanderlab import (
     extreme_eigs,
     is_bipartite,
     is_connected,
+    ramanujan_base,
     regularity,
 )
 from expanderlab.errors import ValidationError
@@ -25,12 +27,14 @@ from expanderlab.ramanujan_base import (
     Q_MAX,
     _decode,
     _generators,
+    _mates,
     _normalize,
     _sqrt_minus_one,
     _vertices,
     four_square_generators,
     lps_params,
     small_ramanujan,
+    smallest_modulus,
 )
 from helpers import eigvalsh, lps_closure, searchsorted_lps
 
@@ -116,12 +120,45 @@ def _tuples(codes, q):
 
 def test_generators_closed_under_inversion():
     # The projective inverse of ((a,b),(c,d)) is its adjugate ((d,-b),(-c,a)).
-    for p, q in ((5, 13), (13, 17), (5, 29)):
+    # _mates pairs each generator with it: at each admitted p <= 61 and its
+    # least modulus, mate is a fixed-point-free involution, since no
+    # generator for p = 1 (mod 4) is its own inverse, and each generator
+    # times its mate is a nonzero scalar matrix mod q.
+    primes = [p for p in range(5, 62) if is_prime(p) and p % 4 == 1]
+    assert len(primes) == 8
+    for p, q in [(p, smallest_modulus(p, 1)) for p in primes] + [(5, 29)]:
         gens = _generators(p, q)
         assert len(gens) == p + 1 and (np.diff(gens) > 0).all()
         a, b, c, d = _decode(gens, q)
         adj = _normalize((d, -b % q, -c % q, a), q)
         assert set(adj.tolist()) == set(gens.tolist())
+        mate = _mates(gens, q)
+        ids = np.arange(p + 1)
+        assert (mate[mate] == ids).all() and (mate != ids).all(), p
+        for (a, b, c, d), (e, f, g, h) in zip(_tuples(gens, q),
+                                              _tuples(gens[mate], q)):
+            prod = ((a * e + b * g) % q, (a * f + b * h) % q,
+                    (c * e + d * g) % q, (c * f + d * h) % q)
+            assert prod[1] == prod[2] == 0 and prod[0] == prod[3] != 0
+
+
+def test_build_lps_refuses_images_that_are_no_permutation(monkeypatch):
+    # A code table that numbers two codes as vertex 2 makes the images of
+    # the first generator collide.  build_lps names that generator, the
+    # first column it computes, so no inverse column has been written.
+    table = ramanujan_base._code_table
+
+    def corrupted(verts, q):
+        index = table(verts, q)
+        index[verts[1]] = 2
+        return index
+
+    monkeypatch.setattr(ramanujan_base, "_code_table", corrupted)
+    first = _tuples(_generators(5, 13), 13)[0]
+    with pytest.raises(AssertionError, match=re.escape(
+            f"generator {first} of X^{{5,13}} does not permute the "
+            f"vertices: no vertex maps to 1")):
+        build_lps(5, 13)
 
 
 def test_sqrt_minus_one_is_the_smaller_root():

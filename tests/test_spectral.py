@@ -31,6 +31,7 @@ from expanderlab.spectral import (
     _V0_SEED,
     Spectrum,
     _bipartite_lambda2,
+    _half_blocks,
     _matching_side,
     _packed_index,
     _prove_extremes,
@@ -883,14 +884,37 @@ def test_ritz_pairs_are_frozen_where_they_converge(construct_1000):
 # -- the two Lanczos passes ---------------------------------------------------------
 
 
-def _half_size_operator(x: Graph):
-    """matvec and length of P B B^T P's B B^T for a bipartite graph, as
-    _bipartite_lambda2 builds it."""
+def _sliced_blocks(x: Graph):
+    """B and B^T of a bipartite graph by scipy's slicing and transpose."""
     sides = bipartition(x)
     b = x.adjacency_sparse()[np.flatnonzero(sides == 0)][
         :, np.flatnonzero(sides == 1)]
-    bt = b.T.tocsr()
+    return b, b.T.tocsr()
+
+
+def _half_size_operator(x: Graph):
+    """matvec and length of P B B^T P's B B^T for a bipartite graph, with
+    the blocks sliced by scipy."""
+    b, bt = _sliced_blocks(x)
     return (lambda z: b @ (bt @ z)), b.shape[0]
+
+
+def test_gathered_blocks_match_slicing(lps37, x513):
+    # _half_blocks gathers B and B^T from the CSR; they must be the sliced
+    # blocks array for array, or the recurrence's sums would move: on
+    # X^{5,37}, the k7 product (X^{5,13} x K2) and bipartite multigraphs.
+    graphs = (lps37, cartesian_k2(x513), cycle(6), parallel_k2(3),
+              double_cover(from_edge_list(6, np.concatenate(
+                  [cycle(6).edges, cycle(6).edges, [[0, 3], [1, 4]]]))))
+    for x in graphs:
+        sides = bipartition(x)
+        assert sides is not None
+        for got, want in zip(_half_blocks(x.adjacency_sparse(), sides),
+                             _sliced_blocks(x), strict=True):
+            assert got.shape == want.shape
+            for name in ("indptr", "indices", "data"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 def test_replayed_pass_keeps_every_lanczos_vector(construct_1000, lps37):
