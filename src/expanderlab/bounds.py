@@ -66,6 +66,12 @@ def lambda2_bound_chain(k: int) -> tuple[float, float]:
 def _check_k(k: float) -> None:
     if not k > 2:
         raise ValidationError(f"gap bounds need k > 2, got {k}")
+    try:
+        finite = math.isfinite(k)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
+        raise ValidationError("gap bounds need a k that is a finite float")
 
 
 def gap_bound_trudgian(k: float) -> float:

@@ -31,13 +31,7 @@ from ._version import __version__
 from .bounds import bound_entries, is_ramanujan
 from .errors import ValidationError
 from .expansion import MAX_EXACT_N, expanding_constant_exact
-from .graph_core import (
-    Graph,
-    cartesian_k2,
-    is_bipartite,
-    is_connected,
-    regularity,
-)
+from .graph_core import Graph, cartesian_k2, is_bipartite
 from .matching import increment_regularity
 from .numtheory import PrimePlan
 from .ramanujan_base import (LIBRARY, base_prime, build_lps, small_ramanujan,
@@ -94,29 +88,26 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
             build: BuildPlan | None = None) -> SpectralCertificate:
     """Measure a regular connected graph and emit its certificate.
 
-    Spectral fields are always measured, never copied from claims.  Bound
-    entries are attached with validity flags resolved against the
-    construction strategy; exact expansion data is included whenever the
-    graph is small enough.
+    Two header checks, on n and m alone, come first, so a hostile header
+    fails before anything of size n is allocated; then extreme_eigs
+    refuses any graph that is not connected, regular and of at least two
+    vertices.  Spectral fields are always measured, never copied from
+    claims.  Bound entries are attached with validity flags resolved
+    against the construction strategy; exact expansion data is included
+    whenever the graph is small enough.
     """
-    # The first two tests read only n and m, so a hostile header fails
-    # here, before anything of size n is allocated.
     if x.n == 0 or 2 * x.num_edges % x.n:
         raise ValidationError("certificates require a regular graph")
     if x.num_edges < x.n - 1:
         raise ValidationError("certificates require a connected graph")
-    k = regularity(x)
-    if k is None:
-        raise ValidationError("certificates require a regular graph")
-    if not is_connected(x):
-        raise ValidationError("certificates require a connected graph")
+    s = extreme_eigs(x)
+    k = 2 * x.num_edges // x.n
     expansion = None
-    if 2 <= x.n <= MAX_EXACT_N:
+    if x.n <= MAX_EXACT_N:
         h, witness = expanding_constant_exact(x)
         expansion = {"h": h, "witness": list(witness)}
     base = build.p_star if build is not None and strategy is not None else None
     bounds = tuple(bound_entries(k, base, strategy == "matching"))
-    s = extreme_eigs(x)
     return SpectralCertificate(
         version=__version__,
         k=k,

@@ -1,11 +1,11 @@
 """Residual-checked extreme eigenvalues and spectral certificates.
 
-extreme_eigs is the one eigensolver entry point: it returns lambda_1,
-lambda_2 and lambda_n of the adjacency of a connected regular graph, the
-graphs certify accepts, as a Spectrum, and refuses any other graph with
-ValidationError.  lambda_1 = k exactly at every size, and the Lanczos
-recurrence below gives lambda_2 and lambda_n.  The method field names one
-of two size regimes:
+extreme_eigs is the one eigensolver entry point and the one gate for what
+can be certified: it returns lambda_1, lambda_2 and lambda_n of the
+adjacency of a connected regular graph as a Spectrum, and refuses any
+other graph with ValidationError, which certify passes on.  lambda_1 = k
+exactly at every size, and the Lanczos recurrence below gives lambda_2
+and lambda_n.  The method field names one of two size regimes:
 
 - "iterative+inertia", n <= DENSE_THRESHOLD: these values, and two
   Cholesky factorizations, of Schur complements of about half the size
@@ -87,11 +87,9 @@ the zero operator: the first step breaks down and u is the starting
 vector.  On two vertices, k parallel edges, neither side has a mean-free
 vector, and lambda_2 = lambda_n = -k with residual 0.  On
 build_lps(5, 53), n/2 = 74 412, the recurrence stops after 88 steps, and
-the two passes hold a few vectors of n/2 and no basis.  B and B^T are
-each one gather of a side's rows from the cached CSR adjacency, every
-column renumbered by its rank within its side: a monotone map, which
-keeps each row sorted, so they hold the arrays that slicing and
-transposing would give.
+the two passes hold a few vectors of n/2 and no basis.  B is sliced from
+the cached CSR adjacency, like every other block below, and B^T is its
+transpose.
 
 The completeness proof.  A Ritz value is an eigenvalue within its residual,
 but not necessarily lambda_2.  Rayleigh-Ritz gives lambda_2(A) >= lambda2
@@ -353,7 +351,8 @@ def _bipartite_lambda2(x: Graph, k: int, sides: np.ndarray,
     left = sides == 0
     if np.count_nonzero(left) == 1:
         return -float(k), 0.0
-    b, bt = _half_blocks(a, sides)
+    b = a[left][:, ~left]
+    bt = b.T.tocsr()
     scale = float(k * k)
     ((theta, u),) = _ritz_pairs(lambda z: b @ (bt @ z), b.shape[0], scale,
                                 (-1,))
@@ -363,35 +362,6 @@ def _bipartite_lambda2(x: Graph, k: int, sides: np.ndarray,
     if lambda2 > 0.0:
         v[~left] = bt @ u / lambda2
     return lambda2, _residual(a, v, lambda2, tol)
-
-
-def _half_blocks(a, sides: np.ndarray):
-    """B and B^T of the bipartite adjacency a = [[0, B], [B^T, 0]], whose
-    rows are the vertices of side 0 and of side 1, ascending, as CSR.
-
-    Each is one gather of its side's rows of a, with every column
-    renumbered by its rank within its side: a monotone map, so each row's
-    columns stay ascending.
-    """
-    from scipy import sparse
-
-    on = (sides == 0, sides == 1)
-    sizes = [np.count_nonzero(mask) for mask in on]
-    rank = np.empty(len(sides), dtype=a.indices.dtype)
-    for mask, size in zip(on, sizes):
-        rank[mask] = np.arange(size, dtype=rank.dtype)
-    # np.take gathers about twice as fast as indexing with an array.
-    cols = np.take(rank, a.indices)
-    lengths = np.diff(a.indptr)
-    blocks = []
-    for side in (0, 1):
-        keep = np.repeat(on[side], lengths)     # the entries of its rows
-        indptr = np.zeros(sizes[side] + 1, dtype=a.indptr.dtype)
-        np.cumsum(lengths[on[side]], out=indptr[1:])
-        blocks.append(sparse.csr_matrix(
-            (a.data[keep], cols[keep], indptr),
-            shape=(sizes[side], sizes[1 - side])))
-    return blocks
 
 
 def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
@@ -530,19 +500,18 @@ def _factor(buf: np.ndarray, n: int, claim: str) -> None:
 def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
     """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
-    x must be connected and regular with at least two vertices, as certify
-    requires; any other graph raises ValidationError.  lambda_1 = k
-    exactly, and lambda_2 comes from the Lanczos recurrence on the
-    mean-free vectors: on a half-size operator for a bipartite graph, whose
-    lambda_n = -k, and otherwise on A, where the same run also gives
-    lambda_n.  Up to
-    DENSE_THRESHOLD the values are also proved complete by
+    x must be connected and regular with at least two vertices; any other
+    graph raises ValidationError, and this is the check certify relies on.
+    lambda_1 = k exactly, and lambda_2 comes from the Lanczos recurrence on
+    the mean-free vectors: on a half-size operator for a bipartite graph,
+    whose lambda_n = -k, and otherwise on A, where the same run also gives
+    lambda_n.  Up to DENSE_THRESHOLD the values are also proved complete by
     _prove_extremes (see the module docstring).
     """
     k = regularity(x)
     if x.n < 2 or k is None or not is_connected(x):
-        raise ValidationError("extreme_eigs needs a connected regular graph "
-                              "of at least two vertices")
+        raise ValidationError("certification needs a connected regular "
+                              "graph of at least two vertices")
     sides = bipartition(x)
     if sides is not None:
         lambda2, res = _bipartite_lambda2(x, k, sides, tol)

@@ -259,6 +259,13 @@ def test_model_rejects_bad_config():
             gap_bounds(7, c)
 
 
+def test_model_values_refuse_k_past_the_float_range():
+    # 2**1024 does not convert to a float; every model refuses it.
+    for bound in gap_bounds(2**1024):
+        with pytest.raises(ValidationError, match="finite float"):
+            bound.value()
+
+
 def test_model_values_are_lazy():
     # For C = 1e308, 6**(1/2 + r) overflows at k = 7 and r is infinite at
     # k = 1000; only reading that value fails.

@@ -13,8 +13,9 @@ import pytest
 
 from expanderlab import graph_to_text, save_graph
 from expanderlab.cli import build_parser, main
+from expanderlab.graph_core import from_edge_list
 
-from helpers import k4, petersen, script_env
+from helpers import k4, petersen, script_env, two_triangles
 
 _CERT_KEYS = {
     "version", "k", "n", "provenance", "lambda1", "lambda2", "lambda_n",
@@ -117,6 +118,20 @@ def test_certify_rejects_hostile_header(tmp_path, capsys):
     assert main(["certify", "--graph", str(gpath),
                  "--cert-out", str(tmp_path / "c.json")]) == 1
     assert "connected graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("x", [
+    two_triangles(),                                        # disconnected
+    from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),    # irregular
+], ids=["disconnected", "irregular"])
+def test_certify_refuses_past_the_header(tmp_path, capsys, x):
+    # The header passes; the eigensolver's gate refuses the graph.
+    gpath, cpath = tmp_path / "g.txt", tmp_path / "c.json"
+    save_graph(x, gpath)
+    assert main(["certify", "--graph", str(gpath),
+                 "--cert-out", str(cpath)]) == 1
+    assert "connected regular" in capsys.readouterr().err
+    assert not cpath.exists()
 
 
 def test_certify_rejects_vertex_id_beyond_int64(tmp_path, capsys):
@@ -240,6 +255,13 @@ def test_bounds_rejects_overflowing_rh_constant(capsys):
         "chain      lambda2 <= 5.472135955 (= 2*sqrt(5) + 1) <= 9.28075994561\n"
         "trudgian   gap >= 2.06173380632 [not-valid-here]\n"
         "bhp        gap >= -3.04217544844 [not-valid-here, advisory]\n")
+
+
+@pytest.mark.parametrize("model", ["trudgian", "bhp", "rh"])
+def test_bounds_rejects_k_past_the_float_range(capsys, model):
+    assert main(["bounds", "--k", str(2**1024), "--model", model]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_bounds_rejects_small_k(capsys):

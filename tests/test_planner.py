@@ -293,11 +293,21 @@ def test_certify_petersen():
     assert cert.expansion["h"] == 1.0
 
 
-def test_certify_requires_regular_connected():
+def test_certify_requires_regular_connected(monkeypatch):
     with pytest.raises(ValidationError):
         certify(path(3))
-    with pytest.raises(ValidationError):
-        certify(two_triangles())
+
+    def reached(*args, **kwargs):
+        raise AssertionError("certify went past its gate")
+
+    # A disconnected and an irregular graph pass the header checks;
+    # extreme_eigs refuses both before any expansion or bound is computed.
+    monkeypatch.setattr(planner, "expanding_constant_exact", reached)
+    monkeypatch.setattr(planner, "bound_entries", reached)
+    for x in (two_triangles(),
+              from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2)])):
+        with pytest.raises(ValidationError, match="connected regular"):
+            certify(x)
 
 
 def test_certify_rejects_hostile_sizes_before_allocating():

@@ -31,7 +31,6 @@ from expanderlab.spectral import (
     _V0_SEED,
     Spectrum,
     _bipartite_lambda2,
-    _half_blocks,
     _matching_side,
     _packed_index,
     _prove_extremes,
@@ -676,6 +675,22 @@ def lps29() -> Graph:
     return build_lps(5, 29)
 
 
+def test_certify_counts_degrees_once(lps37, monkeypatch):
+    # extreme_eigs is the one regularity check on the certify path, so one
+    # degree pass (a bincount over all 2m ids) serves the whole certify.
+    calls = []
+    degrees = Graph.degrees
+
+    def counted(x):
+        calls.append(x)
+        return degrees(x)
+
+    monkeypatch.setattr(Graph, "degrees", counted)
+    assert lps37.n > DENSE_THRESHOLD
+    certify(lps37)
+    assert len(calls) == 1
+
+
 def test_bipartite_lanczos_matches_arpack(lps37):
     # scipy's ARPACK on the same half-size operator P B B^T P, started from
     # the same projected vector, serves only as the oracle here.
@@ -897,24 +912,6 @@ def _half_size_operator(x: Graph):
     the blocks sliced by scipy."""
     b, bt = _sliced_blocks(x)
     return (lambda z: b @ (bt @ z)), b.shape[0]
-
-
-def test_gathered_blocks_match_slicing(lps37, x513):
-    # _half_blocks gathers B and B^T from the CSR; they must be the sliced
-    # blocks array for array, or the recurrence's sums would move: on
-    # X^{5,37}, the k7 product (X^{5,13} x K2) and bipartite multigraphs.
-    graphs = (lps37, cartesian_k2(x513), cycle(6), parallel_k2(3),
-              double_cover(from_edge_list(6, np.concatenate(
-                  [cycle(6).edges, cycle(6).edges, [[0, 3], [1, 4]]]))))
-    for x in graphs:
-        sides = bipartition(x)
-        assert sides is not None
-        for got, want in zip(_half_blocks(x.adjacency_sparse(), sides),
-                             _sliced_blocks(x), strict=True):
-            assert got.shape == want.shape
-            for name in ("indptr", "indices", "data"):
-                g, w = getattr(got, name), getattr(want, name)
-                assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 def test_replayed_pass_keeps_every_lanczos_vector(construct_1000, lps37):
