@@ -33,6 +33,9 @@ from typing import Callable, NamedTuple
 from .errors import ValidationError
 from .numtheory import PrimePlan, max_delta_in_range, prev_prime
 
+# Past this k, next_prime(prev_prime(k)) passes is_prime's limit 2**63.
+CHAIN_K_MAX = prev_prime(2**63)
+
 # Onset of the unconditional prime-gap interval behind the Trudgian model.
 TRUDGIAN_MIN_K = 2898239
 
@@ -53,10 +56,11 @@ def lambda2_bound_chain(k: int) -> tuple[float, float]:
     With p = prev_prime(k), intermediate = 2*sqrt(p) + (k - p - 1) tracks
     the construction exactly; normalized = 2*(1 + delta_k)*sqrt(k - 1)
     restates it against the Ramanujan value.  intermediate <= normalized
-    always.
+    always.  Any k outside [3, CHAIN_K_MAX] raises ValidationError.
     """
-    if k < 3:
-        raise ValidationError(f"chain bounds need k >= 3, got {k}")
+    if not 3 <= k <= CHAIN_K_MAX:
+        raise ValidationError(f"chain bounds take k from 3 to "
+                              f"prev_prime(2**63) = {CHAIN_K_MAX}")
     theory = PrimePlan.for_target(k)
     intermediate = 2.0 * math.sqrt(theory.p) + theory.increments
     normalized = 2.0 * (1.0 + theory.delta) * math.sqrt(k - 1)

@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_construct(args) -> int:
-    theory = PrimePlan.for_target(args.k)
     x, cert = construct(args.k, args.min_vertices, args.strategy)
+    theory = PrimePlan.for_target(args.k)
     save_graph(x, args.graph_out)
     cert.save(args.cert_out)
     steps = cert.provenance
@@ -141,8 +141,6 @@ def _cmd_delta_table(args) -> int:
 
 def _cmd_bounds(args) -> int:
     k = args.k
-    if k < 3:
-        raise ValidationError(f"bounds need k >= 3, got {k}")
     which = args.model
     if which in (None, "chain"):
         intermediate, normalized = lambda2_bound_chain(k)

@@ -139,10 +139,8 @@ def _canonical(n: int, raw) -> np.ndarray:
     """(u, v) pairs, or the same ids flattened, as a canonical edge array.
 
     Ids are compared with n before they are narrowed to int64, so the first
-    bad edge in input order is reported, however large its ids.  Range,
-    loops, row order and repeats are each tested by whole-array reductions
-    and column comparisons; a row-wise mask is built only to name the first
-    bad edge.
+    bad edge in input order is reported, however large its ids; the module
+    docstring gives the whole-array tests.
     """
     if n < 0:
         raise ValidationError(f"vertex count must be >= 0, got {n}")
@@ -167,6 +165,12 @@ def _canonical(n: int, raw) -> np.ndarray:
         e = np.sort(e, axis=1)
     elif isinstance(raw, np.ndarray) and np.may_share_memory(e, raw):
         e = e.copy()                # the caller's array stays its own
+    return _sorted_rows(e)
+
+
+def _sorted_rows(e: np.ndarray) -> np.ndarray:
+    """e, int64 rows u < v that no caller keeps, with its rows ascending
+    and read-only: e itself when they are in order already."""
     # Rows are in order when u never falls and v falls only where u rises.
     u, v = e[:, 0], e[:, 1]
     if not ((u[1:] >= u[:-1]).all()
@@ -386,15 +390,17 @@ def _lines(e: np.ndarray) -> str:
 def graph_from_text(text: str) -> Graph:
     """Parse edge-list text as graph_to_text writes it.
 
-    Canonical text is parsed with numpy over its bytes.  Any other text,
-    and canonical text with a line where u >= v, goes through the line
-    parser, which owns every error message and its order.
+    Canonical text is parsed with numpy over its bytes, and its rows, whose
+    ids that parser has checked, become the graph's edges without a copy.
+    Any other text, and canonical text with a line where u >= v or an id
+    of n or more, goes through the line parser, which owns every error
+    message and its order.
     """
     parsed = _parse_canonical(text)
     if parsed is None:
         return _parse_lines(text)
     n, ids = parsed
-    return Graph(n, _canonical(n, ids))
+    return Graph(n, _sorted_rows(ids))
 
 
 _HEADER = re.compile(r"([0-9]+) ([0-9]+)\n")
@@ -407,7 +413,7 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
     """(n, edges as an (m, 2) int64 array) of canonical text, else None.
 
     Canonical is an 'n m' header, then m lines 'u v' of ASCII decimal
-    digits, one space inside and a newline after each, with u < v.
+    digits, one space inside and a newline after each, with u < v < n.
     """
     head = _HEADER.match(text)
     if head is None or not text.isascii():
@@ -435,7 +441,8 @@ def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
     # The bytes are checked, so numpy's own scanner reads every token.
     ids = np.fromstring(text[head.end():], dtype=np.int64, sep=" ")
     ids = ids.reshape(m, 2)
-    return (n, ids) if (ids[:, 0] < ids[:, 1]).all() else None
+    u, v = ids[:, 0], ids[:, 1]
+    return (n, ids) if (u < v).all() and v.max() < n else None
 
 
 def _parse_lines(text: str) -> Graph:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -75,28 +76,14 @@ def prev_prime(k: int) -> int:
     """Largest prime strictly below k; requires k >= 3."""
     if k < 3:
         raise ValidationError(f"no prime below {k}")
-    if k == 3:
-        return 2
-    n = k - 1
-    if n % 2 == 0:
-        n -= 1
-    while n >= 3:
-        if is_prime(n):
-            return n
-        n -= 2
-    return 2
+    return next(n for n in range(k - 1, 1, -1) if is_prime(n))
 
 
 def next_prime(p: int) -> int:
     """Smallest prime strictly above p; requires p >= 2."""
     if p < 2:
         raise ValidationError(f"next_prime requires p >= 2, got {p}")
-    if p == 2:
-        return 3
-    n = p + 1 if p % 2 == 0 else p + 2
-    while not is_prime(n):
-        n += 2
-    return n
+    return next(n for n in count(p + 1) if is_prime(n))
 
 
 def _prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
@@ -200,8 +187,6 @@ class PrimePlan:
 
     @classmethod
     def for_target(cls, k: int) -> "PrimePlan":
-        if k < 3:
-            raise ValidationError(f"regularity target must be >= 3, got {k}")
         p = prev_prime(k)
         p_next = next_prime(p)
         return cls(k=k, p=p, p_next=p_next, increments=k - p - 1,

@@ -57,9 +57,9 @@ class BuildPlan:
 
 def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
     """(theoretical, buildable) plans for target regularity 3 <= k <= 2557;
-    past 2557 base_prime refuses k, whose anchor has no modulus q <= 101."""
-    theory = PrimePlan.for_target(k)
+    base_prime refuses any other k, before any primality test."""
     p = base_prime(k)
+    theory = PrimePlan.for_target(k)
     if p is None:
         return theory, BuildPlan(source="library", p_star=None, increments=0)
     return theory, BuildPlan(source="lps", p_star=p, increments=k - p - 1)
@@ -92,10 +92,20 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     fails before anything of size n is allocated; then extreme_eigs
     refuses any graph that is not connected, regular and of at least two
     vertices.  Spectral fields are always measured, never copied from
-    claims.  Bound entries are attached with validity flags resolved
-    against the construction strategy; exact expansion data is included
-    whenever the graph is small enough.
+    claims.  strategy and build, given together or not at all, resolve
+    bound validity, and provenance must record their route, build's base
+    step and then build.increments steps of strategy, else ValidationError
+    is raised.  Small graphs get exact expansion data.
     """
+    if (strategy is None) != (build is None):
+        raise ValidationError("certify takes strategy and build together")
+    if build is not None:
+        route = [(build.source, build.p_star)]
+        route += [(_increment_step(strategy), None)] * build.increments
+        if [(s.get("step"), s.get("p")) if isinstance(s, dict) else s
+                for s in provenance] != route:
+            raise ValidationError(f"provenance is not the {strategy} route "
+                                  f"of {build}")
     if x.n == 0 or 2 * x.num_edges % x.n:
         raise ValidationError("certificates require a regular graph")
     if x.num_edges < x.n - 1:
@@ -106,7 +116,7 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     if x.n <= MAX_EXACT_N:
         h, witness = expanding_constant_exact(x)
         expansion = {"h": h, "witness": list(witness)}
-    base = build.p_star if build is not None and strategy is not None else None
+    base = build.p_star if build is not None else None
     bounds = tuple(bound_entries(k, base, strategy == "matching"))
     return SpectralCertificate(
         version=__version__,
@@ -126,13 +136,18 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     )
 
 
+def _increment_step(strategy: str) -> str:
+    """The provenance step that runs one increment of strategy."""
+    if strategy not in STRATEGIES:
+        raise ValidationError(f"unknown strategy {strategy!r}; expected "
+                              f"one of {tuple(STRATEGIES)}")
+    return STRATEGIES[strategy]
+
+
 def construct(k: int, min_vertices: int, strategy: str = "matching"
               ) -> tuple[Graph, SpectralCertificate]:
     """Build a certified k-regular graph with at least min_vertices vertices."""
-    if strategy not in STRATEGIES:
-        raise ValidationError(
-            f"unknown strategy {strategy!r}; "
-            f"expected one of {tuple(STRATEGIES)}")
+    increment = _increment_step(strategy)
     if min_vertices < 1:
         raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
     _, build = plan(k)
@@ -144,7 +159,7 @@ def construct(k: int, min_vertices: int, strategy: str = "matching"
     x, step = _apply_step(None, base)
     provenance = [step]
     for _ in range(build.increments):
-        x, step = _apply_step(x, {"step": STRATEGIES[strategy]})
+        x, step = _apply_step(x, {"step": increment})
         provenance.append(step)
     return x, certify(x, provenance=tuple(provenance), strategy=strategy,
                       build=build)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import product
 
 import numpy as np
 
@@ -51,6 +51,10 @@ from .numtheory import is_prime, legendre
 
 # Largest modulus of any LPS build: n <= 101*(101^2-1) = 1 030 200.
 Q_MAX = 101
+
+# Largest target regularity with a base: k = 2558 anchors at p = 2557,
+# and 4p > Q_MAX^2, so no modulus q <= Q_MAX exceeds 2*sqrt(p).
+K_MAX = 2557
 
 
 @dataclass(frozen=True)
@@ -92,21 +96,14 @@ def lps_params(p: int, q: int) -> LpsParams:
     return LpsParams(p=p, q=q, group="PGL2", n=q * (q * q - 1))
 
 
-def _unserved(p: int) -> bool:
-    """Whether the rule admits p but no q <= Q_MAX makes an X^{p,q}."""
-    return _fault(p) is None and all(_fault(p, q) for q in range(5, Q_MAX + 1))
-
-
 def base_prime(k: int) -> int | None:
-    """The largest p <= k - 1 that the base rule admits, or None.  k is
-    capped: a k whose p has no modulus (k >= 2558) raises ValidationError."""
-    p = next((p for p in range(k - 1, 4, -1) if _fault(p) is None), None)
-    if p is not None and _unserved(p):
+    """The largest p <= k - 1 that the base rule admits, or None (k < 6);
+    the one check of a build's k, [3, K_MAX], made before any prime test."""
+    if not 3 <= k <= K_MAX:
         raise ValidationError(
-            f"k={k} anchors at p={p}, and no modulus q <= {Q_MAX} exceeds "
-            f"2*sqrt(p); the largest k whose anchor has one is "
-            f"{next(filter(_unserved, count(5)))}")
-    return p
+            f"construct takes k from 3 to {K_MAX}: past {K_MAX} the anchor "
+            f"p has no modulus q <= {Q_MAX} exceeding 2*sqrt(p)")
+    return next((p for p in range(k - 1, 4, -1) if _fault(p) is None), None)
 
 
 def smallest_modulus(p: int, min_vertices: int) -> int:
@@ -155,15 +152,9 @@ def _vertices(q: int, square_det: bool) -> np.ndarray:
 
 
 def _sqrt_minus_one(q: int) -> int:
-    """Smaller square root of -1 modulo a prime q = 1 (mod 4).
-
-    A non-residue z has z^((q-1)/2) = -1, so z^((q-1)/4) squares to -1.
-    """
-    z = 2
-    while legendre(z, q) != -1:
-        z += 1
-    i = pow(z, (q - 1) // 4, q)
-    return min(i, q - i)
+    """Smaller square root of -1 modulo a prime q = 1 (mod 4): the least
+    i with i^2 = -1, found by a scan, since q <= Q_MAX."""
+    return next(i for i in range(1, q) if i * i % q == q - 1)
 
 
 def four_square_generators(p: int) -> list[tuple[int, int, int, int]]:

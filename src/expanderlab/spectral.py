@@ -16,9 +16,9 @@ and lambda_n.  The method field names one of two size regimes:
 
 Every solve starts from a fixed, seeded vector, so repeated runs agree bit
 for bit.  Every eigenpair is accepted only after an explicit residual check
-against tol, with norms summed by np.sum so that no BLAS thread count
-reaches their bits; failures raise ConvergenceError rather than degrading
-silently.
+against tol, which extreme_eigs reads from DEFAULT_TOL, with norms summed
+by np.sum so that no BLAS thread count reaches their bits; failures raise
+ConvergenceError rather than degrading silently.
 
 The Lanczos recurrence.  A connected k-regular graph has lambda_1 = k with
 the all-ones vector, so v1 = 1/sqrt(n) with residual 0, and every other
@@ -129,9 +129,9 @@ degree is at most 1: a vector for the most negative eigenvalue puts most
 edges across its sign classes.  Any L gives a valid proof; a poor one only
 leaves R larger.  On construct(7, 1000), n = 2184 and |L| = 1092.  The
 complements' entries grow with the squared degree of L's vertices, so L is
-left empty, and K1 and K2 are factored whole, when the maximum degree
-exceeds n/64.  On random k-regular graphs with n = 1024, 2048 and 4096 the
-complements took 0.30 to 0.93 of the time of the whole factorizations
+left empty, and K1 and K2 are factored whole, when the degree, lambda1 =
+k, exceeds n/64.  On random k-regular graphs with n = 1024, 2048 and 4096
+the complements took 0.30 to 0.93 of the time of the whole factorizations
 for k <= n/64, and 1.00 to 1.22 for k >= n/51; on construct(29, 1000)
 (k = 29, n = 1092) and construct(60, 1000) (k = 60, n = 2448) they took
 1.33 and 1.14 of it.  L is empty too when tau < 2 or -sigma < 2, where
@@ -371,21 +371,21 @@ def _prove_extremes(x: Graph, lambda1: float, lambda2: float,
     below lambda_n - tol; raise ConvergenceError otherwise.
 
     lambda1 must be within tol of an eigenvalue (extreme_eigs passes k,
-    with the all-ones v1); v1 and vn are the lambda1 and lambda_n Ritz
-    vectors.  The claims are that K1 = tau I - A + c v1 v1^T, with
-    tau = lambda2 + tol and c = lambda1 - lambda2 + 1, and K2 = A - sigma I,
-    with sigma = lambda_n - tol, are positive definite.  Each is proved by
-    Cholesky of its Schur complement on the vertices R outside
-    L = _matching_side(a, vn), or of itself when L is empty (see the module
-    docstring), held in one packed buffer of |R|(|R|+1)/2 doubles (see
-    _packed_index).
+    with the all-ones v1) and is read as the degree by the Schur sparsity
+    test, as k is for a k-regular graph; v1 and vn are the lambda1 and
+    lambda_n Ritz vectors.  The claims are that K1 = tau I - A + c v1 v1^T,
+    with tau = lambda2 + tol and c = lambda1 - lambda2 + 1, and
+    K2 = A - sigma I, with sigma = lambda_n - tol, are positive definite.
+    Each is proved by Cholesky of its Schur complement on the vertices R
+    outside L = _matching_side(a, vn), or of itself when L is empty (see
+    the module docstring), held in one packed buffer of |R|(|R|+1)/2
+    doubles (see _packed_index).
     """
     from scipy.linalg import lapack
 
     a = x.adjacency_sparse()
     tau, sigma = lambda2 + tol, lambda_n - tol
-    if (tau >= 2.0 and -sigma >= 2.0
-            and _SCHUR_SPARSITY * int(x.degrees().max()) <= x.n):
+    if tau >= 2.0 and -sigma >= 2.0 and _SCHUR_SPARSITY * lambda1 <= x.n:
         left = _matching_side(a, vn)
     else:
         left = np.empty(0, dtype=np.int64)
@@ -497,7 +497,7 @@ def _factor(buf: np.ndarray, n: int, claim: str) -> None:
                                f"array is not positive definite)")
 
 
-def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
+def extreme_eigs(x: Graph) -> Spectrum:
     """lambda_1, lambda_2 and lambda_n of x, residual-checked.
 
     x must be connected and regular with at least two vertices; any other
@@ -514,18 +514,18 @@ def extreme_eigs(x: Graph, *, tol: float = DEFAULT_TOL) -> Spectrum:
                               "graph of at least two vertices")
     sides = bipartition(x)
     if sides is not None:
-        lambda2, res = _bipartite_lambda2(x, k, sides, tol)
+        lambda2, res = _bipartite_lambda2(x, k, sides, DEFAULT_TOL)
         # The lambda_n eigenvector: its sign classes are the two sides.
         lambda_n, vn = -float(k), np.where(sides == 0, 1.0, -1.0)
     else:
         a = x.adjacency_sparse()
         pairs = _ritz_pairs(lambda z: a @ z, x.n, float(k), (-1, 0))
-        res = max(_residual(a, v, theta, tol) for theta, v in pairs)
+        res = max(_residual(a, v, theta, DEFAULT_TOL) for theta, v in pairs)
         (lambda2, _), (lambda_n, vn) = pairs
     if x.n > DENSE_THRESHOLD:
         return Spectrum(float(k), lambda2, lambda_n, res, "iterative")
     v1 = np.full(x.n, 1.0 / math.sqrt(x.n))
-    _prove_extremes(x, float(k), lambda2, lambda_n, v1, vn, tol)
+    _prove_extremes(x, float(k), lambda2, lambda_n, v1, vn, DEFAULT_TOL)
     return Spectrum(float(k), lambda2, lambda_n, res, "iterative+inertia")
 
 

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from expanderlab import delta_table, plan
+from expanderlab import delta_table, numtheory, plan
 from expanderlab.bounds import (
+    CHAIN_K_MAX,
     TRUDGIAN_MIN_K,
     bound_entries,
     gap_bound_bhp,
@@ -89,6 +90,27 @@ def test_chain_collapses_after_prime():
 def test_chain_rejects_small_k():
     with pytest.raises(ValidationError):
         lambda2_bound_chain(2)
+
+
+def test_chain_takes_k_up_to_the_last_prime_below_2_63():
+    # At CHAIN_K_MAX the walk's next prime is CHAIN_K_MAX itself; one more
+    # and next_prime would have to test a number past 2**63.
+    assert CHAIN_K_MAX == prev_prime(2**63) == 9223372036854775783
+    intermediate, normalized = lambda2_bound_chain(CHAIN_K_MAX)
+    assert intermediate <= normalized
+
+
+@pytest.mark.parametrize("k", [2, CHAIN_K_MAX + 1, 2**64, 2**1024],
+                         ids=["2", "CHAIN_K_MAX+1", "2**64", "2**1024"])
+def test_chain_checks_k_before_any_primality_test(k, monkeypatch):
+    def never(*args):
+        raise AssertionError("primality test before the range check")
+
+    monkeypatch.setattr(numtheory, "is_prime", never)
+    with pytest.raises(ValidationError) as err:
+        lambda2_bound_chain(k)
+    assert str(err.value) == ("chain bounds take k from 3 to "
+                              "prev_prime(2**63) = 9223372036854775783")
 
 
 @given(st.integers(3, 10**6))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import re
 import subprocess
@@ -10,8 +12,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from expanderlab import graph_to_text, save_graph
+from expanderlab import graph_to_text, numtheory, save_graph
 from expanderlab.cli import build_parser, main
 from expanderlab.graph_core import from_edge_list
 
@@ -71,9 +75,8 @@ def test_construct_rejects_k_past_the_modulus_cap(tmp_path, capsys):
                  "--cert-out", str(tmp_path / "c")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: k=2558 anchors at p=2557, and no modulus "
-                          "q <= 101")
-    assert "the largest k whose anchor has one is 2557" in err
+    assert err == ("error: construct takes k from 3 to 2557: past 2557 the "
+                   "anchor p has no modulus q <= 101 exceeding 2*sqrt(p)\n")
     assert not (tmp_path / "g").exists() and not (tmp_path / "c").exists()
 
 
@@ -269,6 +272,33 @@ def test_bounds_rejects_small_k(capsys):
     capsys.readouterr()
 
 
+_CHAIN_RANGE = ("error: chain bounds take k from 3 to prev_prime(2**63) = "
+                "9223372036854775783\n")
+_CONSTRUCT_RANGE = ("error: construct takes k from 3 to 2557: past 2557 the "
+                    "anchor p has no modulus q <= 101 exceeding 2*sqrt(p)\n")
+
+
+@pytest.mark.parametrize("k", [2**63 - 24, 2**64, 2**1024],
+                         ids=["2**63-24", "2**64", "2**1024"])
+def test_commands_name_their_range_of_k(k, tmp_path, capsys):
+    # Neither command reaches is_prime's limit: each names its own range.
+    assert main(["bounds", "--k", str(k)]) == 1
+    assert capsys.readouterr() == ("", _CHAIN_RANGE)
+    assert main(["construct", "--k", str(k), "--min-vertices", "1",
+                 "--graph-out", str(tmp_path / "g"),
+                 "--cert-out", str(tmp_path / "c")]) == 1
+    assert capsys.readouterr() == ("", _CONSTRUCT_RANGE)
+    assert not (tmp_path / "g").exists()
+
+
+def test_bounds_prints_the_chain_at_its_largest_k(capsys):
+    k = 9223372036854775783
+    assert main(["bounds", "--k", str(k)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("chain      lambda2 <= ")
+    assert f"(= 2*sqrt({numtheory.prev_prime(k)}) + " in out
+
+
 # ---------------------------------------------------------------------------
 # expansion
 # ---------------------------------------------------------------------------
@@ -332,3 +362,79 @@ def test_readme_command_line_matches_parser():
     sub = next(a for a in build_parser()._actions
                if isinstance(a, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines, run in-process
+# ---------------------------------------------------------------------------
+
+
+def _run_main(argv: list[str]) -> None:
+    """main(argv) returns 0, 1 or 2 without raising, and a non-zero code
+    comes with one of the two documented stderr prefixes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert err.getvalue().startswith(("error:", "numerical error:")), (
+            argv, err.getvalue())
+
+
+# A header's n is at most 16, where exhaustive expansion takes milliseconds,
+# or past 24, where expansion is refused; 17 to 24 would take seconds.
+_VERTEX_COUNTS = st.one_of(st.integers(0, 16), st.integers(25, 2**70))
+_BODY_NOISE = st.sampled_from(["x", "-", "+", " ", "\n", "\r", "\t", "0",
+                               "9", "\u00e9", "\x00", "\u2003", "\uff11"])
+
+
+@st.composite
+def _graph_texts(draw) -> str:
+    """Graph texts under 1 KB: a header 'n m', perhaps lying about m, then
+    edge lines that may hold loops, ids of n or more, or repeats, or the
+    cycle C_n in any order, with lines dropped or repeated and noise
+    spliced into the body."""
+    n = draw(_VERTEX_COUNTS)
+    if 3 <= n <= 16 and draw(st.booleans()):
+        cycle = [tuple(sorted((v, (v + 1) % n))) for v in range(n)]
+        edges = draw(st.permutations(cycle))
+    else:
+        ids = st.integers(0, max(min(n, 20), 1))
+        edges = draw(st.lists(st.tuples(ids, ids), max_size=40))
+    lines = [f"{u} {v}\n" for u, v in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        if lines:
+            i = draw(st.integers(0, len(lines) - 1))
+            if draw(st.booleans()):
+                del lines[i]
+            else:
+                lines.insert(i, lines[i])
+    body = "".join(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(_BODY_NOISE) + body[at:]
+    m = draw(st.one_of(st.just(len(edges)), st.integers(0, 50),
+                       st.integers(51, 2**70)))
+    return f"{n} {m}\n{body}"
+
+
+@given(_graph_texts(), st.sampled_from(["certify", "expansion"]))
+def test_fuzzed_graph_files_fail_cleanly(tmp_path_factory, text, command):
+    assert len(text.encode("utf-8")) < 1024
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / "g.txt"
+    path.write_bytes(text.encode("utf-8"))
+    argv = [command, "--graph", str(path)]
+    if command == "certify":
+        argv += ["--cert-out", str(folder / "c.json")]
+    _run_main(argv)
+
+
+@given(st.one_of(st.integers(-10, 10**4), st.integers(-(2**1100), 2**1100),
+                 st.sampled_from([2**63 - 25, 2**63 - 24, 2**63, 2**64,
+                                  2**1024, 2**1100])),
+       st.sampled_from([None, "chain", "trudgian", "bhp", "rh"]))
+def test_fuzzed_bounds_fail_cleanly(k, model):
+    _run_main(["bounds", f"--k={k}"] + ([] if model is None
+                                        else ["--model", model]))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from expanderlab import (
     cartesian_k2,
+    graph_core,
     graph_from_text,
     graph_to_text,
     is_bipartite,
@@ -678,8 +679,32 @@ def test_canonical_text_takes_the_byte_parser():
     assert _parse_canonical("5 0\n")[1].shape == (0, 2)
     for odd in ("4 2\n0 3\n1 2", "4 2\n0 3\r\n1 2\n", "4 2\n0 3\n\n1 2\n",
                 "4 2\n2 0\n1 2\n", "4  2\n0 3\n1 2\n", "4 2\n+0 3\n1 2\n",
-                "4 1\n0 3\n1 2\n", f"4 1\n0 {'1' * 19}\n", "4 0\n\n"):
+                "4 1\n0 3\n1 2\n", f"4 1\n0 {'1' * 19}\n", "4 0\n\n",
+                "4 2\n0 3\n1 4\n"):
         assert _parse_canonical(odd) is None, odd
+
+
+def test_canonical_text_keeps_its_parsed_rows(monkeypatch):
+    # The byte parser has checked every id, u < v < n, so its array
+    # becomes the graph's edges as it is: no copy, and no second pass of
+    # _canonical over the rows.  Rows out of order are sorted, not kept.
+    parsed = []
+
+    def recording(text):
+        parsed.append(_parse_canonical(text))
+        return parsed[-1]
+
+    def never(*args):
+        raise AssertionError("canonical text went through _canonical")
+
+    x = random_regular(5, 300, 3)
+    monkeypatch.setattr(graph_core, "_parse_canonical", recording)
+    monkeypatch.setattr(graph_core, "_canonical", never)
+    y = graph_from_text(graph_to_text(x))
+    assert y == x and y.edges is parsed[-1][1]
+    assert not y.edges.flags.writeable
+    y = graph_from_text("4 2\n1 2\n0 3\n")
+    assert y.edges.tolist() == [[0, 3], [1, 2]] and not y.edges.flags.writeable
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -17,13 +17,16 @@ from expanderlab import (
     construct,
     graph_to_text,
     load_graph,
+    numtheory,
     plan,
     planner,
+    ramanujan_base,
     replay,
 )
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import from_edge_list
-from expanderlab.ramanujan_base import LIBRARY, lps_params
+from expanderlab.ramanujan_base import (K_MAX, LIBRARY, Q_MAX, _fault,
+                                        lps_params)
 from expanderlab.spectral import SpectralCertificate
 
 from helpers import (
@@ -112,6 +115,23 @@ def test_plan_anchors_the_largest_k_that_has_a_modulus():
     assert choose_q(2549, 1) == 101
 
 
+_CAP_MESSAGE = ("construct takes k from 3 to 2557: past 2557 the anchor p "
+                "has no modulus q <= 101 exceeding 2*sqrt(p)")
+
+
+def _unserved(p: int) -> bool:
+    """Whether the base rule admits p but no q <= Q_MAX makes an X^{p,q}."""
+    return _fault(p) is None and all(_fault(p, q) for q in range(5, Q_MAX + 1))
+
+
+def test_k_max_is_the_last_k_whose_anchor_has_a_modulus():
+    # k anchors at the largest admitted p <= k - 1, so the cap is the
+    # first admitted p that no modulus serves.
+    assert K_MAX == next(p for p in range(5, 10**4) if _unserved(p)) == 2557
+    _, build = plan(K_MAX)
+    assert not _unserved(build.p_star)
+
+
 @pytest.mark.parametrize("k, p", [(2558, 2557), (2600, 2593)])
 def test_construct_refuses_k_past_the_modulus_cap(k, p, monkeypatch):
     # Past k = 2557 the anchor p has no q <= Q_MAX = 101 with q^2 > 4p, and
@@ -119,13 +139,28 @@ def test_construct_refuses_k_past_the_modulus_cap(k, p, monkeypatch):
     def never(*args):
         raise AssertionError("called past the cap")
 
+    assert _unserved(p)
     monkeypatch.setattr(planner, "build_lps", never)
     monkeypatch.setattr(planner, "smallest_modulus", never)
     with pytest.raises(ValidationError) as err:
         construct(k, 1)
-    assert str(err.value) == (
-        f"k={k} anchors at p={p}, and no modulus q <= 101 exceeds "
-        f"2*sqrt(p); the largest k whose anchor has one is 2557")
+    assert str(err.value) == _CAP_MESSAGE
+
+
+@pytest.mark.parametrize("k", [2, 2**63 - 24, 2**64, 2**1024],
+                         ids=["2", "2**63-24", "2**64", "2**1024"])
+def test_construct_checks_k_before_any_primality_test(k, monkeypatch):
+    # The cap holds at any size: k is refused with the cap message before
+    # a prime walk could reach is_prime's limit of 2**63.
+    def never(*args):
+        raise AssertionError("primality test before the range check")
+
+    monkeypatch.setattr(ramanujan_base, "is_prime", never)
+    monkeypatch.setattr(numtheory, "is_prime", never)
+    for call in (lambda: construct(k, 1), lambda: plan(k)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert str(err.value) == _CAP_MESSAGE
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +271,38 @@ def test_construct_k7_product(k7, k7_product):
         assert not _bound(cert, model)["valid"], model
     # The matching route stays strictly tighter on the same target k.
     assert k7[1].lambda2 < cert.lambda2
+
+
+def test_certify_refuses_a_route_its_provenance_contradicts(k7, k7_product):
+    # Bound validity follows strategy and build only where the provenance
+    # records their route: a k2product provenance cannot pass as matching.
+    _, build = plan(7)
+    x, cert = k7_product
+    with pytest.raises(ValidationError, match="not the matching route"):
+        certify(x, provenance=cert.provenance, strategy="matching",
+                build=build)
+    x, cert = k7
+    steps = cert.provenance
+    library = {"step": "library", "name": "petersen"}
+    for provenance, strategy, b in (
+            (steps, "k2product", build),
+            ((dict(steps[0], p=13),) + steps[1:], "matching", build),
+            ((library,) + steps[1:], "matching", build),
+            (steps[:1], "matching", build),
+            (steps + steps[1:], "matching", build),
+            ((), "matching", build),
+            (steps, "matching", plan(6)[1]),
+            (steps, "matching", None),
+            (steps, None, build),
+            (steps, "tensor", build)):
+        with pytest.raises(ValidationError):
+            certify(x, provenance=provenance, strategy=strategy, build=b)
+    # The recorded routes give construct's certificates back.
+    assert certify(x, provenance=steps, strategy="matching",
+                   build=build) == cert
+    y, cert3 = construct(3, 5)
+    assert certify(y, provenance=cert3.provenance, strategy="matching",
+                   build=plan(3)[1]) == cert3
 
 
 def test_construct_library_routes():

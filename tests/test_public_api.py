@@ -1,10 +1,11 @@
 """The package root exports every name the benchmark harness imports,
 pyproject.toml declares every third-party module the tests import, scipy
 stays unloaded until a graph needs it, no package module calls ARPACK or
-a dense eigensolver, no check relies on assert, and each build rule is
-stated in one module."""
+a dense eigensolver, no check relies on assert, each build rule is stated
+in one module, and every exported keyword is passed outside tests."""
 
 import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -261,3 +262,65 @@ def test_package_code_is_used_outside_tests():
         if all(where == path and node.lineno <= line <= node.end_lineno
                for where, line in refs.get(name, [])))
     assert unreferenced == sorted(_UNREFERENCED_BY_DESIGN)
+
+
+# Optional or keyword-only parameters of exported functions that no call
+# outside tests passes.
+_UNPASSED_BY_DESIGN: set[str] = set()
+
+
+def _passed_arguments(trees) -> dict[str, tuple[int, set[str]]]:
+    """For each function name, the most positional arguments any call
+    passes it and the keywords some call names; a call that hands the
+    function on, as spans.call(name, f, *args, **kw) or partial(f, ...)
+    do, passes it the arguments that follow it."""
+    passed: dict[str, tuple[int, set[str]]] = {}
+
+    def note(name: str, args: list, keywords: list) -> None:
+        most, names = passed.get(name, (0, set()))
+        starred = any(isinstance(a, ast.Starred) for a in args)
+        names |= {k.arg or "**" for k in keywords}
+        passed[name] = (max(most, 10**6 if starred else len(args)), names)
+
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name:
+                note(name, node.args, node.keywords)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Name):
+                    note(arg.id, node.args[i + 1:], node.keywords)
+    return passed
+
+
+def test_every_exported_keyword_is_passed_outside_tests():
+    # A knob only tests turn (extreme_eigs once took a tol no caller set)
+    # is not part of the pipeline: every optional or keyword-only
+    # parameter of an exported function is passed, by keyword or by
+    # position, by some call in src/, scripts/ or perfbench/.
+    sources = sorted([*(_ROOT / "src" / "expanderlab").glob("*.py"),
+                      *(_ROOT / "scripts").glob("*.py"),
+                      *(_ROOT / "perfbench").glob("*.py")])
+    passed = _passed_arguments(
+        ast.parse(path.read_text(encoding="utf-8")) for path in sources)
+    unpassed, checked = [], 0
+    for name in expanderlab.__all__:
+        fn = getattr(expanderlab, name)
+        if not inspect.isfunction(fn):
+            continue
+        most, keywords = passed.get(name, (0, set()))
+        for i, param in enumerate(inspect.signature(fn).parameters.values()):
+            if (param.default is param.empty
+                    and param.kind is not param.KEYWORD_ONLY):
+                continue
+            checked += 1
+            positional = (param.kind is param.POSITIONAL_OR_KEYWORD
+                          and i < most)
+            if not (positional or param.name in keywords
+                    or "**" in keywords):
+                unpassed.append(f"{name}.{param.name}")
+    assert checked >= 5
+    assert sorted(unpassed) == sorted(_UNPASSED_BY_DESIGN)

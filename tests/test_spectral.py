@@ -176,18 +176,20 @@ def test_top_eigs_guards():
     assert (s.lambda1, s.lambda2, s.lambda_n) == pytest.approx((1, -1, -1), abs=1e-9)
 
 
-def test_iterative_unreachable_tolerance_raises():
+def test_iterative_unreachable_tolerance_raises(monkeypatch):
     x = cartesian_k2(cycle(41))  # n = 82, not bipartite
     assert not is_bipartite(x)
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     with pytest.raises(ConvergenceError, match="residual"):
-        extreme_eigs(x, tol=1e-300)
+        extreme_eigs(x)
 
 
-def test_small_graph_unreachable_tolerance_raises():
+def test_small_graph_unreachable_tolerance_raises(monkeypatch):
     # Petersen, n = 10, takes the recurrence like any other graph, and its
     # residual check refuses a tolerance no eigenpair meets.
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     with pytest.raises(ConvergenceError, match="residual"):
-        extreme_eigs(petersen(), tol=1e-300)
+        extreme_eigs(petersen())
 
 
 def test_extreme_eigs_dispatch(x513, monkeypatch):
@@ -241,10 +243,11 @@ def exact_pairs():
 def _expected_right(x: Graph, lambda1: float, lambda2: float,
                     lambda_n: float, vn: np.ndarray) -> list[int]:
     """The vertices the proof keeps, by the rule the spectral module
-    docstring states and helpers.matching_side."""
+    docstring states and helpers.matching_side; lambda1 stands for the
+    degree k of the regular graph x."""
     left = matching_side(x, vn)
     if (lambda2 + DEFAULT_TOL < 2 or lambda_n - DEFAULT_TOL > -2
-            or 64 * x.degrees().max() > x.n):
+            or 64 * lambda1 > x.n):
         left = []
     return [v for v in range(x.n) if v not in set(left)]
 
@@ -657,10 +660,12 @@ def test_bipartite_route_matches_dense(bipartite_route_graphs):
         assert s.residual <= DEFAULT_TOL
 
 
-def test_bipartite_route_unreachable_tolerance_raises(bipartite_route_graphs):
+def test_bipartite_route_unreachable_tolerance_raises(bipartite_route_graphs,
+                                                     monkeypatch):
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     for x, _ in bipartite_route_graphs:
         with pytest.raises(ConvergenceError):
-            extreme_eigs(x, tol=1e-300)
+            extreme_eigs(x)
 
 
 @pytest.fixture(scope="module")
@@ -675,9 +680,11 @@ def lps29() -> Graph:
     return build_lps(5, 29)
 
 
-def test_certify_counts_degrees_once(lps37, monkeypatch):
+def test_certify_counts_degrees_once(x513, lps37, monkeypatch):
     # extreme_eigs is the one regularity check on the certify path, so one
-    # degree pass (a bincount over all 2m ids) serves the whole certify.
+    # degree pass (a bincount over all 2m ids) serves the whole certify,
+    # with the completeness proof, which reads the degree from lambda_1 = k,
+    # up to DENSE_THRESHOLD as past it.
     calls = []
     degrees = Graph.degrees
 
@@ -686,9 +693,11 @@ def test_certify_counts_degrees_once(lps37, monkeypatch):
         return degrees(x)
 
     monkeypatch.setattr(Graph, "degrees", counted)
-    assert lps37.n > DENSE_THRESHOLD
-    certify(lps37)
-    assert len(calls) == 1
+    assert x513.n <= DENSE_THRESHOLD < lps37.n
+    for x in (x513, lps37):
+        calls.clear()
+        certify(x)
+        assert len(calls) == 1
 
 
 def test_bipartite_lanczos_matches_arpack(lps37):
@@ -866,12 +875,13 @@ def test_past_threshold_route_matches_dense(past_threshold_graphs,
         assert s.residual <= DEFAULT_TOL
 
 
-def test_past_threshold_route_on_a_multiple_lambda_n(lps29):
+def test_past_threshold_route_on_a_multiple_lambda_n(lps29, monkeypatch):
     # X^{5,29}: n = 12180 takes the route unpatched, and lambda_n is
     # highly multiple.
     x = lps29
     assert x.n > DENSE_THRESHOLD and not is_bipartite(x)
-    s = extreme_eigs(x, tol=1e-13)
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-13)
+    s = extreme_eigs(x)
     assert abs(s.lambda_n - arpack_lambda_n(x)) <= 1e-12
     assert s.residual <= 1e-13
 
@@ -879,9 +889,10 @@ def test_past_threshold_route_on_a_multiple_lambda_n(lps29):
 def test_past_threshold_route_unreachable_tolerance_raises(
         past_threshold_graphs, monkeypatch):
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 1)
+    monkeypatch.setattr(spectral, "DEFAULT_TOL", 1e-300)
     for x, _ in past_threshold_graphs:
         with pytest.raises(ConvergenceError, match="residual"):
-            extreme_eigs(x, tol=1e-300)
+            extreme_eigs(x)
 
 
 def test_ritz_pairs_are_frozen_where_they_converge(construct_1000):
