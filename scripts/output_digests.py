@@ -1,21 +1,24 @@
 #!/usr/bin/env python3
-"""Print the sha256 of every graph text and certificate of five fixed builds.
+"""Print the sha256 of every graph text and certificate of five fixed builds,
+and of the delta table.
 
     python scripts/output_digests.py [src_dir]
 
 imports expanderlab from src_dir, by default the repository's src/, and
 prints one line '<sha256>  <build> <txt|json>' per output, in a fixed
 order: construct(7, 1000) by both strategies, construct(8, 10000),
-construct(29, 1000) and certify(build_lps(5, 53)).  Running it against two
-checkouts' src/ and diffing the two outputs shows whether a change moved
-any byte of them.  The hashed bytes are those save_graph and
-SpectralCertificate.save write, so the construct(7, 1000) lines are the
-digests of out/k7_n2184.txt and out/k7_n2184.json.
+construct(29, 1000) and certify(build_lps(5, 53)), then a last line for
+json.dumps(delta_table()).  Running it against two checkouts' src/ and
+diffing the two outputs shows whether a change moved any byte of them.
+The hashed bytes are those save_graph and SpectralCertificate.save write,
+so the construct(7, 1000) lines are the digests of out/k7_n2184.txt and
+out/k7_n2184.json.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -30,7 +33,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def main() -> int:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
     sys.path.insert(0, str(src.resolve()))
-    from expanderlab import build_lps, certify, construct, graph_to_text
+    from expanderlab import (build_lps, certify, construct, delta_table,
+                             graph_to_text)
 
     def lps(p: int, q: int):
         x = build_lps(p, q)
@@ -44,12 +48,16 @@ def main() -> int:
         "construct(29, 1000)": lambda: construct(29, 1000),
         "certify(build_lps(5, 53))": lambda: lps(5, 53),
     }
+
+    def emit(name: str, kind: str, text: str) -> None:
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        print(f"{digest}  {name} {kind}", flush=True)
+
     for name, build in builds.items():
         x, cert = build()
-        for kind, text in (("txt", graph_to_text(x)),
-                           ("json", cert.to_json())):
-            digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-            print(f"{digest}  {name} {kind}", flush=True)
+        emit(name, "txt", graph_to_text(x))
+        emit(name, "json", cert.to_json())
+    emit("delta_table()", "json", json.dumps(delta_table()))
     return 0
 
 

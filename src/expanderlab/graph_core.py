@@ -307,12 +307,16 @@ def add_matching(x: Graph, m: Matching) -> Graph:
     """Union with a perfect matching disjoint from the current edge set.
 
     The pairs, in canonical order already, go into x's edges at their
-    searchsorted positions instead of a sort of the union.
+    searchsorted positions instead of a sort of the union.  Each pair has
+    0 <= u < v, so only v is checked against x.n.
     """
     if not m.is_perfect(x.n):
         raise ValidationError(
             f"matching covers {2 * len(m)} of {x.n} vertices, not perfect")
-    pairs = _canonical(x.n, m.rows)
+    pairs = m.rows
+    if len(pairs) and pairs[:, 1].max() >= x.n:
+        u, v = pairs[(pairs[:, 1] >= x.n).argmax()].tolist()
+        raise ValidationError(f"edge ({u}, {v}) out of range for n={x.n}")
     at, present = _edge_search(x, pairs)
     if present.any():
         u, v = pairs[present.argmax()].tolist()

@@ -4,11 +4,13 @@ Point queries (``is_prime``, ``prev_prime``, ``next_prime``, and
 ``PrimePlan.for_target``, whose ``delta`` is the normalized gap delta_k)
 use a fixed Miller-Rabin base set that is exact below 2**64.  Ranges
 (``max_delta_in_range``) are swept by a segmented, odd-only numpy sieve of
-Eratosthenes, one fixed-size block at a time, so memory stays bounded by the
-block and by the base primes below sqrt(RANGE_MAX).  The argmax compares gap
-ratios by integer cross-multiplication, so the winning prime never depends
-on rounding; floating point enters only as a prefilter that keeps every
-exact maximizer, and in the final division.
+Eratosthenes.  It strikes composites in blocks of 2**17 odd numbers, each
+filled from a presieved 3*5*7*11*13 wheel, and yields the primes in chunks
+of 2**16 odd numbers, so memory stays bounded by the block, the chunk and
+the base primes below sqrt(RANGE_MAX).  The argmax compares gap ratios by
+integer cross-multiplication, so the winning prime never depends on
+rounding; floating point enters only as a prefilter that keeps every exact
+maximizer, and in the final division.
 """
 
 from __future__ import annotations
@@ -34,9 +36,25 @@ _LIMIT = 2**63
 # sqrt(2**40) = 2**20 fit one 512 KB odd-only sieve.
 RANGE_MAX = 2**40
 
-# Odd numbers per sieve block (64 KB of flags); larger blocks run little
-# faster but raise the peak memory of a full delta_table by their temporaries.
+# Odd numbers per yielded chunk of primes.  The chunk, not the strike
+# block, sizes the arrays max_delta_in_range builds from it: with 2**18-odd
+# chunks a full delta_table ran in 19.1 ms instead of 24.2 ms, but its
+# traced peak rose from 625 KB to 2.0 MB.
 _BLOCK = 1 << 16
+
+# Odd numbers per strike block, a multiple of _BLOCK: 128 KB of flags in
+# one buffer per call.  Each base prime below it costs one slice assignment
+# per block, about 0.26 us whatever the block holds, so larger blocks make
+# fewer calls.  Measured for a full delta_table() on a 2-core Xeon (numpy
+# 2.4.6): 18.3 ms against 24.2 ms with 2**16-odd blocks, a traced peak of
+# 583 KB against 625 KB, and the same peak RSS.  2**18 took 16.4 ms but
+# raised the peak RSS by its 256 KB buffer; 2**19 and 2**20 raised the
+# traced peak to 0.9 and 1.4 MB.
+_SIEVE_BLOCK = 1 << 17
+
+# The wheel primes: a strike block starts as a copy of the period of their
+# multiples (15015 odd numbers) instead of striking each of them.
+_WHEEL = (3, 5, 7, 11, 13)
 
 
 def is_prime(n: int) -> bool:
@@ -87,14 +105,18 @@ def next_prime(p: int) -> int:
 
 
 def _prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
-    """The primes in [a, b), a >= 3, as ascending int64 arrays, one per block.
+    """The primes in [a, b), a >= 3, as ascending int64 arrays, one per chunk.
 
-    Odd n = 2i + 1 is tracked by its index i, and block j covers the indices
-    [j*_BLOCK, (j+1)*_BLOCK), so block boundaries do not depend on a.  The
-    base primes up to isqrt(b - 1) are sieved once; each block then strikes
-    the odd multiples of every base prime p from max(p*p, its first multiple
-    in the block) on.  A base prime p >= _BLOCK strikes at most one flag per
-    block, so those primes strike theirs in one indexed assignment.
+    Odd n = 2i + 1 is tracked by its index i.  Chunk j covers the indices
+    [j*_BLOCK, (j+1)*_BLOCK) and strike block j the indices
+    [j*_SIEVE_BLOCK, (j+1)*_SIEVE_BLOCK), so no boundary depends on a.  The
+    base primes up to isqrt(b - 1) are sieved once.  Each strike block,
+    in one buffer reused for all of them, starts as a copy of one period of
+    the wheel, the base primes among _WHEEL, with the wheel primes
+    themselves restored; it then strikes the odd multiples of every other
+    base prime p from max(p*p, its first multiple in the block) on.  A base
+    prime p >= _SIEVE_BLOCK strikes at most one flag per block, so those
+    primes strike theirs in one indexed assignment.
     """
     r = math.isqrt(b - 1)
     odd = np.ones((r + 1) // 2, dtype=bool)     # odd[i]: is 2i + 1 prime
@@ -103,19 +125,44 @@ def _prime_blocks(a: int, b: int) -> Iterator[np.ndarray]:
         if odd[i]:
             odd[(2 * i + 1) ** 2 // 2::2 * i + 1] = False
     base = 2 * np.flatnonzero(odd) + 1
+    wheel = [p for p in _WHEEL if p <= r]
+    # Two periods of the wheel's flags, so any rotation is one slice.
+    period = math.prod(wheel)
+    pattern = np.ones(2 * period, dtype=bool)
+    for p in wheel:
+        pattern[p // 2::p] = False
+    base = base[len(wheel):]
     first, square = base // 2, base * base // 2     # indices of p and p*p
-    small = np.count_nonzero(base < _BLOCK)
+    small = np.count_nonzero(base < _SIEVE_BLOCK)
     lo, hi = a // 2, b // 2
+    buffer = np.empty(min(_SIEVE_BLOCK, max(hi - lo, 0)), dtype=bool)
     while lo < hi:
-        end = min((lo // _BLOCK + 1) * _BLOCK, hi)
-        flags = np.ones(end - lo, dtype=bool)
-        starts = np.maximum((first - lo) % base, square - lo)
+        start, end = lo, min((lo // _SIEVE_BLOCK + 1) * _SIEVE_BLOCK, hi)
+        flags = buffer[:end - start]
+        # One rotated period, then copies that double the filled prefix.
+        rot = start % period
+        done = min(period, len(flags))
+        flags[:done] = pattern[rot:rot + done]
+        while done < len(flags):
+            step = min(done, len(flags) - done)
+            flags[done:done + step] = flags[:step]
+            done += step
+        for p in wheel:
+            if start <= p // 2 < end:
+                flags[p // 2 - start] = True
+        starts = np.maximum((first - start) % base, square - start)
         for p, s in zip(base[:small].tolist(), starts[:small].tolist()):
             flags[s::p] = False
         hit = starts[small:]
-        flags[hit[hit < end - lo]] = False
-        yield 2 * (lo + np.flatnonzero(flags)) + 1
-        lo = end
+        flags[hit[hit < end - start]] = False
+        while lo < end:
+            stop = min((lo // _BLOCK + 1) * _BLOCK, end)
+            found = np.flatnonzero(flags[lo - start:stop - start])
+            found += lo
+            found *= 2
+            found += 1
+            yield found
+            lo = stop
 
 
 def max_delta_in_range(lo: int, hi: int) -> tuple[float, int]:
@@ -149,7 +196,9 @@ def max_delta_in_range(lo: int, hi: int) -> tuple[float, int]:
             continue
         run = np.concatenate(([last], primes))
         gaps = np.diff(run)
-        ratio = gaps.astype(np.float64) ** 2 / run[:-1]
+        ratio = gaps.astype(np.float64)
+        ratio *= ratio
+        ratio /= run[:-1]
         keep = np.flatnonzero(ratio >= ratio.max() * (1.0 - 1e-9))
         for p, gap in zip(run[keep].tolist(), gaps[keep].tolist()):
             if best_p == 0 or gap * gap * best_p > best_gap * best_gap * p:

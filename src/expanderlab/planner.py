@@ -34,8 +34,8 @@ from .expansion import MAX_EXACT_N, expanding_constant_exact
 from .graph_core import Graph, cartesian_k2, is_bipartite
 from .matching import increment_regularity
 from .numtheory import PrimePlan
-from .ramanujan_base import (LIBRARY, base_prime, build_lps, small_ramanujan,
-                             smallest_modulus)
+from .ramanujan_base import (LIBRARY, base_prime, build_lps, lps_shape,
+                             small_ramanujan, smallest_modulus)
 from .spectral import DEFAULT_TOL, SpectralCertificate, extreme_eigs
 
 # Increment strategy -> the provenance step that runs one increment.
@@ -94,15 +94,16 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     vertices.  Spectral fields are always measured, never copied from
     claims.  strategy and build, given together or not at all, resolve
     bound validity, and provenance must record their route, build's base
-    step and then build.increments steps of strategy, else ValidationError
-    is raised.  Small graphs get exact expansion data.
+    step and then build.increments steps of strategy, and describe x: the
+    n and k that route builds must be x's, else ValidationError is raised
+    before extreme_eigs.  Small graphs get exact expansion data.
     """
     if (strategy is None) != (build is None):
         raise ValidationError("certify takes strategy and build together")
     if build is not None:
         route = [(build.source, build.p_star)]
         route += [(_increment_step(strategy), None)] * build.increments
-        if [(s.get("step"), s.get("p")) if isinstance(s, dict) else s
+        if [(s.get("step"), s.get("p")) if isinstance(s, dict) else None
                 for s in provenance] != route:
             raise ValidationError(f"provenance is not the {strategy} route "
                                   f"of {build}")
@@ -110,8 +111,14 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
         raise ValidationError("certificates require a regular graph")
     if x.num_edges < x.n - 1:
         raise ValidationError("certificates require a connected graph")
-    s = extreme_eigs(x)
     k = 2 * x.num_edges // x.n
+    if build is not None:
+        n, degree = _route_shape(provenance[0], strategy, build)
+        if (n, degree) != (x.n, k):
+            raise ValidationError(
+                f"provenance builds n={n}, k={degree}; the graph has "
+                f"n={x.n}, k={k}")
+    s = extreme_eigs(x)
     expansion = None
     if x.n <= MAX_EXACT_N:
         h, witness = expanding_constant_exact(x)
@@ -142,6 +149,24 @@ def _increment_step(strategy: str) -> str:
         raise ValidationError(f"unknown strategy {strategy!r}; expected "
                               f"one of {tuple(STRATEGIES)}")
     return STRATEGIES[strategy]
+
+
+def _route_shape(base: dict, strategy: str, build: BuildPlan
+                 ) -> tuple[int, int]:
+    """(n, k) of the graph built from the base step by build's increments:
+    each increment adds one to k, and each k2product step doubles n."""
+    if build.source == "lps":
+        if type(base.get("q")) is not int:
+            raise ValidationError(f"lps step needs int p and q: {base!r}")
+        k, n = lps_shape(build.p_star, base["q"])
+    else:
+        name = base.get("name")
+        if not (isinstance(name, str) and name in LIBRARY):
+            raise ValidationError(f"unknown library graph in {base!r}")
+        k, n = LIBRARY[name]
+    if strategy == "k2product":
+        n <<= build.increments
+    return n, k + build.increments
 
 
 def construct(k: int, min_vertices: int, strategy: str = "matching"

@@ -96,6 +96,13 @@ def lps_params(p: int, q: int) -> LpsParams:
     return LpsParams(p=p, q=q, group="PGL2", n=q * (q * q - 1))
 
 
+def lps_shape(p: int, q: int) -> tuple[int, int]:
+    """(regularity, vertex count) of X^{p,q}, as LIBRARY gives them for the
+    named graphs, without building it; lps_params' error if (p, q) make no
+    base."""
+    return p + 1, lps_params(p, q).n
+
+
 def base_prime(k: int) -> int | None:
     """The largest p <= k - 1 that the base rule admits, or None (k < 6);
     the one check of a build's k, [3, K_MAX], made before any prime test."""

@@ -5,11 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expanderlab import (
+    build_lps,
     cartesian_k2,
     increment_regularity,
     is_connected,
     regularity,
 )
+from expanderlab import graph_core
 from expanderlab.errors import ValidationError
 from expanderlab.graph_core import Matching, from_edge_list
 from helpers import (
@@ -184,6 +186,23 @@ def test_increment_matching_equals_validated_matching(x513):
         assert m == again and hash(m) == hash(again) and len(m) == x.n // 2
         assert m.to_text() == again.to_text() == fstring_lines(pairs)
         assert all(type(i) is int for pair in pairs for i in pair)
+
+
+def test_increment_canonicalizes_its_matching_once(monkeypatch):
+    # Matching makes its rows canonical; add_matching only range-checks
+    # them, so the rows pass through _canonical once per increment.
+    x = build_lps(5, 29)
+    calls = []
+
+    def counting(n, raw):
+        calls.append(n)
+        return canonical(n, raw)
+
+    canonical = graph_core._canonical
+    monkeypatch.setattr(graph_core, "_canonical", counting)
+    y, m = increment_regularity(x)
+    assert len(calls) == 1
+    assert y.num_edges == x.num_edges + x.n // 2 and m.is_perfect(x.n)
 
 
 def _greedy_leaves_exposed(x):

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 import sympy
 
-from expanderlab import max_delta_in_range
+from expanderlab import delta_table, max_delta_in_range
 from expanderlab.errors import ValidationError
 from expanderlab.numtheory import (
     _BLOCK,
+    _SIEVE_BLOCK,
+    _WHEEL,
     RANGE_MAX,
     PrimePlan,
     _prime_blocks,
@@ -176,7 +178,7 @@ def test_max_delta_matches_walk():
 def test_prime_blocks_match_is_prime():
     # Windows across the first two block boundaries, around 10^7, and across
     # the last boundary below RANGE_MAX, at 2^40 - 2*_BLOCK + 1, where most
-    # base primes exceed _BLOCK and strike at most one flag per block.
+    # base primes exceed _SIEVE_BLOCK and strike at most one flag per block.
     edge = RANGE_MAX - 2 * _BLOCK + 1
     for (a, b), count in (((2 * _BLOCK - 3000, 4 * _BLOCK + 3000), 3),
                           ((10**7 - 10**4, 10**7 + 10**4), 1),
@@ -185,6 +187,41 @@ def test_prime_blocks_match_is_prime():
         assert len(blocks) == count
         got = np.concatenate(blocks).tolist()
         assert got == [n for n in range(a, b) if is_prime(n)], (a, b)
+
+
+def test_prime_blocks_across_strike_blocks_and_wheel_periods():
+    # Strike block j starts at the odd number 2j*_SIEVE_BLOCK + 1, and the
+    # wheel's flags repeat every 15015 odd indices, from 30030j + 1 on.
+    # Every yielded array stays inside one chunk of _BLOCK odd indices.
+    period = math.prod(_WHEEL)
+    s1, s2 = 2 * _SIEVE_BLOCK + 1, 4 * _SIEVE_BLOCK + 1
+    for mid in (s1, s2, 2 * period + 1, 2 * 3 * period + 1,
+                2 * (_SIEVE_BLOCK + period) + 1):
+        a, b = mid - 3000, mid + 3000
+        blocks = list(_prime_blocks(a, b))
+        assert all(len({i // _BLOCK for i in (block // 2).tolist()}) == 1
+                   for block in blocks if block.size)
+        got = np.concatenate(blocks).tolist()
+        assert got == [n for n in range(a, b) if is_prime(n)], (a, b)
+
+
+def test_prime_blocks_keep_the_wheel_primes():
+    # The wheel primes are yielded themselves, and 11 and 13 stay primes
+    # while they are not base primes (b <= 121 and b <= 169).
+    for b in range(4, 201):
+        got = np.concatenate(list(_prime_blocks(3, b))).tolist()
+        assert got == [n for n in range(3, b) if is_prime(n)], b
+
+
+def test_delta_table_traced_peak():
+    # The strike buffer and the yielded chunks bound the table's memory.
+    tracemalloc.start()
+    try:
+        delta_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_max_delta_above_cap_fails_before_allocating():

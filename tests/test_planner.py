@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from expanderlab import (
     certify,
     choose_q,
     construct,
+    delta_table,
     graph_to_text,
     load_graph,
     numtheory,
@@ -288,6 +290,7 @@ def test_certify_refuses_a_route_its_provenance_contradicts(k7, k7_product):
             (steps, "k2product", build),
             ((dict(steps[0], p=13),) + steps[1:], "matching", build),
             ((library,) + steps[1:], "matching", build),
+            ((("lps", 5),) + steps[1:], "matching", build),
             (steps[:1], "matching", build),
             (steps + steps[1:], "matching", build),
             ((), "matching", build),
@@ -303,6 +306,28 @@ def test_certify_refuses_a_route_its_provenance_contradicts(k7, k7_product):
     y, cert3 = construct(3, 5)
     assert certify(y, provenance=cert3.provenance, strategy="matching",
                    build=plan(3)[1]) == cert3
+
+
+def test_certify_refuses_a_provenance_that_builds_another_graph(k7, k7_product):
+    # construct(7, 1000)'s matching route builds X^{5,13} plus one
+    # matching, n = 2184; the k2product graph on the same base has 4368.
+    _, build = plan(7)
+    x, _ = k7_product
+    with pytest.raises(ValidationError, match=r"provenance builds n=2184, "
+                       r"k=7; the graph has n=4368, k=7"):
+        certify(x, provenance=k7[1].provenance, strategy="matching",
+                build=build)
+    # The same route with another modulus, and a library base of another
+    # size, are refused the same way.
+    x, cert = k7
+    steps = cert.provenance
+    with pytest.raises(ValidationError, match=r"provenance builds n=4896,"):
+        certify(x, provenance=(dict(steps[0], q=17),) + steps[1:],
+                strategy="matching", build=build)
+    y, cert3 = construct(3, 5)
+    with pytest.raises(ValidationError, match=r"provenance builds n=4, k=3"):
+        certify(y, provenance=({"step": "library", "name": "complete(4)"},),
+                strategy="matching", build=plan(3)[1])
 
 
 def test_construct_library_routes():
@@ -434,18 +459,21 @@ def test_k7_pipeline_script_writes_the_reference(tmp_path):
 
 
 def test_output_digests_script_names_the_reference():
-    # One sha256 line per graph text and certificate of five builds; the
-    # construct(7, 1000) lines are the digests of the files under out/.
+    # One sha256 line per graph text and certificate of five builds, and
+    # one for the delta table; the construct(7, 1000) lines are the
+    # digests of the files under out/.
     proc = subprocess.run(
         [sys.executable, str(_ROOT / "scripts" / "output_digests.py")],
         capture_output=True, text=True, env=script_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     for kind in ("txt", "json"):
         digest = hashlib.sha256(
             (_REFERENCE / f"k7_n2184.{kind}").read_bytes()).hexdigest()
         assert f"{digest}  construct(7, 1000) {kind}" in lines
+    table = hashlib.sha256(json.dumps(delta_table()).encode()).hexdigest()
+    assert lines[-1] == f"{table}  delta_table() json"
 
 
 def test_construct_k7_reference_holds_with_two_blas_threads(k7_product):
