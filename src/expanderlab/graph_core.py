@@ -14,8 +14,9 @@ columns or neighbouring rows column by column.  An (m, 2) reduction along
 rows costs several times as much, so the row-wise mask is built only on
 failure, to name the first bad edge.  Ids must be integers; unsigned and
 oversized ids are kept as given until they are checked against n.  The
-CSR adjacency is handed to scipy's COO conversion (v, u) half first, which
-leaves every row ascending, so scipy skips its sort.
+canonical rows are the CSR of the upper triangle as they stand, so the
+CSR adjacency is that triangle plus its transpose, with no COO copy and
+no sort.
 
 Edge codes u*n + v sort like canonical rows, so adding a matching inserts
 its pairs at their searchsorted positions among the edge codes instead of
@@ -70,17 +71,24 @@ class Graph:
     def adjacency_sparse(self) -> sparse.csr_matrix:
         """CSR adjacency (multiplicities, sorted columns), shared: do not modify.
 
-        The (v, u) half goes first: scipy's conversion keeps input order
-        within a row, so row w gets its neighbours below w, ascending by
-        canonical order, then those above it, and needs no sort.
+        The canonical rows are already the upper triangle in CSR order:
+        row u holds u's neighbours above u, ascending, parallel edges
+        side by side.  Summing those and adding the transpose gives every
+        row its neighbours below it, then those above it, with no sort.
         """
         if self._csr is None:
             from scipy import sparse
 
             u, v = self.edges[:, 0], self.edges[:, 1]
-            rows, cols = np.concatenate([v, u]), np.concatenate([u, v])
-            self._csr = sparse.csr_matrix(
-                (np.ones(len(rows)), (rows, cols)), shape=(self.n, self.n))
+            # The index type scipy's own conversion would pick.
+            idx = np.int32 if max(self.n, 2 * len(v)) < 2**31 else np.int64
+            indptr = np.zeros(self.n + 1, dtype=idx)
+            np.cumsum(np.bincount(u, minlength=self.n), out=indptr[1:])
+            upper = sparse.csr_matrix(
+                (np.ones(len(v)), v.astype(idx), indptr),
+                shape=(self.n, self.n))
+            upper.sum_duplicates()
+            self._csr = upper.T.tocsr() + upper
         return self._csr
 
     # -- identity ----------------------------------------------------------

@@ -21,14 +21,21 @@ blossom search used by earlier releases found its augmenting paths from
 the same greedy seed, so increments, and the matchings recorded in their
 certificates, are unchanged.
 
-Adjacency is read from one set of x's edge codes u*n + v (u < v), with no
-per-vertex neighbour sets and no sparse adjacency.  The result is
-re-verified from its pairs alone before it is applied: Matching refuses a
-vertex used twice, and add_matching refuses a matching that is not perfect,
-an id outside [0, n) and a pair that is already an edge.
+Adjacency is read from x's canonical rows: row v of x.edges lists v's
+neighbours above v, ascending.  Those neighbours, the row offsets, mate and
+the free pointers are held in array('q') buffers, 8 bytes an entry with no
+Python object behind it.  The greedy pass walks v's row beside its rising
+candidates; the exchange pass finds a pair by bisection in the lower
+vertex's row.  The result is re-verified from its pairs alone before it is
+applied: Matching refuses a vertex used twice, and add_matching refuses a
+matching that is not perfect, an id outside [0, n) and a pair that is
+already an edge.
 """
 
 from __future__ import annotations
+
+from array import array
+from bisect import bisect_left
 
 import numpy as np
 
@@ -36,7 +43,6 @@ from .errors import ValidationError
 from .graph_core import (
     Graph,
     Matching,
-    _codes,
     add_matching,
     regularity,
 )
@@ -46,8 +52,8 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     """Raise regularity by one by adding a perfect matching of the complement.
 
     The complement is never materialized: both passes test candidates
-    against one set of x's edge codes u*n + v (u < v), which keeps the
-    memory footprint linear in x.
+    against x's canonical rows, held in flat int64 buffers, which keeps the
+    memory footprint linear in x with no Python object per edge.
     """
     k = regularity(x)
     if k is None:
@@ -59,14 +65,19 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
         raise ValidationError("increment requires a simple graph")
     if n < 2 * k + 2:
         raise ValidationError(f"cannot increment: n={n} < 2k+2={2 * k + 2}")
-    edge = set(_codes(n, x.edges).tolist())
+    # v's neighbours above v, ascending, are above[start[v]:start[v + 1]].
+    start = _buffer(np.searchsorted(x.edges[:, 0], np.arange(n + 1)))
+    above = _buffer(x.edges[:, 1])
 
     def adjacent(a: int, b: int) -> bool:
-        return (a * n + b if a < b else b * n + a) in edge
+        if a > b:
+            a, b = b, a
+        i = bisect_left(above, b, start[a], start[a + 1])
+        return i < start[a + 1] and above[i] == b
 
-    mate = [-1] * n
+    mate = array("q", [-1]) * n
     # free[i] leads, by path halving, to the smallest unmatched vertex >= i.
-    free = list(range(n + 1))
+    free = _buffer(np.arange(n + 1))
 
     def first_free(i: int) -> int:
         while free[i] != i:
@@ -77,14 +88,21 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     for v in range(n):
         if mate[v] != -1:
             continue
+        # Candidates u rise, so one pointer walks v's row beside them.
+        i, end = start[v], start[v + 1]
         u = first_free(v + 1)
-        while u < n and v * n + u in edge:
+        while u < n:
+            while i < end and above[i] < u:
+                i += 1
+            if i == end or above[i] != u:
+                break
             u = first_free(u + 1)
         if u < n:
             mate[v], mate[u] = u, v
             free[v], free[u] = v + 1, u + 1
 
-    exposed = [v for v in range(n) if mate[v] == -1]
+    mates = np.frombuffer(mate, dtype=np.int64)
+    exposed = np.flatnonzero(mates == -1).tolist()
     while exposed:
         u = exposed[0]
         a, w = next((a, w) for a in range(n) if a != u and not adjacent(a, u)
@@ -94,7 +112,14 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
         exposed.remove(u)
         exposed.remove(w)
 
-    mates = np.array(mate, dtype=np.int64)
+    del start, above, free          # before add_matching allocates
     low = np.flatnonzero(np.arange(n) < mates)
     m = Matching(np.column_stack([low, mates[low]]))
     return add_matching(x, m), m
+
+
+def _buffer(ids: np.ndarray) -> array:
+    """ids as an array('q'): 8 bytes an entry, read as Python ints."""
+    buf = array("q", [0]) * len(ids)
+    np.frombuffer(buf, dtype=np.int64)[:] = ids
+    return buf

@@ -46,7 +46,7 @@ from itertools import product
 import numpy as np
 
 from .errors import ValidationError
-from .graph_core import Graph, from_edge_list
+from .graph_core import Graph, _sorted_rows, from_edge_list
 from .numtheory import is_prime, legendre
 
 # Largest modulus of any LPS build: n <= 101*(101^2-1) = 1 030 200.
@@ -234,7 +234,8 @@ def build_lps(p: int, q: int) -> Graph:
     images are computed for one generator of each inverse pair, checked to
     permute the vertices, and the mate's images are that permutation's
     inverse.  Each vertex's sorted neighbours above it give its edges, so
-    they come out in canonical order.
+    they come out in canonical order, written once into the array the
+    graph keeps.
     """
     params = lps_params(p, q)
     verts = _vertices(q, square_det=params.group == "PSL2")
@@ -270,11 +271,14 @@ def build_lps(p: int, q: int) -> Graph:
         nbrs[:, col] = h
         if mate[col] != col:
             nbrs[:, mate[col]] = inverse
+    del verts, index, a, b, c, d
     nbrs.sort(axis=1)
     # Flat positions of the neighbours above their row's vertex, row-major.
     up = np.flatnonzero(nbrs > j[:, None])
-    x = from_edge_list(params.n, np.column_stack(
-        [up // (p + 1), nbrs.ravel()[up]]))
+    e = np.empty((len(up), 2), dtype=np.int64)
+    np.floor_divide(up, p + 1, out=e[:, 0])
+    e[:, 1] = nbrs.ravel()[up]
+    x = Graph(params.n, _sorted_rows(e))
     if len(x.edges) != params.n * (p + 1) // 2 or not x.is_simple():
         raise AssertionError(f"X^{{{p},{q}}} is not ({p + 1})-regular simple")
     return x

@@ -29,8 +29,12 @@ rounding; matching_side is the plain walk that picks their vertex set.
 adjacency_matrix is the dense adjacency that every dense oracle reads,
 formed from the edge list rather than from the package's sparse one.
 coo_adjacency is kept the same way as the blossom: the CSR that
-Graph.adjacency_sparse built before it ordered its halves so that scipy
-need not sort, which it must reproduce array for array.
+Graph.adjacency_sparse built through scipy's COO conversion before it
+built the upper triangle from the canonical rows, which it must reproduce
+array for array.  whole_array_expansion is kept the same way: the
+expanding_constant_exact that held all 2^n masks' ratios at once, which
+the blocked sweep must reproduce, h and witness; it shares the package's
+lex-least tie-break.
 """
 
 from __future__ import annotations
@@ -50,7 +54,11 @@ from scipy.sparse.csgraph import connected_components
 
 from expanderlab import cartesian_k2, extreme_eigs, is_connected, regularity
 from expanderlab.errors import ValidationError
-from expanderlab.expansion import expanding_constant_exact
+from expanderlab.expansion import (
+    _LCM,
+    _lex_least_mask,
+    expanding_constant_exact,
+)
 from expanderlab.graph_core import Graph, Matching, from_edge_list
 from expanderlab.numtheory import next_prime, prev_prime
 from expanderlab.ramanujan_base import (
@@ -365,6 +373,33 @@ def brute_force_expansion(x: Graph) -> tuple[Fraction, tuple[int, ...]]:
     return best, min(minimizers)
 
 
+def whole_array_expansion(x: Graph) -> tuple[float, tuple[int, ...]]:
+    """expanding_constant_exact as it was before it swept the masks in
+    blocks: the cut, popcount, scale and ratio of all 2^n masks at once."""
+    size = 1 << x.n
+    idx = np.arange(size, dtype=np.uint32)
+    cut = np.zeros(size, dtype=np.int64)
+    bit_u = np.empty(size, dtype=np.uint32)
+    bit_v = np.empty(size, dtype=np.uint32)
+    pairs, mult = np.unique(x.edges, axis=0, return_counts=True)
+    for (u, v), w in zip(pairs.tolist(), mult.tolist()):
+        np.right_shift(idx, np.uint32(u), out=bit_u)
+        np.right_shift(idx, np.uint32(v), out=bit_v)
+        np.bitwise_xor(bit_u, bit_v, out=bit_u)
+        np.bitwise_and(bit_u, np.uint32(1), out=bit_u)
+        cut += bit_u.astype(np.int64) * w
+    pc = np.bitwise_count(idx).astype(np.int64)
+    valid = (pc >= 1) & (pc <= x.n // 2)
+    den = np.ones_like(pc)
+    np.floor_divide(_LCM, pc, out=den, where=valid)
+    scaled = cut * den
+    scaled[~valid] = np.iinfo(np.int64).max
+    best = int(scaled.min())
+    mask = _lex_least_mask(np.flatnonzero(scaled == best))
+    witness = tuple(v for v in range(x.n) if mask >> v & 1)
+    return best / _LCM, witness
+
+
 def adjacency_matrix(x: Graph) -> np.ndarray:
     """The dense adjacency, counting multiplicity, from the edge list."""
     a = np.zeros((x.n, x.n))
@@ -375,9 +410,9 @@ def adjacency_matrix(x: Graph) -> np.ndarray:
 
 
 def coo_adjacency(x: Graph) -> sparse.csr_matrix:
-    """The CSR adjacency as Graph.adjacency_sparse built it before it put
-    the (v, u) half first: the (u, v) half leads, so scipy's conversion
-    leaves rows unsorted and sorts them before summing parallel edges."""
+    """The CSR adjacency as Graph.adjacency_sparse once built it, by
+    scipy's COO conversion of both halves, which sorts each row and sums
+    parallel edges."""
     u, v = x.edges[:, 0], x.edges[:, 1]
     rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
     return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)),

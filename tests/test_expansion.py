@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -27,7 +29,9 @@ from helpers import (
     path,
     petersen,
     random_gnp,
+    random_regular,
     two_triangles,
+    whole_array_expansion,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,6 +65,15 @@ def test_boundary_rejects_out_of_range():
         boundary_size(k4(), [4])
     with pytest.raises(ValidationError):
         boundary_size(k4(), [-1])
+
+
+def test_boundary_rejects_non_integer_ids():
+    # 1.5 lies in [0, n) but matches no edge end, so it would count as 3.
+    with pytest.raises(ValidationError, match="1.5"):
+        boundary_size(petersen(), [0, 1.5])
+    with pytest.raises(ValidationError, match="'0'"):
+        boundary_size(petersen(), ["0"])
+    assert boundary_size(petersen(), [np.int64(0), 1]) == 4
 
 
 @given(st.integers(0, 2**8 - 1), st.integers(0, 17))
@@ -150,6 +163,35 @@ def test_oracle_agreement_random_multigraphs():
 def test_oracle_agreement_property(n, seed):
     x = random_gnp(n, 0.5, seed=seed)
     _assert_matches_oracle(x)
+
+
+# ---------------------------------------------------------------------------
+# the blocked sweep vs the whole-array search it replaced
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [4, 10, 16, 18, 20])
+def test_blocked_sweep_matches_whole_array_search(n):
+    graphs = [random_regular(3, n, seed) for seed in range(3)]
+    graphs += [from_edge_list(n, []),
+               from_edge_list(n, np.column_stack(np.triu_indices(n, 1)))]
+    for x in graphs:
+        assert expanding_constant_exact(x) == whole_array_expansion(x)
+
+
+def test_blocked_sweep_memory_at_24_vertices():
+    # The whole-array search held several arrays of 2^24 entries, 544 MiB
+    # traced; the sweep holds one block's.
+    x = random_regular(3, MAX_EXACT_N, 0)
+    tracemalloc.start()
+    try:
+        h, witness = expanding_constant_exact(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+    assert 1 <= len(witness) <= MAX_EXACT_N // 2
+    assert h == boundary_size(x, witness) / len(witness)
 
 
 # ---------------------------------------------------------------------------

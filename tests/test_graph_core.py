@@ -233,9 +233,9 @@ def test_from_edge_list_matches_reference_canonical_form(case):
 @example(parallel_k2(2))
 @example(parallel_k2(7))
 def test_adjacency_sparse_is_born_sorted(x):
-    # The (v, u) half goes first, so scipy's conversion needs no sort, and
-    # the CSR is the one the old order built after sorting: parallel edges
-    # summed into multiplicities.
+    # The upper triangle read off the canonical rows plus its transpose is
+    # the CSR that scipy's COO conversion built, array for array and dtype
+    # for dtype: parallel edges summed into multiplicities.
     a = x.adjacency_sparse()
     assert a.has_sorted_indices and a.has_canonical_format
     want = coo_adjacency(x)
