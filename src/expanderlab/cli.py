@@ -15,7 +15,7 @@ from .errors import ConvergenceError, ValidationError
 from .expansion import boundary_size, expanding_constant_exact
 from .graph_core import load_graph, save_graph
 from .numtheory import PrimePlan
-from .planner import certify, construct
+from .planner import STRATEGIES, certify, construct
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target regularity, from 3 to 2557")
     c.add_argument("--min-vertices", type=int, required=True,
                    help="smallest acceptable vertex count")
-    c.add_argument("--strategy", choices=["matching", "k2product"],
+    c.add_argument("--strategy", choices=tuple(STRATEGIES),
                    default="matching",
                    help="increment strategy (default: matching)")
     c.add_argument("--graph-out", required=True,

@@ -59,12 +59,10 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     if k is None:
         raise ValidationError("increment requires a regular graph")
     n = x.n
-    if n % 2 == 1:
-        raise ValidationError(f"odd vertex count {n}: no perfect matching exists")
+    if (fault := _increment_fault(k, n)) is not None:
+        raise ValidationError(fault)
     if not x.is_simple():
         raise ValidationError("increment requires a simple graph")
-    if n < 2 * k + 2:
-        raise ValidationError(f"cannot increment: n={n} < 2k+2={2 * k + 2}")
     # v's neighbours above v, ascending, are above[start[v]:start[v + 1]].
     start = _buffer(np.searchsorted(x.edges[:, 0], np.arange(n + 1)))
     above = _buffer(x.edges[:, 1])
@@ -116,6 +114,15 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
     low = np.flatnonzero(np.arange(n) < mates)
     m = Matching(np.column_stack([low, mates[low]]))
     return add_matching(x, m), m
+
+
+def _increment_fault(k: int, n: int) -> str | None:
+    """Why a simple k-regular graph on n vertices takes no increment."""
+    if n % 2 == 1:
+        return f"odd vertex count {n}: no perfect matching exists"
+    if n < 2 * k + 2:
+        return f"cannot increment: n={n} < 2k+2={2 * k + 2}"
+    return None
 
 
 def _buffer(ids: np.ndarray) -> array:

@@ -19,23 +19,26 @@ Increments come in two strategies:
                 and the chain does NOT transfer: its entries are invalid.
 
 "matching", whose certificates may cite the chain, is the default.
-construct and replay run every step through one increment driver,
-_apply_step, so the two strategies are compared at the same k.
+
+A provenance chain is one base step, "library" (a LIBRARY name) or "lps"
+(int p and q), then "matching_increment" (optional matching text) and
+"k2_product" steps.  _chain_shape alone reads it, following (k, n) through
+each increment the shape can take, before _build builds anything.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .bounds import bound_entries, is_ramanujan
 from .errors import ValidationError
 from .expansion import MAX_EXACT_N, expanding_constant_exact
 from .graph_core import Graph, cartesian_k2, is_bipartite
-from .matching import increment_regularity
+from .matching import _increment_fault, increment_regularity
 from .numtheory import PrimePlan
-from .ramanujan_base import (LIBRARY, base_prime, build_lps, lps_shape,
-                             small_ramanujan, smallest_modulus)
+from .ramanujan_base import (LIBRARY, base_prime, build_lps, library_shape,
+                             lps_shape, small_ramanujan, smallest_modulus)
 from .spectral import DEFAULT_TOL, SpectralCertificate, extreme_eigs
 
 # Increment strategy -> the provenance step that runs one increment.
@@ -88,23 +91,24 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
             build: BuildPlan | None = None) -> SpectralCertificate:
     """Measure a regular connected graph and emit its certificate.
 
-    Two header checks, on n and m alone, come first, so a hostile header
-    fails before anything of size n is allocated; then extreme_eigs
-    refuses any graph that is not connected, regular and of at least two
-    vertices.  Spectral fields are always measured, never copied from
-    claims.  strategy and build, given together or not at all, resolve
-    bound validity, and provenance must record their route, build's base
-    step and then build.increments steps of strategy, and describe x: the
-    n and k that route builds must be x's, else ValidationError is raised
-    before extreme_eigs.  Small graphs get exact expansion data.
+    Header checks on n and m alone refuse a hostile header before anything
+    of size n is allocated; then extreme_eigs refuses any graph that is not
+    connected, regular and of at least two vertices.  Spectral fields are
+    measured, never copied from claims.  strategy and build, given together
+    or not at all, resolve bound validity; provenance, read once as a
+    tuple, must then be the chain of build's base and increments of
+    strategy that builds x's n and k, and a malformed or infeasible chain
+    is refused before anything is built.  Small graphs get exact expansion
+    data.
     """
     if (strategy is None) != (build is None):
         raise ValidationError("certify takes strategy and build together")
+    provenance = _as_steps(provenance)
     if build is not None:
         route = [(build.source, build.p_star)]
         route += [(_increment_step(strategy), None)] * build.increments
-        if [(s.get("step"), s.get("p")) if isinstance(s, dict) else None
-                for s in provenance] != route:
+        degree, n = _chain_shape(provenance)
+        if [(s["step"], s.get("p")) for s in provenance] != route:
             raise ValidationError(f"provenance is not the {strategy} route "
                                   f"of {build}")
     if x.n == 0 or 2 * x.num_edges % x.n:
@@ -112,12 +116,9 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     if x.num_edges < x.n - 1:
         raise ValidationError("certificates require a connected graph")
     k = 2 * x.num_edges // x.n
-    if build is not None:
-        n, degree = _route_shape(provenance[0], strategy, build)
-        if (n, degree) != (x.n, k):
-            raise ValidationError(
-                f"provenance builds n={n}, k={degree}; the graph has "
-                f"n={x.n}, k={k}")
+    if build is not None and (n, degree) != (x.n, k):
+        raise ValidationError(f"provenance builds n={n}, k={degree}; the "
+                              f"graph has n={x.n}, k={k}")
     s = extreme_eigs(x)
     expansion = None
     if x.n <= MAX_EXACT_N:
@@ -129,15 +130,11 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
         version=__version__,
         k=k,
         n=x.n,
-        provenance=tuple(provenance),
-        lambda1=s.lambda1,
-        lambda2=s.lambda2,
-        lambda_n=s.lambda_n,
+        provenance=provenance,
+        **asdict(s),
         spectral_gap=k - s.lambda2,
         ramanujan=is_ramanujan(k, s.lambda2, s.residual + DEFAULT_TOL),
         bipartite=is_bipartite(x),
-        residual=s.residual,
-        method=s.method,
         bounds=bounds,
         expansion=expansion,
     )
@@ -149,24 +146,6 @@ def _increment_step(strategy: str) -> str:
         raise ValidationError(f"unknown strategy {strategy!r}; expected "
                               f"one of {tuple(STRATEGIES)}")
     return STRATEGIES[strategy]
-
-
-def _route_shape(base: dict, strategy: str, build: BuildPlan
-                 ) -> tuple[int, int]:
-    """(n, k) of the graph built from the base step by build's increments:
-    each increment adds one to k, and each k2product step doubles n."""
-    if build.source == "lps":
-        if type(base.get("q")) is not int:
-            raise ValidationError(f"lps step needs int p and q: {base!r}")
-        k, n = lps_shape(build.p_star, base["q"])
-    else:
-        name = base.get("name")
-        if not (isinstance(name, str) and name in LIBRARY):
-            raise ValidationError(f"unknown library graph in {base!r}")
-        k, n = LIBRARY[name]
-    if strategy == "k2product":
-        n <<= build.increments
-    return n, k + build.increments
 
 
 def construct(k: int, min_vertices: int, strategy: str = "matching"
@@ -181,69 +160,78 @@ def construct(k: int, min_vertices: int, strategy: str = "matching"
     else:
         base = {"step": "lps", "p": build.p_star,
                 "q": choose_q(build.p_star, min_vertices)}
-    x, step = _apply_step(None, base)
-    provenance = [step]
-    for _ in range(build.increments):
-        x, step = _apply_step(x, {"step": increment})
-        provenance.append(step)
-    return x, certify(x, provenance=tuple(provenance), strategy=strategy,
+    x, provenance = _build((base,) + tuple(
+        {"step": increment} for _ in range(build.increments)))
+    return x, certify(x, provenance=provenance, strategy=strategy,
                       build=build)
 
 
-def _apply_step(x: Graph | None, step: dict) -> tuple[Graph, dict]:
-    """Run one provenance step on x; return the new graph and the step run.
-
-    The step run by a matching increment records the matching it added; a
-    matching already recorded in step must equal the recomputed one.  A
-    malformed step is refused before anything is built: a base step may
-    only come first, and each field must have the type construct records.
-    """
-    op = step.get("step") if isinstance(step, dict) else None
-    if op in ("library", "lps") and x is not None:
-        raise ValidationError(f"base step {op!r} after the first step")
-    if op == "library":
-        if not isinstance(step.get("name"), str):
-            raise ValidationError(f"library step needs a name, got {step!r}")
-        return small_ramanujan(step["name"]), step
-    if op == "lps":
-        if not (type(step.get("p")) is int and type(step.get("q")) is int):
-            raise ValidationError(f"lps step needs int p and q: {step!r}")
-        return build_lps(step["p"], step["q"]), step
-    if op == "matching_increment":
-        if x is None:
-            raise ValidationError("increment step before any base step")
-        recorded = step.get("matching")
-        if recorded is not None and not isinstance(recorded, str):
-            raise ValidationError("a recorded matching must be text")
-        x, m = increment_regularity(x)
-        text = m.to_text()
-        if recorded is not None and recorded != text:
-            raise ValidationError(
-                "replayed matching differs from the recorded one")
-        return x, {"step": op, "matching": text}
-    if op == "k2_product":
-        if x is None:
-            raise ValidationError("product step before any base step")
-        return cartesian_k2(x), step
-    raise ValidationError(f"unknown provenance step {step!r}")
-
-
-def replay(provenance) -> Graph:
-    """Rebuild the graph described by a certificate's provenance chain.
-
-    Deterministic construction makes this exact: the result has the same
-    canonical edge list as the original.  Embedded matchings are checked
-    against the recomputation.  A provenance that is not iterable raises
-    ValidationError before anything is built.
-    """
+def _as_steps(provenance) -> tuple:
+    """provenance read once into a tuple of steps."""
     try:
-        steps = iter(provenance)
+        return tuple(provenance)
     except TypeError:
         raise ValidationError(f"provenance must be a sequence of steps, got "
                               f"{type(provenance).__name__}") from None
-    x: Graph | None = None
+
+
+def _chain_shape(steps: tuple) -> tuple[int, int]:
+    """(k, n) of the graph the chain steps builds, without building it;
+    ValidationError if steps is not a well-formed chain."""
+    k = n = None
     for step in steps:
-        x, _ = _apply_step(x, step)
-    if x is None:
+        op = step.get("step") if isinstance(step, dict) else None
+        if (op in ("library", "lps")) != (k is None):
+            raise ValidationError(f"a chain has one base step, its first; "
+                                  f"{step!r} is out of place")
+        if op == "library":
+            k, n = library_shape(step.get("name"))
+        elif op == "lps":
+            if {type(step.get("p")), type(step.get("q"))} != {int}:
+                raise ValidationError(f"lps step needs int p and q: {step!r}")
+            k, n = lps_shape(step["p"], step["q"])
+        elif op == "matching_increment":
+            if not isinstance(step.get("matching"), (str, type(None))):
+                raise ValidationError("a recorded matching must be text")
+            if (fault := _increment_fault(k, n)) is not None:
+                raise ValidationError(fault)
+            k += 1
+        elif op == "k2_product":
+            k, n = k + 1, 2 * n
+        else:
+            raise ValidationError(f"unknown provenance step {step!r}")
+    if k is None:
         raise ValidationError("empty provenance chain")
-    return x
+    return k, n
+
+
+def _build(steps: tuple) -> tuple[Graph, tuple[dict, ...]]:
+    """Walk the chain steps, then build it: the graph and the steps run,
+    each matching increment recording its matching."""
+    _chain_shape(steps)
+    run = []
+    for step in steps:
+        op = step["step"]
+        if op == "library":
+            x = small_ramanujan(step["name"])
+        elif op == "lps":
+            x = build_lps(step["p"], step["q"])
+        elif op == "k2_product":
+            x = cartesian_k2(x)
+        else:
+            x, m = increment_regularity(x)
+            text = m.to_text()
+            if step.get("matching") not in (None, text):
+                raise ValidationError(
+                    "replayed matching differs from the recorded one")
+            step = {"step": op, "matching": text}
+        run.append(step)
+    return x, tuple(run)
+
+
+def replay(provenance) -> Graph:
+    """Rebuild the graph a certificate's provenance chain describes, with the
+    same canonical edge list as the original; recorded matchings must equal
+    the recomputed ones.  A provenance that is not iterable, or a malformed
+    or infeasible chain, raises ValidationError before anything is built."""
+    return _build(_as_steps(provenance))[0]

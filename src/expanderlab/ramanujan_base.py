@@ -97,9 +97,8 @@ def lps_params(p: int, q: int) -> LpsParams:
 
 
 def lps_shape(p: int, q: int) -> tuple[int, int]:
-    """(regularity, vertex count) of X^{p,q}, as LIBRARY gives them for the
-    named graphs, without building it; lps_params' error if (p, q) make no
-    base."""
+    """(regularity, vertex count) of X^{p,q}, without building it;
+    lps_params' error if (p, q) make no base."""
     return p + 1, lps_params(p, q).n
 
 
@@ -295,15 +294,20 @@ LIBRARY = {
 }
 
 
-def small_ramanujan(name: str) -> Graph:
-    """The LIBRARY graph called name; every one meets the Ramanujan bound."""
-    if name not in LIBRARY:
+def library_shape(name: str) -> tuple[int, int]:
+    """(regularity, vertex count) of the LIBRARY graph called name."""
+    if not (isinstance(name, str) and name in LIBRARY):
         raise ValidationError(
             f"unknown graph name {name!r}; expected one of {tuple(LIBRARY)}")
+    return LIBRARY[name]
+
+
+def small_ramanujan(name: str) -> Graph:
+    """The LIBRARY graph called name; every one meets the Ramanujan bound."""
+    n = library_shape(name)[1]
     if name == "petersen":
         outer = [(v, (v + 1) % 5) for v in range(5)]
         spokes = [(v, v + 5) for v in range(5)]
         inner = [(5 + v, 5 + (v + 2) % 5) for v in range(5)]
         return from_edge_list(10, outer + spokes + inner)
-    n = LIBRARY[name][1]
     return from_edge_list(n, np.column_stack(np.triu_indices(n, 1)))

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from expanderlab import graph_to_text, numtheory, save_graph
 from expanderlab.cli import build_parser, main
 from expanderlab.graph_core import from_edge_list
+from expanderlab.planner import STRATEGIES
 
 from helpers import k4, petersen, script_env, two_triangles
 
@@ -343,6 +344,14 @@ def test_bad_strategy_choice(tmp_path, capsys):
                  "--cert-out", str(tmp_path / "c")])
     assert code == 1
     capsys.readouterr()
+
+
+def test_strategy_choices_are_the_planner_strategies():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    strategy = next(a for a in sub.choices["construct"]._actions
+                    if a.dest == "strategy")
+    assert tuple(strategy.choices) == tuple(STRATEGIES)
 
 
 def test_module_entry_point():

@@ -11,6 +11,8 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from expanderlab import (
     certify,
@@ -26,7 +28,8 @@ from expanderlab import (
     replay,
 )
 from expanderlab.errors import ValidationError
-from expanderlab.graph_core import from_edge_list
+from expanderlab.graph_core import Graph, from_edge_list
+from expanderlab.matching import increment_regularity
 from expanderlab.ramanujan_base import (K_MAX, LIBRARY, Q_MAX, _fault,
                                         lps_params)
 from expanderlab.spectral import SpectralCertificate
@@ -306,6 +309,19 @@ def test_certify_refuses_a_route_its_provenance_contradicts(k7, k7_product):
     y, cert3 = construct(3, 5)
     assert certify(y, provenance=cert3.provenance, strategy="matching",
                    build=plan(3)[1]) == cert3
+
+
+def test_certify_reads_its_provenance_once_as_a_tuple(k7):
+    # An iterator is read once, as replay reads it; a provenance that is not
+    # iterable is refused as replay refuses it, with or without a route.
+    _, build = plan(7)
+    x, cert = k7
+    assert certify(x, provenance=iter(cert.provenance), strategy="matching",
+                   build=build) == cert
+    for provenance, strategy, b in ((5, "matching", build), (None, None, None)):
+        with pytest.raises(ValidationError, match="provenance must be a "
+                           "sequence of steps, got"):
+            certify(x, provenance=provenance, strategy=strategy, build=b)
 
 
 def test_certify_refuses_a_provenance_that_builds_another_graph(k7, k7_product):
@@ -631,6 +647,141 @@ def test_replay_refuses_malformed_steps(steps):
 def test_replay_refuses_a_provenance_that_is_not_iterable(provenance):
     with pytest.raises(ValidationError, match="provenance must be"):
         replay(provenance)
+
+
+def _refuse_builds(mp: pytest.MonkeyPatch) -> None:
+    """Make every build and eigensolve the planner calls fail the test."""
+    def built(*args, **kwargs):
+        raise AssertionError("a refused chain reached a build")
+
+    for name in ("build_lps", "small_ramanujan", "increment_regularity",
+                 "cartesian_k2", "extreme_eigs"):
+        mp.setattr(planner, name, built)
+
+
+# X^{5,101} has 515 100 vertices; X^{5,13} has 2184, so its 1087th
+# increment, from k = 1092, needs n >= 2186.
+_LPS_101_THEN_UNKNOWN = [{"step": "lps", "p": 5, "q": 101},
+                         {"step": "teleport"}]
+_PAST_2K_PLUS_2 = ([{"step": "lps", "p": 5, "q": 13}]
+                   + [{"step": "matching_increment"}] * 1090)
+
+
+@pytest.mark.parametrize("steps, message", [
+    (_LPS_101_THEN_UNKNOWN, "unknown provenance step"),
+    (_PAST_2K_PLUS_2, r"cannot increment: n=2184 < 2k\+2=2186"),
+], ids=["lps-101-then-unknown", "increments-past-2k+2"])
+def test_replay_refuses_a_hostile_chain_before_building(monkeypatch, steps,
+                                                        message):
+    # Both chains are small text; the first would build a 515 100-vertex
+    # base and the second run 1086 increments before their fault showed.
+    _refuse_builds(monkeypatch)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError, match=message):
+            replay(steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_certify_refuses_an_infeasible_chain_before_building(monkeypatch):
+    # The route matches the hand-made plan step for step; the walk still
+    # finds the increment X^{5,13} cannot take.
+    _refuse_builds(monkeypatch)
+    with pytest.raises(ValidationError,
+                       match=r"cannot increment: n=2184 < 2k\+2=2186"):
+        certify(petersen(), provenance=_PAST_2K_PLUS_2, strategy="matching",
+                build=planner.BuildPlan("lps", 5, 1090))
+
+
+def test_chain_walk_and_increment_refuse_with_one_message():
+    # Petersen takes two increments (n = 10 >= 2k + 2 up to k = 4); the
+    # walk refuses the third with the message increment_regularity gives.
+    x = replay([_PETERSEN] + [{"step": "matching_increment"}] * 2)
+    with pytest.raises(ValidationError) as direct:
+        increment_regularity(x)
+    with pytest.raises(ValidationError) as walked:
+        replay([_PETERSEN] + [{"step": "matching_increment"}] * 3)
+    assert str(walked.value) == str(direct.value) == (
+        "cannot increment: n=10 < 2k+2=12")
+
+
+# -- fuzzed provenance chains ------------------------------------------------
+
+_BASES = ({"step": "library", "name": "petersen"},
+          {"step": "lps", "p": 5, "q": 13})
+_OPS = ("matching_increment", "k2_product")
+# Values that are not what construct records in a field, and ints that no
+# base admits as p or q (13 and 17 do, but only give small graphs).
+_BAD_FIELDS = st.sampled_from([None, True, False, 5.0, "5", b"13", [5],
+                               {"p": 5}, "cycle(9)", 7])
+_BAD_IDS = st.sampled_from([-13, 0, 1, 2, 3, 4, 7, 9, 11, 13, 17, 2**61 - 1,
+                            2**64 + 1, 2**200 + 1])
+_BAD_OPS = st.sampled_from(["teleport", "", "LPS", None, 5, ["lps"],
+                            "library", "lps", *_OPS])
+_NOT_STEPS = st.sampled_from([None, "lps", 5, ["lps"], ("lps", 5, 13)])
+
+
+@st.composite
+def _chains(draw):
+    """A chain of up to three increments on a small base, then at most one
+    mutation.  No base here has more than 2184 vertices, so a long run of
+    increments is past n >= 2k + 2 even after three doublings."""
+    steps = [dict(draw(st.sampled_from(_BASES)))]
+    steps += [{"step": op} for op in draw(st.lists(st.sampled_from(_OPS),
+                                                   max_size=3))]
+    i = draw(st.integers(0, len(steps) - 1))
+    step = steps[i]
+    kind = draw(st.sampled_from(["none", "field", "bool", "id", "op",
+                                 "place", "matching", "long"]))
+    if kind == "field":
+        key = draw(st.sampled_from(["step", "name", "p", "q", "matching"]))
+        step[key] = draw(_BAD_FIELDS)
+    elif kind == "bool":
+        step[draw(st.sampled_from(["p", "q"]))] = True
+    elif kind == "id":
+        steps[0] = dict(_BASES[1])
+        steps[0][draw(st.sampled_from(["p", "q"]))] = draw(_BAD_IDS)
+    elif kind == "op":
+        step["step"] = draw(_BAD_OPS)
+    elif kind == "place":
+        where = draw(st.integers(0, len(steps)))
+        what = draw(st.one_of(st.sampled_from(_BASES).map(dict), _NOT_STEPS))
+        steps.insert(where, what)
+        if draw(st.booleans()):
+            del steps[0]
+    elif kind == "matching":
+        step["matching"] = draw(st.sampled_from(["", "0 1\n", "0 1\n2 3\n",
+                                                 7, b"0 1\n", ["0 1"]]))
+    elif kind == "long":
+        steps += [{"step": "matching_increment"}] * 40_000
+    return steps
+
+
+@given(_chains())
+def test_replay_fuzzed_chains_build_or_refuse_before_building(steps):
+    # A chain either builds a Graph or raises ValidationError; only a
+    # well-formed chain whose recorded matching differs from the
+    # recomputed one is refused after building.
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("build_lps", "small_ramanujan", "increment_regularity",
+                     "cartesian_k2"):
+            def counted(*args, _f=getattr(planner, name), **kwargs):
+                built.append(_f.__name__)
+                if len(built) > 8:
+                    raise AssertionError("fuzzed chain ran a long build")
+                return _f(*args, **kwargs)
+            mp.setattr(planner, name, counted)
+        try:
+            x = replay(steps)
+        except ValidationError as exc:
+            assert not built or "replayed matching differs" in str(exc), (
+                built, exc)
+        else:
+            assert isinstance(x, Graph)
 
 
 def test_replay_refuses_unknown_library_name_before_allocating():
