@@ -11,8 +11,8 @@ construct(29, 1000) and certify(build_lps(5, 53)), then a last line for
 json.dumps(delta_table()).  Running it against two checkouts' src/ and
 diffing the two outputs shows whether a change moved any byte of them.
 The hashed bytes are those save_graph and SpectralCertificate.save write,
-so the construct(7, 1000) lines are the digests of out/k7_n2184.txt and
-out/k7_n2184.json.
+read back from a temporary directory, so the construct(7, 1000) lines are
+the digests of out/k7_n2184.txt and out/k7_n2184.json.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import hashlib
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 # One OpenBLAS thread, as the tests and out/ use; the variable only takes
@@ -34,7 +35,7 @@ def main() -> int:
     src = Path(sys.argv[1]) if len(sys.argv) > 1 else SRC
     sys.path.insert(0, str(src.resolve()))
     from expanderlab import (build_lps, certify, construct, delta_table,
-                             graph_to_text)
+                             save_graph)
 
     def lps(p: int, q: int):
         x = build_lps(p, q)
@@ -49,15 +50,18 @@ def main() -> int:
         "certify(build_lps(5, 53))": lambda: lps(5, 53),
     }
 
-    def emit(name: str, kind: str, text: str) -> None:
-        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
-        print(f"{digest}  {name} {kind}", flush=True)
+    def emit(name: str, kind: str, data: bytes) -> None:
+        print(f"{hashlib.sha256(data).hexdigest()}  {name} {kind}", flush=True)
 
-    for name, build in builds.items():
-        x, cert = build()
-        emit(name, "txt", graph_to_text(x))
-        emit(name, "json", cert.to_json())
-    emit("delta_table()", "json", json.dumps(delta_table()))
+    with tempfile.TemporaryDirectory() as tmp:
+        graph, cert_path = Path(tmp) / "graph.txt", Path(tmp) / "cert.json"
+        for name, build in builds.items():
+            x, cert = build()
+            save_graph(x, graph)
+            cert.save(cert_path)
+            emit(name, "txt", graph.read_bytes())
+            emit(name, "json", cert_path.read_bytes())
+    emit("delta_table()", "json", json.dumps(delta_table()).encode("ascii"))
     return 0
 
 

@@ -3,8 +3,10 @@
 
     PYTHONPATH=src python scripts/scale_probe.py [q]     (default q = 97)
 
-builds X^{5,q} with build_lps, adds one greedy matching increment, and forms
-the CSR adjacency of the result, in one process with one OpenBLAS thread.
+builds X^{5,q} with build_lps, adds one greedy matching increment, forms
+the CSR adjacency of the result and writes its edge-list text with
+save_graph to a temporary file, which it then removes, in one process with
+one OpenBLAS thread.
 After each stage it prints one line: the stage, the CPU seconds it took and
 the process's peak resident memory so far (ru_maxrss, in MB of 2^20 bytes,
 as perfbench reports it).  At q = 97 the base is PGL(2, 97) with 912 576
@@ -16,6 +18,7 @@ from __future__ import annotations
 import os
 import resource
 import sys
+import tempfile
 import time
 
 # The variable only takes effect if it is set before numpy or scipy is
@@ -24,7 +27,8 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from scipy import sparse  # noqa: E402,F401  (imported before any stage)
 
-from expanderlab import build_lps, increment_regularity  # noqa: E402
+from expanderlab import (build_lps, increment_regularity,  # noqa: E402
+                         save_graph)
 from expanderlab.errors import ValidationError  # noqa: E402
 
 
@@ -50,7 +54,10 @@ def main() -> int:
     x, _ = increment_regularity(x)
     t = report("increment", t)
     x.adjacency_sparse()
-    report("csr", t)
+    t = report("csr", t)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_graph(x, os.path.join(tmp, "graph.txt"))
+        report("save", t)
     print(f"X^(5,{q}) + 1 increment: n={x.n}, m={x.num_edges}")
     return 0
 

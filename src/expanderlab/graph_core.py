@@ -16,12 +16,14 @@ failure, to name the first bad edge.  Ids must be integers; unsigned and
 oversized ids are kept as given until they are checked against n.  The
 canonical rows are the CSR of the upper triangle as they stand, so the
 CSR adjacency is that triangle plus its transpose, with no COO copy and
-no sort.
+no sort, summed on integer multiplicities and made float64 once.
 
 Edge codes u*n + v sort like canonical rows, so adding a matching inserts
 its pairs at their searchsorted positions among the edge codes instead of
-sorting the union.  Edge-list text is written by one numpy writer that
-fills a byte buffer per block of rows and decodes the whole text once.
+sorting the union.  Edge-list text comes from one numpy writer that
+fills a byte buffer per block of rows: save_graph writes each block to
+its file as it is made, and graph_to_text and Matching.to_text join the
+blocks and decode the text once.
 
 scipy is imported on first use, when a graph's CSR adjacency or colouring
 is first built, so parsing, serializing, building edge arrays and adding
@@ -75,6 +77,9 @@ class Graph:
         row u holds u's neighbours above u, ascending, parallel edges
         side by side.  Summing those and adding the transpose gives every
         row its neighbours below it, then those above it, with no sort.
+        The sum counts multiplicities in the narrowest unsigned type that
+        holds m, which no entry exceeds, and its data becomes float64 once,
+        at the end, with the triangle already freed.
         """
         if self._csr is None:
             from scipy import sparse
@@ -84,11 +89,16 @@ class Graph:
             idx = np.int32 if max(self.n, 2 * len(v)) < 2**31 else np.int64
             indptr = np.zeros(self.n + 1, dtype=idx)
             np.cumsum(np.bincount(u, minlength=self.n), out=indptr[1:])
+            # No entry exceeds m, so the counts cannot overflow.
+            count = np.min_scalar_type(len(v))
             upper = sparse.csr_matrix(
-                (np.ones(len(v)), v.astype(idx), indptr),
+                (np.ones(len(v), dtype=count), v.astype(idx), indptr),
                 shape=(self.n, self.n))
             upper.sum_duplicates()
-            self._csr = upper.T.tocsr() + upper
+            a = upper.T.tocsr() + upper
+            del upper
+            a.data = a.data.astype(np.float64)
+            self._csr = a
         return self._csr
 
     # -- identity ----------------------------------------------------------
@@ -362,41 +372,53 @@ def graph_to_text(x: Graph) -> str:
     return f"{x.n} {len(x.edges)}\n" + _lines(x.edges)
 
 
-# Rows the line writer formats at a time.  Its int64 temporaries then stay
-# near half a megabyte, so the heap they free is reused by what the caller
-# allocates next instead of raising the process's peak memory.
-_BLOCK_ROWS = 1 << 15
+# Rows the line writer formats at a time.  A block's int64 arrays then hold
+# 128 KiB each and its bytes at most 320 KiB, so save_graph's peak does not
+# grow with the graph, and the next block reuses what the last one freed.
+# On the benchmark's k8 construct, 2**12 and 2**13 rows peaked 1.3 MB lower
+# than 2**15, at the same speed.
+_BLOCK_ROWS = 1 << 13
 
 
 def _lines(e: np.ndarray) -> str:
-    """'u v' and a newline per row of an (m, 2) array of ids in [0, 2**63).
+    """'u v' and a newline per row of an (m, 2) array of ids in [0, 2**63)."""
+    return b"".join(_line_blocks(e)).decode("ascii")
+
+
+def _line_blocks(e: np.ndarray) -> Iterator[np.ndarray]:
+    """The ASCII bytes of _lines(e), as one uint8 array per block of rows.
 
     Each block of rows is written into one byte buffer: every id ends at
     the sum of the widths before it, its digits are written from the
     highest place down, and the space or newline after it last.  An id
     narrower than a place writes a stray zero in front of itself, inside
     the ids before it or a pad in front of the block, and the ids before
-    it overwrite it at a lower place.
+    it overwrite it at a lower place.  Digits go in as 0-9 and the whole
+    buffer becomes ASCII by one addition, before the separators.
     """
-    blocks = []
     for lo in range(0, len(e), _BLOCK_ROWS):
         ids = e[lo:lo + _BLOCK_ROWS].ravel()
         top = int(ids.max())
-        width = np.ones(len(ids), dtype=np.int64)
+        pad = len(str(top)) - 1
+        # Each id's width and separator, summed and moved back two: the
+        # place of each id's last digit.
+        last = np.full(len(ids), 2, dtype=np.int64)
         place = 10
         while place <= top:
-            width += ids >= place
+            last += ids >= place
             place *= 10
-        pad = len(str(top)) - 1
-        # One past each id's separator.
-        ends = np.cumsum(width + 1) + pad
-        buf = np.empty(ends[-1], dtype=np.uint8)
+        np.cumsum(last, out=last)
+        last += pad - 2
+        buf = np.empty(int(last[-1]) + 2, dtype=np.uint8)
+        digit = np.empty_like(ids)
         for j in range(pad, -1, -1):
-            buf[ends - 2 - j] = ids // 10**j % 10 + ord("0")
-        buf[ends[0::2] - 1] = ord(" ")
-        buf[ends[1::2] - 1] = ord("\n")
-        blocks.append(buf[pad:].tobytes())
-    return b"".join(blocks).decode("ascii")
+            np.floor_divide(ids, 10**j, out=digit)
+            digit %= 10
+            buf[last - j] = digit
+        buf += ord("0")
+        buf[last[0::2] + 1] = ord(" ")
+        buf[last[1::2] + 1] = ord("\n")
+        yield buf[pad:]
 
 
 def graph_from_text(text: str) -> Graph:
@@ -484,8 +506,11 @@ def _parse_lines(text: str) -> Graph:
 
 
 def save_graph(x: Graph, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(graph_to_text(x))
+    """Write graph_to_text(x) to path, block by block, as its ASCII bytes."""
+    with open(path, "wb") as fh:
+        fh.write(f"{x.n} {len(x.edges)}\n".encode("ascii"))
+        for block in _line_blocks(x.edges):
+            fh.write(block)
 
 
 def load_graph(path) -> Graph:

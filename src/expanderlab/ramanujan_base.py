@@ -67,23 +67,33 @@ class LpsParams:
     n: int
 
 
+_NOT_A_BASE_PRIME = "{}={} must be a prime = 1 (mod 4), at least 5"
+
+
 def _fault(p: int, q: int | None = None) -> str | None:
     """Why (p, q) gives no X^{p,q}, or None; with q None, p alone is checked.
 
-    This is the one statement of which (p, q) make a base.
+    This is the one statement of which (p, q) make a base.  The integer
+    range tests come before any primality test, so with q given, is_prime
+    only sees p < Q_MAX**2 / 4 and q <= Q_MAX, whatever the size of either.
     """
-    for name, v in (("p", p), ("q", q)):
-        if v is not None and (v < 5 or v % 4 != 1 or not is_prime(v)):
-            return f"{name}={v} must be a prime = 1 (mod 4), at least 5"
-    if q is None:
-        return None
-    if q > Q_MAX:
-        return f"q={q} exceeds the largest modulus {Q_MAX}"
+    given = [(name, v) for name, v in (("p", p), ("q", q)) if v is not None]
+    for name, v in given:
+        if v < 5 or v % 4 != 1:
+            return _NOT_A_BASE_PRIME.format(name, v)
+    if q is not None:
+        if q > Q_MAX:
+            return f"q={q} exceeds the largest modulus {Q_MAX}"
+        if q * q <= 4 * p:
+            # 2*sqrt(p) to three places, rounded half up, in integers.
+            r = (math.isqrt(16 * 10**6 * p) + 1) // 2
+            return (f"q={q} must exceed 2*sqrt(p)={r // 1000}.{r % 1000:03d} "
+                    "for a simple loop-free graph")
+    for name, v in given:
+        if not is_prime(v):
+            return _NOT_A_BASE_PRIME.format(name, v)
     if p == q:
         return "p and q must be distinct"
-    if q * q <= 4 * p:
-        return (f"q={q} must exceed 2*sqrt(p)={2 * math.sqrt(p):.3f} "
-                "for a simple loop-free graph")
     return None
 
 

@@ -232,10 +232,15 @@ def test_from_edge_list_matches_reference_canonical_form(case):
 @example(parallel_k2(1))
 @example(parallel_k2(2))
 @example(parallel_k2(7))
+@example(parallel_k2(255))
+@example(parallel_k2(256))
+@example(from_edge_list(4, [(1, 2)] * 300 + [(0, 1), (0, 3), (2, 3)] * 2))
 def test_adjacency_sparse_is_born_sorted(x):
     # The upper triangle read off the canonical rows plus its transpose is
     # the CSR that scipy's COO conversion built, array for array and dtype
-    # for dtype: parallel edges summed into multiplicities.
+    # for dtype: parallel edges summed into multiplicities.  The sum counts
+    # in the narrowest type that holds m, so 255 and 256 parallel edges sit
+    # on either side of one byte's range.
     a = x.adjacency_sparse()
     assert a.has_sorted_indices and a.has_canonical_format
     want = coo_adjacency(x)
@@ -546,12 +551,21 @@ def _widest_ids() -> list[int]:
     return sorted(ids)
 
 
-def test_text_writer_digit_width_boundaries():
+def _assert_written_as_text(x, tmp_path) -> None:
+    """graph_to_text(x) is the f-string text, and save_graph writes its bytes."""
+    text = graph_to_text(x)
+    assert text == fstring_graph_text(x)
+    p = tmp_path / "g.txt"
+    save_graph(x, p)
+    assert p.read_bytes() == text.encode()
+
+
+def test_text_writer_digit_width_boundaries(tmp_path):
     ids = _widest_ids()
     x = from_edge_list(2**63, [(u, v) for i, u in enumerate(ids)
                                for v in ids[i + 1:]])
     assert x.num_edges == len(ids) * (len(ids) - 1) // 2
-    assert graph_to_text(x) == fstring_graph_text(x)
+    _assert_written_as_text(x, tmp_path)
     # Each width next to every other, in both orders.
     m = Matching(zip(ids[0::2], ids[1::2]))
     assert m.to_text() == fstring_lines(tuple(m))
@@ -560,9 +574,8 @@ def test_text_writer_digit_width_boundaries():
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
-def test_text_writer_block_boundaries(extra):
+def test_text_writer_block_boundaries(extra, tmp_path):
     m = _BLOCK_ROWS + extra
-    assert _BLOCK_ROWS == 2**15
     rng = np.random.default_rng(m)
     u = rng.integers(0, 10 ** rng.integers(1, 19, size=m))
     v = u + 1 + rng.integers(0, 10 ** rng.integers(0, 18, size=m))
@@ -571,16 +584,16 @@ def test_text_writer_block_boundaries(extra):
               from_edge_list(m + 1, np.column_stack([chain, chain + 1])),
               from_edge_list(2, [(0, 1)] * m)):
         assert x.num_edges == m
-        assert graph_to_text(x) == fstring_graph_text(x)
+        _assert_written_as_text(x, tmp_path)
     pairs = Matching((2 * i, 2 * i + 1) for i in range(m))
     assert pairs.to_text() == fstring_lines(tuple(pairs))
 
 
-def test_text_writer_empty_and_parallel():
+def test_text_writer_empty_and_parallel(tmp_path):
     for x in (from_edge_list(0, []), from_edge_list(5, []),
               from_edge_list(3, [(0, 1), (1, 2), (0, 1), (0, 1)]),
               from_edge_list(2**63, [(7, 2**63 - 1)] * 3 + [(0, 10)] * 2)):
-        assert graph_to_text(x) == fstring_graph_text(x)
+        _assert_written_as_text(x, tmp_path)
     assert graph_to_text(from_edge_list(0, [])) == "0 0\n"
     assert Matching([]).to_text() == ""
 

@@ -649,6 +649,37 @@ def test_replay_refuses_a_provenance_that_is_not_iterable(provenance):
         replay(provenance)
 
 
+@pytest.mark.parametrize("step, message", [
+    ({"step": "lps", "p": 5, "q": 2**64 + 1},
+     "q=18446744073709551617 exceeds the largest modulus 101"),
+    ({"step": "lps", "p": 10**400 + 1, "q": 13},
+     f"q=13 must exceed 2*sqrt(p)={2 * 10**200}.000 "
+     "for a simple loop-free graph"),
+    ({"step": "lps", "p": 2**64 + 1, "q": 13},
+     "q=13 must exceed 2*sqrt(p)=8589934592.000 for a simple loop-free graph"),
+], ids=["q-2**64+1", "p-10**400+1", "p-2**64+1"])
+def test_replay_refuses_an_oversized_lps_id_by_the_base_rule(monkeypatch,
+                                                             step, message):
+    # The base rule's own range tests refuse these ids before any
+    # primality test, which takes only n < 2**63, and without a float.
+    def never(*args):
+        raise AssertionError("primality test before the range checks")
+
+    monkeypatch.setattr(ramanujan_base, "is_prime", never)
+    with pytest.raises(ValidationError) as err:
+        replay([step])
+    assert str(err.value) == message
+
+
+def test_base_rule_message_rounds_like_a_float():
+    # The refusal's 2*sqrt(p), worked out in integers, prints as the float
+    # did at every p that q = 5 is too small for, prime or not.
+    for p in range(9, 2**14, 4):
+        assert _fault(p, 5) == (f"q=5 must exceed 2*sqrt(p)="
+                                f"{2 * math.sqrt(p):.3f} "
+                                "for a simple loop-free graph"), p
+
+
 def _refuse_builds(mp: pytest.MonkeyPatch) -> None:
     """Make every build and eigensolve the planner calls fail the test."""
     def built(*args, **kwargs):

@@ -2,7 +2,10 @@
 
 build_lps, a matching increment and the CSR adjacency each hold a few
 arrays the size of the graph's edge array, with no Python object per edge
-and no int64 copy of both halves of the adjacency.
+and no int64 copy of both halves of the adjacency.  The CSR sums integer
+multiplicities, so it holds little more than its own arrays, and
+save_graph writes its text block by block, in memory that does not grow
+with the graph.
 """
 
 from __future__ import annotations
@@ -12,9 +15,11 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
 from scipy import sparse  # noqa: F401  (its import is not the stage's)
 
-from expanderlab import build_lps, increment_regularity
+from expanderlab import build_lps, increment_regularity, save_graph
+from expanderlab.graph_core import Graph
 
 from helpers import script_env
 
@@ -43,6 +48,30 @@ def test_stage_peaks_stay_near_the_edge_array():
     assert adjacency <= 3.5 * y.edges.nbytes
 
 
+@pytest.fixture(scope="module")
+def x37_plus_1() -> Graph:
+    """X^{5,37} plus one matching increment: n = 50 616, m = 177 156."""
+    return increment_regularity(build_lps(5, 37))[0]
+
+
+def test_save_graph_peak_does_not_grow_with_the_graph(x37_plus_1, tmp_path):
+    # Building the whole 2.0 MB text before writing it traced 6.4 MiB here;
+    # one block of rows at a time is a fixed fraction of a MiB.
+    path = tmp_path / "g.txt"
+    _, peak = _traced_peak(lambda: save_graph(x37_plus_1, path))
+    assert path.stat().st_size > 2 * 10**6 and peak <= 2**20
+
+
+def test_csr_peak_stays_near_its_own_arrays(x37_plus_1):
+    # Summing the upper triangle and its transpose in float64 held 2.05
+    # times the CSR's own arrays; on integer counts, cast once, 1.41.
+    y = Graph(x37_plus_1.n, x37_plus_1.edges)     # no cached CSR
+    a, peak = _traced_peak(y.adjacency_sparse)
+    own = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert a.dtype == "float64"
+    assert peak <= 1.6 * own
+
+
 def test_scale_probe_script_runs():
     proc = subprocess.run(
         [sys.executable, str(_ROOT / "scripts" / "scale_probe.py"), "13"],
@@ -50,11 +79,11 @@ def test_scale_probe_script_runs():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["stage", "cpu_s", "max_rss_mb"]
-    assert [line.split()[0] for line in lines[1:4]] == [
-        "build_lps", "increment", "csr"]
-    rss = [float(line.split()[2]) for line in lines[1:4]]
+    assert [line.split()[0] for line in lines[1:5]] == [
+        "build_lps", "increment", "csr", "save"]
+    rss = [float(line.split()[2]) for line in lines[1:5]]
     assert rss == sorted(rss) and rss[0] > 0
-    assert lines[4] == "X^(5,13) + 1 increment: n=2184, m=7644"
+    assert lines[5] == "X^(5,13) + 1 increment: n=2184, m=7644"
 
 
 def test_scale_probe_script_refuses_a_modulus_without_base():
