@@ -4,9 +4,10 @@
     PYTHONPATH=src python scripts/scale_probe.py [q]     (default q = 97)
 
 builds X^{5,q} with build_lps, adds one greedy matching increment, forms
-the CSR adjacency of the result and writes its edge-list text with
-save_graph to a temporary file, which it then removes, in one process with
-one OpenBLAS thread.
+the CSR adjacency of the result, writes its edge-list text with
+save_graph to a temporary file, frees the graph and reads it back with
+load_graph, as expanderlab certify reads a graph file, before removing
+the file, all in one process with one OpenBLAS thread.
 After each stage it prints one line: the stage, the CPU seconds it took and
 the process's peak resident memory so far (ru_maxrss, in MB of 2^20 bytes,
 as perfbench reports it).  At q = 97 the base is PGL(2, 97) with 912 576
@@ -28,7 +29,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from scipy import sparse  # noqa: E402,F401  (imported before any stage)
 
 from expanderlab import (build_lps, increment_regularity,  # noqa: E402
-                         save_graph)
+                         load_graph, save_graph)
 from expanderlab.errors import ValidationError  # noqa: E402
 
 
@@ -56,8 +57,12 @@ def main() -> int:
     x.adjacency_sparse()
     t = report("csr", t)
     with tempfile.TemporaryDirectory() as tmp:
-        save_graph(x, os.path.join(tmp, "graph.txt"))
-        report("save", t)
+        path = os.path.join(tmp, "graph.txt")
+        save_graph(x, path)
+        t = report("save", t)
+        del x
+        x = load_graph(path)
+        report("load", t)
     print(f"X^(5,{q}) + 1 increment: n={x.n}, m={x.num_edges}")
     return 0
 

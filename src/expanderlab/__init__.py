@@ -3,8 +3,8 @@
 The pipeline: pick the largest usable prime p below the target regularity
 k, build the (p+1)-regular LPS Ramanujan base graph, then close the gap
 k - p - 1 with perfect-matching increments (or Cartesian K2 products),
-and certify the final graph once: eigenvalues, bounds and (for small
-graphs) exact expansion.  Everything else is importable from its submodule.
+and certify the final graph once: eigenvalues and bounds.  Everything
+else is importable from its submodule.
 """
 
 from ._version import __version__

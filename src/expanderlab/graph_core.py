@@ -23,7 +23,8 @@ its pairs at their searchsorted positions among the edge codes instead of
 sorting the union.  Edge-list text comes from one numpy writer that
 fills a byte buffer per block of rows: save_graph writes each block to
 its file as it is made, and graph_to_text and Matching.to_text join the
-blocks and decode the text once.
+blocks and decode the text once.  The reader holds a file's bytes alone
+and checks the ids numpy reads from them by the writer's digit rule.
 
 scipy is imported on first use, when a graph's CSR adjacency or colouring
 is first built, so parsing, serializing, building edge arrays and adding
@@ -402,11 +403,8 @@ def _line_blocks(e: np.ndarray) -> Iterator[np.ndarray]:
         pad = len(str(top)) - 1
         # Each id's width and separator, summed and moved back two: the
         # place of each id's last digit.
-        last = np.full(len(ids), 2, dtype=np.int64)
-        place = 10
-        while place <= top:
-            last += ids >= place
-            place *= 10
+        last = _widths(ids, top, np.int64)
+        last += 1
         np.cumsum(last, out=last)
         last += pad - 2
         buf = np.empty(int(last[-1]) + 2, dtype=np.uint8)
@@ -421,62 +419,58 @@ def _line_blocks(e: np.ndarray) -> Iterator[np.ndarray]:
         yield buf[pad:]
 
 
+def _widths(ids: np.ndarray, top: int, dtype) -> np.ndarray:
+    """The decimal digit count of each id in [0, top], as dtype: the rule
+    the line writer places ids by and the byte parser checks them by."""
+    width = np.ones(len(ids), dtype=dtype)
+    place = 10
+    while place <= top:
+        width += ids >= place
+        place *= 10
+    return width
+
+
 def graph_from_text(text: str) -> Graph:
-    """Parse edge-list text as graph_to_text writes it.
-
-    Canonical text is parsed with numpy over its bytes, and its rows, whose
-    ids that parser has checked, become the graph's edges without a copy.
-    Any other text, and canonical text with a line where u >= v or an id
-    of n or more, goes through the line parser, which owns every error
-    message and its order.
-    """
-    parsed = _parse_canonical(text)
-    if parsed is None:
-        return _parse_lines(text)
-    n, ids = parsed
-    return Graph(n, _sorted_rows(ids))
+    """Parse edge-list text: ASCII text as load_graph reads a file's bytes,
+    any other by the line parser, which owns every error message."""
+    return _read(text.encode()) if text.isascii() else _parse_lines(text)
 
 
-_HEADER = re.compile(r"([0-9]+) ([0-9]+)\n")
+def _read(data: bytes) -> Graph:
+    """The graph of data: canonical bytes' rows become its edges as they
+    are; other bytes are decoded as ASCII for the line parser."""
+    if (parsed := _parse_canonical(data)) is None:
+        return _parse_lines(data.decode("ascii"))
+    return Graph(parsed[0], _sorted_rows(parsed[1]))
 
-# Longest id the byte parser reads: 10**18 - 1 < 2**63, so none overflows.
-_MAX_DIGITS = 18
+
+_HEADER = re.compile(rb"([0-9]{1,18}) ([0-9]{1,18})\n")
 
 
-def _parse_canonical(text: str) -> tuple[int, np.ndarray] | None:
-    """(n, edges as an (m, 2) int64 array) of canonical text, else None.
-
-    Canonical is an 'n m' header, then m lines 'u v' of ASCII decimal
-    digits, one space inside and a newline after each, with u < v < n.
-    """
-    head = _HEADER.match(text)
-    if head is None or not text.isascii():
+def _parse_canonical(data: bytes) -> tuple[int, np.ndarray] | None:
+    """(n, edges as an (m, 2) int64 array) of canonical bytes, else None:
+    an 'n m' header, each below 10**18, then m lines 'u v', u < v < n, as
+    the writer prints them.  Once the separators are checked numpy reads
+    the ids: an empty token leaves it short of 2m + 2, and a leading zero,
+    or an id past 2**63 - 1 it saturates, leaves the widths short of the
+    body's digits or the id at n or more."""
+    if (head := _HEADER.match(data)) is None:
         return None
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:  # beyond the interpreter's digit limit for int()
+    n, m = int(head[1]), int(head[2])
+    body = np.frombuffer(data, dtype=np.uint8, offset=head.end())
+    seps = body[body < ord("0")]
+    if not (len(seps) == 2 * m and data.endswith(b"\n")
+            and body.max(initial=0) <= ord("9")
+            and (seps[0::2] == ord(" ")).all()
+            and (seps[1::2] == ord("\n")).all()):
         return None
-    b = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[head.end():]
-    # Token ends: the space and newline bytes, which must alternate.
-    ends = np.flatnonzero((b == ord(" ")) | (b == ord("\n")))
-    if len(ends) != 2 * m:
+    del seps
+    ids = np.fromstring(data, dtype=np.int64, sep=" ")[2:]
+    if (len(ids) != 2 * m
+            or _widths(ids, n, np.uint8).sum() != len(body) - 2 * m):
         return None
-    if m == 0:
-        return (n, np.zeros((0, 2), dtype=np.int64)) if len(b) == 0 else None
-    if not (ends[-1] == len(b) - 1
-            and (b[ends[0::2]] == ord(" ")).all()
-            and (b[ends[1::2]] == ord("\n")).all()
-            and np.count_nonzero((b >= ord("0")) & (b <= ord("9")))
-            == len(b) - len(ends)):
-        return None
-    width = np.diff(ends, prepend=-1) - 1
-    if width.min() < 1 or width.max() > _MAX_DIGITS:
-        return None
-    # The bytes are checked, so numpy's own scanner reads every token.
-    ids = np.fromstring(text[head.end():], dtype=np.int64, sep=" ")
-    ids = ids.reshape(m, 2)
-    u, v = ids[:, 0], ids[:, 1]
-    return (n, ids) if (u < v).all() and v.max() < n else None
+    u, v = ids[0::2], ids[1::2]
+    return (n, ids.reshape(m, 2)) if (u < v).all() and (v < n).all() else None
 
 
 def _parse_lines(text: str) -> Graph:
@@ -514,9 +508,12 @@ def save_graph(x: Graph, path) -> None:
 
 
 def load_graph(path) -> Graph:
+    """Read a graph file as graph_from_text reads text, holding its bytes
+    and no str unless the line parser takes them."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            return graph_from_text(fh.read())
+        return _read(data)
     except UnicodeDecodeError as exc:
         raise ValidationError(
             f"{path}: byte {exc.start} is not ASCII") from None

@@ -33,7 +33,6 @@ from dataclasses import asdict, dataclass
 from ._version import __version__
 from .bounds import bound_entries, is_ramanujan
 from .errors import ValidationError
-from .expansion import MAX_EXACT_N, expanding_constant_exact
 from .graph_core import Graph, cartesian_k2, is_bipartite
 from .matching import _increment_fault, increment_regularity
 from .numtheory import PrimePlan
@@ -98,8 +97,9 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
     or not at all, resolve bound validity; provenance, read once as a
     tuple, must then be the chain of build's base and increments of
     strategy that builds x's n and k, and a malformed or infeasible chain
-    is refused before anything is built.  Small graphs get exact expansion
-    data.
+    is refused before anything is built.  No subset is enumerated at any
+    n, so expansion stays null: a small graph's exact expanding constant
+    is one expansion.expanding_constant_exact call away.
     """
     if (strategy is None) != (build is None):
         raise ValidationError("certify takes strategy and build together")
@@ -120,10 +120,6 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
         raise ValidationError(f"provenance builds n={n}, k={degree}; the "
                               f"graph has n={x.n}, k={k}")
     s = extreme_eigs(x)
-    expansion = None
-    if x.n <= MAX_EXACT_N:
-        h, witness = expanding_constant_exact(x)
-        expansion = {"h": h, "witness": list(witness)}
     base = build.p_star if build is not None else None
     bounds = tuple(bound_entries(k, base, strategy == "matching"))
     return SpectralCertificate(
@@ -136,7 +132,6 @@ def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
         ramanujan=is_ramanujan(k, s.lambda2, s.residual + DEFAULT_TOL),
         bipartite=is_bipartite(x),
         bounds=bounds,
-        expansion=expansion,
     )
 
 

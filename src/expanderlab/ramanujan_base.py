@@ -70,6 +70,13 @@ class LpsParams:
 _NOT_A_BASE_PRIME = "{}={} must be a prime = 1 (mod 4), at least 5"
 
 
+def _shown(v: int) -> str:
+    """v in decimal, or its bit length past 2048 bits: 617 digits, under the
+    least digit limit (640) the interpreter can set on int-to-str."""
+    bits = v.bit_length()
+    return str(v) if bits <= 2048 else f"<{bits}-bit integer>"
+
+
 def _fault(p: int, q: int | None = None) -> str | None:
     """Why (p, q) gives no X^{p,q}, or None; with q None, p alone is checked.
 
@@ -80,15 +87,15 @@ def _fault(p: int, q: int | None = None) -> str | None:
     given = [(name, v) for name, v in (("p", p), ("q", q)) if v is not None]
     for name, v in given:
         if v < 5 or v % 4 != 1:
-            return _NOT_A_BASE_PRIME.format(name, v)
+            return _NOT_A_BASE_PRIME.format(name, _shown(v))
     if q is not None:
         if q > Q_MAX:
-            return f"q={q} exceeds the largest modulus {Q_MAX}"
+            return f"q={_shown(q)} exceeds the largest modulus {Q_MAX}"
         if q * q <= 4 * p:
             # 2*sqrt(p) to three places, rounded half up, in integers.
             r = (math.isqrt(16 * 10**6 * p) + 1) // 2
-            return (f"q={q} must exceed 2*sqrt(p)={r // 1000}.{r % 1000:03d} "
-                    "for a simple loop-free graph")
+            return (f"q={q} must exceed 2*sqrt(p)={_shown(r // 1000)}."
+                    f"{r % 1000:03d} for a simple loop-free graph")
     for name, v in given:
         if not is_prime(v):
             return _NOT_A_BASE_PRIME.format(name, v)

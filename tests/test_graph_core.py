@@ -686,15 +686,64 @@ def test_graph_from_text_matches_line_parser(text):
 
 def test_canonical_text_takes_the_byte_parser():
     x = random_regular(5, 300, 3)
-    n, ids = _parse_canonical(graph_to_text(x))
+    n, ids = _parse_canonical(graph_to_text(x).encode())
     assert n == 300 and np.array_equal(ids, x.edges)
-    assert _parse_canonical("4 2\n00 3\n1 2\n")[1].tolist() == [[0, 3], [1, 2]]
-    assert _parse_canonical("5 0\n")[1].shape == (0, 2)
+    assert _parse_canonical(b"5 0\n")[1].shape == (0, 2)
+    # "00" is not how the writer prints 0, so the line parser reads it.
     for odd in ("4 2\n0 3\n1 2", "4 2\n0 3\r\n1 2\n", "4 2\n0 3\n\n1 2\n",
                 "4 2\n2 0\n1 2\n", "4  2\n0 3\n1 2\n", "4 2\n+0 3\n1 2\n",
                 "4 1\n0 3\n1 2\n", f"4 1\n0 {'1' * 19}\n", "4 0\n\n",
-                "4 2\n0 3\n1 4\n"):
-        assert _parse_canonical(odd) is None, odd
+                "4 2\n0 3\n1 4\n", "4 2\n00 3\n1 2\n"):
+        assert _parse_canonical(odd.encode()) is None, odd
+
+
+# Texts that look canonical to a check short of the writer's digit rule:
+# numpy's scanner saturates an id past 2**63 - 1 to that value, silently.
+_SATURATED = 2**63 - 1
+
+
+@pytest.mark.parametrize("text, outcome", [
+    ("0 0\nx", (ValidationError, "header promises 0 edges, found 1")),
+    (f"4 1\n0 {'9' * 19}\n",
+     (ValidationError, f"edge (0, {'9' * 19}) out of range for n=4")),
+    (f"4 1\n0 {'1' * 25}\n",
+     (ValidationError, f"edge (0, {'1' * 25}) out of range for n=4")),
+    (f"{10**18 - 1} 1\n0 {'9' * 19}\n",
+     (ValidationError, f"edge (0, {'9' * 19}) out of range for n={10**18 - 1}")),
+    (f"{_SATURATED} 1\n0 {'9' * 19}\n",
+     (ValidationError, f"edge (0, {'9' * 19}) out of range for n={_SATURATED}")),
+    (f"{10**19} 1\n0 {_SATURATED}\n", (10**19, ((0, _SATURATED),))),
+    ("4 2\n00 3\n1 2\n", (4, ((0, 3), (1, 2)))),
+    # 2m separators, but not in turn, or around empty tokens.
+    ("4 2\n0\n3\n1 2\n", (ValidationError, "header promises 2 edges, found 3")),
+    ("4 2\n \n1 3\n", (ValidationError, "header promises 2 edges, found 1")),
+    ("4 1\n 0\n3", (ValidationError, "header promises 1 edges, found 2")),
+    ("4 1\n 0\n3 \n", (ValidationError, "header promises 1 edges, found 2")),
+], ids=["m0-body-x", "19-nines", "25-digits", "18-digit-n", "19-digit-n",
+        "20-digit-n", "leading-zero", "newline-for-space", "empty-line",
+        "token-after-last-line", "lines-past-m"])
+def test_reader_edge_cases_go_to_the_line_parser(text, outcome, tmp_path):
+    assert _parse_canonical(text.encode()) is None
+    p = tmp_path / "g.txt"
+    p.write_bytes(text.encode())
+    for parse in (graph_from_text, lambda _: load_graph(p), line_parse_graph):
+        assert _parse_outcome(parse, text) == outcome
+
+
+def test_load_graph_names_a_non_ascii_byte(tmp_path):
+    # Canonical but for one byte: the file is refused at that byte, while
+    # a str holding the same digit goes to the line parser, as int() reads it.
+    text = "4 2\n0 3\n1 \u0662\n"
+    p = tmp_path / "g.txt"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValidationError,
+                       match=rf"^{re.escape(str(p))}: byte 10 is not ASCII$"):
+        load_graph(p)
+    p.write_bytes(b"4 2\n0 3\n1 \xb2\n")
+    with pytest.raises(ValidationError,
+                       match=rf"^{re.escape(str(p))}: byte 10 is not ASCII$"):
+        load_graph(p)
+    assert edge_pairs(graph_from_text(text)) == ((0, 3), (1, 2))
 
 
 def test_canonical_text_keeps_its_parsed_rows(monkeypatch):

@@ -19,6 +19,7 @@ from expanderlab import (
     choose_q,
     construct,
     delta_table,
+    expansion,
     graph_to_text,
     load_graph,
     numtheory,
@@ -40,6 +41,7 @@ from helpers import (
     k4,
     path,
     petersen,
+    random_regular,
     script_env,
     two_triangles,
 )
@@ -360,7 +362,8 @@ def test_construct_library_routes():
 
 
 def test_construct_library_route_matches_reference():
-    # A library base has no lambda2_matching_chain entry.
+    # A library base has no lambda2_matching_chain entry, and certify
+    # enumerates no subsets, so K4's certificate has no expansion data.
     x, cert = construct(3, 1)
     assert [b["model"] for b in cert.bounds] == [
         "lambda2_chain_intermediate", "lambda2_chain_normalized",
@@ -368,7 +371,7 @@ def test_construct_library_route_matches_reference():
     assert hashlib.sha256(graph_to_text(x).encode("ascii")).hexdigest() == (
         "9c3528d98663acb8787c1f08381b6591c46b657d1c4c0061ae09a1e908653f00")
     assert hashlib.sha256(cert.to_json().encode("ascii")).hexdigest() == (
-        "0713152822cde589564fd4cff2dfbbbf598136fd54c7c58d5a3c61d5d8f3f885")
+        "748cfe9b29b94263abdf2d69e4326dfd3744aa3bfd3f263153010d104aaea795")
 
 
 def test_construct_rejections():
@@ -391,14 +394,26 @@ def test_certify_complete_graph():
     assert cert.lambda2 == pytest.approx(-1.0)
     assert cert.spectral_gap == pytest.approx(4.0)
     assert cert.ramanujan and not cert.bipartite
-    assert cert.expansion == {"h": 2.0, "witness": [0, 1]}
+    assert cert.expansion is None
     assert cert.provenance == ()
 
 
 def test_certify_petersen():
     cert = certify(petersen())
     assert cert.spectral_gap == pytest.approx(2.0)
-    assert cert.expansion["h"] == 1.0
+    assert cert.expansion is None
+
+
+def test_certify_enumerates_no_subsets(monkeypatch):
+    # certify does the same work at every n: the exhaustive search, 1.2 s
+    # of a 24-vertex certificate, stays with the expansion command.
+    def enumerated(*args, **kwargs):
+        raise AssertionError("certify enumerated subsets")
+
+    monkeypatch.setattr(expansion, "expanding_constant_exact", enumerated)
+    for x in (k4(), petersen(), random_regular(3, 24, 0)):
+        cert = certify(x)
+        assert cert.expansion is None and cert.n == x.n
 
 
 def test_certify_requires_regular_connected(monkeypatch):
@@ -409,8 +424,7 @@ def test_certify_requires_regular_connected(monkeypatch):
         raise AssertionError("certify went past its gate")
 
     # A disconnected and an irregular graph pass the header checks;
-    # extreme_eigs refuses both before any expansion or bound is computed.
-    monkeypatch.setattr(planner, "expanding_constant_exact", reached)
+    # extreme_eigs refuses both before any bound is computed.
     monkeypatch.setattr(planner, "bound_entries", reached)
     for x in (two_triangles(),
               from_edge_list(4, [(0, 1), (0, 2), (0, 3), (1, 2)])):
@@ -668,6 +682,21 @@ def test_replay_refuses_an_oversized_lps_id_by_the_base_rule(monkeypatch,
     monkeypatch.setattr(ramanujan_base, "is_prime", never)
     with pytest.raises(ValidationError) as err:
         replay([step])
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("p, q, message", [
+    (5, 10**5000 + 1, "q=<16610-bit integer> exceeds the largest modulus 101"),
+    (10**5000 + 3, 13,
+     "p=<16610-bit integer> must be a prime = 1 (mod 4), at least 5"),
+    (10**9000 + 1, 13, "q=13 must exceed 2*sqrt(p)=<14950-bit integer>.000 "
+     "for a simple loop-free graph"),
+], ids=["q-5001-digits", "p-5001-digits", "p-9001-digits"])
+def test_replay_names_an_lps_id_too_long_to_print(p, q, message):
+    # Printed in decimal, each of these numbers is past the interpreter's
+    # 4300-digit limit, and the refusal escaped as ValueError.
+    with pytest.raises(ValidationError) as err:
+        replay([{"step": "lps", "p": p, "q": q}])
     assert str(err.value) == message
 
 

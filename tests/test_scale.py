@@ -5,7 +5,8 @@ arrays the size of the graph's edge array, with no Python object per edge
 and no int64 copy of both halves of the adjacency.  The CSR sums integer
 multiplicities, so it holds little more than its own arrays, and
 save_graph writes its text block by block, in memory that does not grow
-with the graph.
+with the graph, and load_graph holds the file's bytes and the edge array
+the reader parses from them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 import pytest
 from scipy import sparse  # noqa: F401  (its import is not the stage's)
 
-from expanderlab import build_lps, increment_regularity, save_graph
+from expanderlab import (build_lps, increment_regularity, load_graph,
+                         save_graph)
 from expanderlab.graph_core import Graph
 
 from helpers import script_env
@@ -62,6 +64,16 @@ def test_save_graph_peak_does_not_grow_with_the_graph(x37_plus_1, tmp_path):
     assert path.stat().st_size > 2 * 10**6 and peak <= 2**20
 
 
+def test_load_graph_peak_stays_near_the_edge_array(x37_plus_1, tmp_path):
+    # The file as a str, its encoded bytes, a str slice of the body and two
+    # int64 arrays of token ends and widths traced 5.2 times the edge array.
+    path = tmp_path / "g.txt"
+    save_graph(x37_plus_1, path)
+    y, peak = _traced_peak(lambda: load_graph(path))
+    assert y == x37_plus_1
+    assert peak <= 2.5 * x37_plus_1.edges.nbytes
+
+
 def test_csr_peak_stays_near_its_own_arrays(x37_plus_1):
     # Summing the upper triangle and its transpose in float64 held 2.05
     # times the CSR's own arrays; on integer counts, cast once, 1.41.
@@ -79,11 +91,11 @@ def test_scale_probe_script_runs():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["stage", "cpu_s", "max_rss_mb"]
-    assert [line.split()[0] for line in lines[1:5]] == [
-        "build_lps", "increment", "csr", "save"]
-    rss = [float(line.split()[2]) for line in lines[1:5]]
+    assert [line.split()[0] for line in lines[1:6]] == [
+        "build_lps", "increment", "csr", "save", "load"]
+    rss = [float(line.split()[2]) for line in lines[1:6]]
     assert rss == sorted(rss) and rss[0] > 0
-    assert lines[5] == "X^(5,13) + 1 increment: n=2184, m=7644"
+    assert lines[6] == "X^(5,13) + 1 increment: n=2184, m=7644"
 
 
 def test_scale_probe_script_refuses_a_modulus_without_base():
