@@ -30,7 +30,7 @@ import math
 from functools import partial
 from typing import Callable, NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .numtheory import PrimePlan, max_delta_in_range, prev_prime
 
 # Past this k, next_prime(prev_prime(k)) passes is_prime's limit 2**63.
@@ -67,14 +67,17 @@ def lambda2_bound_chain(k: int) -> tuple[float, float]:
     return intermediate, normalized
 
 
+def _finite(v: float) -> bool:
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _check_k(k: float) -> None:
     if not k > 2:
-        raise ValidationError(f"gap bounds need k > 2, got {k}")
-    try:
-        finite = math.isfinite(k)
-    except OverflowError:  # an int past the float range
-        finite = False
-    if not finite:
+        raise ValidationError(f"gap bounds need k > 2, got {_shown(k)}")
+    if not _finite(k):
         raise ValidationError("gap bounds need a k that is a finite float")
 
 
@@ -96,9 +99,9 @@ def gap_bound_bhp(k: float) -> float:
 
 def _check_rh_constant(c: float) -> None:
     if not c > 0:
-        raise ValidationError(f"rh constant must be positive, got {c}")
-    if not math.isfinite(c):
-        raise ValidationError(f"rh constant must be finite, got {c}")
+        raise ValidationError(f"rh constant must be positive, got {_shown(c)}")
+    if not _finite(c):
+        raise ValidationError(f"rh constant must be finite, got {_shown(c)}")
 
 
 def rh_exponent(k: float, c: float = 1.0) -> float:

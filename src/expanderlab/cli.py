@@ -16,6 +16,7 @@ from .expansion import boundary_size, expanding_constant_exact
 from .graph_core import load_graph, save_graph
 from .numtheory import PrimePlan
 from .planner import STRATEGIES, certify, construct
+from .ramanujan_base import K_MAX
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("construct",
                        help="build a certified k-regular graph")
     c.add_argument("--k", type=int, required=True,
-                   help="target regularity, from 3 to 2557")
+                   help=f"target regularity, from 3 to {K_MAX}")
     c.add_argument("--min-vertices", type=int, required=True,
                    help="smallest acceptable vertex count")
     c.add_argument("--strategy", choices=tuple(STRATEGIES),

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .graph_core import Graph
 
 MAX_EXACT_N = 24
@@ -37,7 +37,8 @@ def boundary_size(x: Graph, subset: Iterable[int]) -> int:
         if not isinstance(v, numbers.Integral):
             raise ValidationError(f"vertex {v!r} is not an integer id")
         if not 0 <= v < x.n:
-            raise ValidationError(f"vertex {v} out of range for n={x.n}")
+            raise ValidationError(f"vertex {_shown(v)} out of range for "
+                                  f"n={x.n}")
     inside = np.isin(x.edges, list(fs))
     return int(np.count_nonzero(inside[:, 0] != inside[:, 1]))
 

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -162,7 +162,7 @@ def _canonical(n: int, raw) -> np.ndarray:
     docstring gives the whole-array tests.
     """
     if n < 0:
-        raise ValidationError(f"vertex count must be >= 0, got {n}")
+        raise ValidationError(f"vertex count must be >= 0, got {_shown(n)}")
     raw = raw if isinstance(raw, np.ndarray) else list(raw)
     e = _id_rows(raw)
     u, v = e[:, 0], e[:, 1]
@@ -170,14 +170,15 @@ def _canonical(n: int, raw) -> np.ndarray:
         bad = ((e < 0) | (e >= n)).any(axis=1) | (u == v)
         u, v = e[bad.argmax()].tolist()
         if not (0 <= u < n and 0 <= v < n):
-            raise ValidationError(f"edge ({u}, {v}) out of range for n={n}")
-        raise ValidationError(f"loop at vertex {u} rejected")
+            raise ValidationError(f"edge ({_shown(u)}, {_shown(v)}) out of "
+                                  f"range for n={_shown(n)}")
+        raise ValidationError(f"loop at vertex {_shown(u)} rejected")
     if e.dtype == object:
         try:
             e = e.astype(np.int64)
         except OverflowError:
-            raise ValidationError(
-                f"vertex ids beyond int64 are unsupported (n={n})") from None
+            raise ValidationError(f"vertex ids beyond int64 are unsupported "
+                                  f"(n={_shown(n)})") from None
     # Rows with u < v and rows already in order, as graph_to_text and
     # build_lps emit them, skip the row sort and the lexsort.
     if not (e[:, 0] < e[:, 1]).all():
@@ -215,7 +216,8 @@ def _id_rows(raw: list | np.ndarray) -> np.ndarray:
     whole = np.array([isinstance(i, numbers.Integral) for i in e.flat])
     if not whole.all():
         u, v = e[whole.argmin() // 2].tolist()
-        raise ValidationError(f"edge ({u}, {v}) has a non-integer vertex id")
+        raise ValidationError(f"edge ({_shown(u)}, {_shown(v)}) has a "
+                              f"non-integer vertex id")
     return e
 
 

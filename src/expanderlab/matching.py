@@ -39,7 +39,7 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .graph_core import (
     Graph,
     Matching,
@@ -119,9 +119,9 @@ def increment_regularity(x: Graph) -> tuple[Graph, Matching]:
 def _increment_fault(k: int, n: int) -> str | None:
     """Why a simple k-regular graph on n vertices takes no increment."""
     if n % 2 == 1:
-        return f"odd vertex count {n}: no perfect matching exists"
+        return f"odd vertex count {_shown(n)}: no perfect matching exists"
     if n < 2 * k + 2:
-        return f"cannot increment: n={n} < 2k+2={2 * k + 2}"
+        return f"cannot increment: n={_shown(n)} < 2k+2={_shown(2 * k + 2)}"
     return None
 
 

@@ -22,7 +22,7 @@ from itertools import count
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 
 # Strong-pseudoprime bases covering all n < 2**64 (Sinclair's seven-base
 # set, exhaustively verified against the Feitsma-Galway pseudoprime list).
@@ -60,7 +60,8 @@ _WHEEL = (3, 5, 7, 11, 13)
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n < 2**63."""
     if not 0 <= n < _LIMIT:
-        raise ValidationError(f"is_prime requires 0 <= n < 2**63, got {n}")
+        raise ValidationError(f"is_prime requires 0 <= n < 2**63, "
+                              f"got {_shown(n)}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -93,14 +94,14 @@ def is_prime(n: int) -> bool:
 def prev_prime(k: int) -> int:
     """Largest prime strictly below k; requires k >= 3."""
     if k < 3:
-        raise ValidationError(f"no prime below {k}")
+        raise ValidationError(f"no prime below {_shown(k)}")
     return next(n for n in range(k - 1, 1, -1) if is_prime(n))
 
 
 def next_prime(p: int) -> int:
     """Smallest prime strictly above p; requires p >= 2."""
     if p < 2:
-        raise ValidationError(f"next_prime requires p >= 2, got {p}")
+        raise ValidationError(f"next_prime requires p >= 2, got {_shown(p)}")
     return next(n for n in count(p + 1) if is_prime(n))
 
 
@@ -186,9 +187,11 @@ def max_delta_in_range(lo: int, hi: int) -> tuple[float, int]:
     a larger hi is refused before anything is allocated.
     """
     if not 3 <= lo <= hi:
-        raise ValidationError(f"need 3 <= lo <= hi, got [{lo}, {hi}]")
+        raise ValidationError(f"need 3 <= lo <= hi, got [{_shown(lo)}, "
+                              f"{_shown(hi)}]")
     if hi > RANGE_MAX:
-        raise ValidationError(f"hi={hi} exceeds the largest range end {RANGE_MAX}")
+        raise ValidationError(f"hi={_shown(hi)} exceeds the largest range "
+                              f"end {RANGE_MAX}")
     last = prev_prime(lo)
     best_p = best_gap = 0
     for primes in _prime_blocks(last + 1, next_prime(hi - 1) + 1):
@@ -211,7 +214,8 @@ def max_delta_in_range(lo: int, hi: int) -> tuple[float, int]:
 def legendre(a: int, q: int) -> int:
     """Legendre symbol (a|q) in {-1, 0, +1} for an odd prime q."""
     if q < 3 or q % 2 == 0 or not is_prime(q):
-        raise ValidationError(f"legendre requires an odd prime modulus, got {q}")
+        raise ValidationError(f"legendre requires an odd prime modulus, "
+                              f"got {_shown(q)}")
     a %= q
     if a == 0:
         return 0

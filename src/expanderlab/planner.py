@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 from ._version import __version__
 from .bounds import bound_entries, is_ramanujan
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .graph_core import Graph, cartesian_k2, is_bipartite
 from .matching import _increment_fault, increment_regularity
 from .numtheory import PrimePlan
@@ -58,7 +58,7 @@ class BuildPlan:
 
 
 def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
-    """(theoretical, buildable) plans for target regularity 3 <= k <= 2557;
+    """(theoretical, buildable) plans for target regularity 3 <= k <= K_MAX;
     base_prime refuses any other k, before any primality test."""
     p = base_prime(k)
     theory = PrimePlan.for_target(k)
@@ -70,7 +70,8 @@ def plan(k: int) -> tuple[PrimePlan, BuildPlan]:
 def choose_q(p: int, min_vertices: int) -> int:
     """Least modulus q admitted at p whose X^{p,q} has min_vertices or more."""
     if min_vertices < 1:
-        raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
+        raise ValidationError(f"min_vertices must be >= 1, got "
+                              f"{_shown(min_vertices)}")
     return smallest_modulus(p, min_vertices)
 
 
@@ -82,7 +83,7 @@ def _library_name(k: int, min_vertices: int) -> str:
     largest = max(n for degree, n in LIBRARY.values() if degree == k)
     raise ValidationError(
         f"regularity {k} is served from a fixed library whose largest graph "
-        f"has {largest} vertices; cannot reach {min_vertices}")
+        f"has {largest} vertices; cannot reach {_shown(min_vertices)}")
 
 
 def certify(x: Graph, *, provenance: tuple[dict, ...] = (),
@@ -148,7 +149,8 @@ def construct(k: int, min_vertices: int, strategy: str = "matching"
     """Build a certified k-regular graph with at least min_vertices vertices."""
     increment = _increment_step(strategy)
     if min_vertices < 1:
-        raise ValidationError(f"min_vertices must be >= 1, got {min_vertices}")
+        raise ValidationError(f"min_vertices must be >= 1, got "
+                              f"{_shown(min_vertices)}")
     _, build = plan(k)
     if build.source == "library":
         base = {"step": "library", "name": _library_name(k, min_vertices)}

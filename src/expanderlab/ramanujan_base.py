@@ -45,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .graph_core import Graph, _sorted_rows, from_edge_list
 from .numtheory import is_prime, legendre
 
@@ -70,13 +70,6 @@ class LpsParams:
 _NOT_A_BASE_PRIME = "{}={} must be a prime = 1 (mod 4), at least 5"
 
 
-def _shown(v: int) -> str:
-    """v in decimal, or its bit length past 2048 bits: 617 digits, under the
-    least digit limit (640) the interpreter can set on int-to-str."""
-    bits = v.bit_length()
-    return str(v) if bits <= 2048 else f"<{bits}-bit integer>"
-
-
 def _fault(p: int, q: int | None = None) -> str | None:
     """Why (p, q) gives no X^{p,q}, or None; with q None, p alone is checked.
 
@@ -98,7 +91,7 @@ def _fault(p: int, q: int | None = None) -> str | None:
                     f"{r % 1000:03d} for a simple loop-free graph")
     for name, v in given:
         if not is_prime(v):
-            return _NOT_A_BASE_PRIME.format(name, v)
+            return _NOT_A_BASE_PRIME.format(name, _shown(v))
     if p == q:
         return "p and q must be distinct"
     return None
@@ -137,8 +130,8 @@ def smallest_modulus(p: int, min_vertices: int) -> int:
         if _fault(p, q) is None and lps_params(p, q).n >= min_vertices:
             return q
     raise ValidationError(_fault(p) or (
-        f"no modulus q <= {Q_MAX} gives a base with {min_vertices} vertices "
-        f"at p={p}"))
+        f"no modulus q <= {Q_MAX} gives a base with {_shown(min_vertices)} "
+        f"vertices at p={_shown(p)}"))
 
 
 def _decode(codes: np.ndarray, q: int) -> tuple[np.ndarray, ...]:

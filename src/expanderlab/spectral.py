@@ -35,16 +35,13 @@ costs O(m), and a Ritz pair converges once its Ritz estimate |beta_m y_m|
 is at most machine epsilon times ||M||, where M is the operator and
 ||M|| <= k.  The basis loses orthogonality as Ritz values converge, but a
 Ritz value with a small Ritz estimate is still accurate (Paige, Linear
-Algebra Appl. 34, 1980).  The second pass rebuilds the same vectors, bit
-for bit, and sums y_j q_j into each Ritz vector (Cullum and Willoughby,
-Lanczos Algorithms for Large Symmetric Eigenvalue Computations, 1985).  It
-replays the recorded scalars rather than reducing again: it applies M and
-makes the same subtractions and division in the same order, so each q_j
-keeps its bits without the three reductions of a step, and it stops at
-the last q_j a Ritz vector uses, without applying M to it.  Every
-reduction is an np.sum.  A poor Ritz vector can only fail the residual
-check, never pass it.  Four rules keep the recurrence sound; each says
-what the code did without it:
+Algebra Appl. 34, 1980).  The second pass reruns the same recurrence from
+the same start over the same steps, reading the recorded scalars instead of
+reducing again, so each q_j keeps its bits, and sums y_j q_j into each Ritz
+vector (Cullum and Willoughby, Lanczos Algorithms for Large Symmetric
+Eigenvalue Computations, 1985).  Every reduction is an np.sum.  A poor Ritz
+vector can only fail the residual check, never pass it.  Four rules keep
+the recurrence sound; each says what the code did without it:
 
 - Each end's (theta, y) is frozen at the step where its estimate
   converged, and the second pass sums each Ritz vector over its own m
@@ -67,7 +64,7 @@ what the code did without it:
   lambda_2 = 0 and no lift; K_{40,40} gave a residual of 31.
 
 Past _LANCZOS_STEPS steps the recurrence raises ConvergenceError.  On
-construct(7, 1000), n = 2184, it stops after 264 steps, 264 + 263 sparse
+construct(7, 1000), n = 2184, it stops after 264 steps, 264 + 264 sparse
 products in all.  On construct(8, 10000), n = 12 180, lambda_2 freezes
 after 104 steps and lambda_n, which lies at the edge of the bulk of the
 spectrum, after 376; on build_lps(5, 61), n = 113 460, both by 184.
@@ -161,6 +158,7 @@ eigensolve or Cholesky factorization, not when this module is imported.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields
@@ -218,7 +216,7 @@ def _residual(a, v: np.ndarray, value: float, tol: float) -> float:
     return res
 
 
-def _lanczos(matvec, q: np.ndarray, scale: float):
+def _lanczos(matvec, q: np.ndarray, scale: float, record=()):
     """The three-term Lanczos recurrence of P M P from the unit, mean-free
     vector q, without reorthogonalization.
 
@@ -230,40 +228,28 @@ def _lanczos(matvec, q: np.ndarray, scale: float):
     most _EPS * scale, a breakdown.  Every reduction is an np.sum (see
     _norm), so a rerun from the same q yields the same bits at any thread
     count; it is called as np.add.reduce, without np.sum's Python wrapper,
-    which costs as much as the sum itself at a few thousand entries.
+    which costs as much as the sum itself at a few thousand entries.  Given
+    the (alpha_j, beta_j, mu_j) of an earlier run from q as record, it
+    reruns those steps without reducing, and each q_j keeps its bits.  The
+    next step scales q_j in place, as its scratch prev; q itself is copied.
     """
-    prev, beta = np.zeros_like(q), 0.0
-    tmp = np.empty_like(q)
-    while True:
+    q, prev, beta = q.copy(), np.zeros_like(q), 0.0
+    for known in record or itertools.repeat(None):
         w = matvec(q)
-        w -= np.multiply(beta, prev, out=tmp)
-        alpha = float(np.add.reduce(np.multiply(q, w, out=tmp)))
-        w -= np.multiply(alpha, q, out=tmp)
-        mean = np.add.reduce(w) / len(w)
+        prev *= beta
+        w -= prev
+        alpha = known[0] if known else float(
+            np.add.reduce(np.multiply(q, w, out=prev)))
+        w -= np.multiply(alpha, q, out=prev)
+        mean = known[2] if known else np.add.reduce(w) / len(w)
         w -= mean
-        beta = math.sqrt(float(np.add.reduce(np.multiply(w, w, out=tmp))))
+        beta = known[1] if known else math.sqrt(
+            float(np.add.reduce(np.multiply(w, w, out=prev))))
         yield q, alpha, beta, mean
         if beta <= _EPS * scale:
             return
         w /= beta
         prev, q = q, w
-
-
-def _replay(matvec, q: np.ndarray, scalars: list):
-    """The q_j that _lanczos yielded from q with the m (alpha_j, beta_j,
-    mu_j) in scalars, rebuilt without its reductions: the same products,
-    subtractions and division in the same order keep their bits, and M is
-    not applied to q_{m-1}, whose product no q_j needs."""
-    prev, beta, tmp = np.zeros_like(q), 0.0, np.empty_like(q)
-    yield q
-    for alpha, beta_next, mean in scalars[:-1]:
-        w = matvec(q)
-        w -= np.multiply(beta, prev, out=tmp)
-        w -= np.multiply(alpha, q, out=tmp)
-        w -= mean
-        w /= beta_next
-        prev, q, beta = q, w, beta_next
-        yield q
 
 
 def _tridiagonal_pair(d: np.ndarray, e: np.ndarray,
@@ -298,21 +284,21 @@ def _ritz_pairs(matvec, n: int, scale: float,
     pair, 0 for the bottom one.  The first pass records alpha_j, beta_j and
     mu_j, checks every _CHECK_EVERY steps, and at a breakdown, and freezes
     each end's (theta, y), from _tridiagonal_pair, once its Ritz estimate
-    |beta_m y_m| is at most _EPS * scale.  The second pass, _replay,
-    rebuilds the vectors from the recorded scalars, and each end's Ritz
-    vector is summed over its own m steps (see the module docstring).
+    |beta_m y_m| is at most _EPS * scale.  The second pass reruns
+    _lanczos from q over the recorded steps, all of which the last end
+    to freeze uses, rebuilding each q_j bit for bit, and sums each end's
+    Ritz vector over its own m steps (see the module docstring).
     Raises ConvergenceError past _LANCZOS_STEPS steps.
     """
     q = np.random.default_rng(_V0_SEED).standard_normal(n)
     q -= q.mean()
     q /= _norm(q)
-    alphas, betas, means = [], [], []
+    record = []
     frozen: dict[int, tuple[float, np.ndarray]] = {}
     for m, (_, alpha, beta, mean) in enumerate(_lanczos(matvec, q, scale), 1):
-        alphas.append(alpha)
-        betas.append(beta)
-        means.append(mean)
+        record.append((alpha, beta, mean))
         if m % _CHECK_EVERY == 0 or beta <= _EPS * scale:
+            alphas, betas, _ = zip(*record)
             d, e = np.array(alphas), np.array(betas[:-1])
             for end in set(ends) - set(frozen):
                 # end % m is the index of the end among T_m's eigenvalues.
@@ -324,11 +310,8 @@ def _ritz_pairs(matvec, n: int, scale: float,
         if m == _LANCZOS_STEPS:
             raise ConvergenceError(f"the Lanczos recurrence did not converge "
                                    f"in {m} steps")
-    vecs = {end: np.zeros(n) for end in ends}
-    tmp = np.empty(n)
-    steps = max(len(y) for _, y in frozen.values())
-    scalars = list(zip(alphas[:steps], betas, means))
-    for j, qj in enumerate(_replay(matvec, q, scalars)):
+    vecs, tmp = {end: np.zeros(n) for end in ends}, np.empty(n)
+    for j, (qj, *_) in enumerate(_lanczos(matvec, q, scale, record)):
         for end, (_, y) in frozen.items():
             if j < len(y):
                 vecs[end] += np.multiply(y[j], qj, out=tmp)
@@ -557,20 +540,22 @@ class SpectralCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "SpectralCertificate":
-        """Parse to_json output; any other shape raises ValidationError.
+        """Parse to_json output; any other text raises ValidationError.
 
         The keys must be exactly the field names, each scalar field must
         hold its declared type (a bool is not an int), provenance and
         bounds must be lists of objects and expansion an object or null.
-        NaN, Infinity and -Infinity, which json.loads accepts by default
-        but JSON does not define, are refused.
+        Non-finite numbers (NaN, Infinity, 1e400), which JSON does not
+        define, ints past the digit limit and deep nesting are refused.
         """
-        def refuse(name: str):
-            raise ValidationError(f"certificate holds non-JSON constant {name}")
+        def finite(literal: str) -> float:
+            if not math.isfinite(v := float(literal)):
+                raise ValueError(f"{literal[:32]} is not a finite number")
+            return v
 
         try:
-            d = json.loads(text, parse_constant=refuse)
-        except json.JSONDecodeError as exc:
+            d = json.loads(text, parse_constant=finite, parse_float=finite)
+        except (ValueError, RecursionError) as exc:
             raise ValidationError(f"certificate is not JSON: {exc}") from exc
         if not isinstance(d, dict):
             raise ValidationError("certificate must be a JSON object")

@@ -34,7 +34,10 @@ built the upper triangle from the canonical rows, which it must reproduce
 array for array.  whole_array_expansion is kept the same way: the
 expanding_constant_exact that held all 2^n masks' ratios at once, which
 the blocked sweep must reproduce, h and witness; it shares the package's
-lex-least tie-break.
+lex-least tie-break.  stored_basis_ritz_pairs is no oracle for the
+recurrence either: it runs the package's _lanczos once and keeps every
+basis vector, which the second pass of _ritz_pairs rebuilds instead, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +55,13 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from expanderlab import cartesian_k2, extreme_eigs, is_connected, regularity
+from expanderlab import (
+    cartesian_k2,
+    extreme_eigs,
+    is_connected,
+    regularity,
+    spectral,
+)
 from expanderlab.errors import ValidationError
 from expanderlab.expansion import (
     _LCM,
@@ -422,6 +431,40 @@ def coo_adjacency(x: Graph) -> sparse.csr_matrix:
 def eigvalsh(x: Graph) -> np.ndarray:
     """The full adjacency spectrum, non-increasing, by numpy's dense solver."""
     return np.linalg.eigvalsh(adjacency_matrix(x))[::-1]
+
+
+def stored_basis_ritz_pairs(matvec, n: int, scale: float,
+                            ends: tuple[int, ...]) -> list:
+    """spectral._ritz_pairs(matvec, n, scale, ends) from one run of
+    spectral._lanczos that stores its basis: each end's (theta, y) is frozen
+    by the same rule, and its Ritz vector summed over the stored q_j."""
+    q = np.random.default_rng(spectral._V0_SEED).standard_normal(n)
+    q -= q.mean()
+    q /= spectral._norm(q)
+    basis, alphas, betas, frozen = [], [], [], {}
+    bound = spectral._EPS * scale
+    for m, (qj, alpha, beta, _) in enumerate(
+            spectral._lanczos(matvec, q, scale), 1):
+        basis.append(qj.copy())
+        alphas.append(alpha)
+        betas.append(beta)
+        if m % spectral._CHECK_EVERY and beta > bound:
+            continue
+        for end in set(ends) - set(frozen):
+            theta, y = spectral._tridiagonal_pair(
+                np.array(alphas), np.array(betas[:-1]), end % m)
+            if abs(beta * y[-1]) <= bound:
+                frozen[end] = theta, y
+        if len(frozen) == len(ends):
+            break
+    pairs = []
+    for end in ends:
+        theta, y = frozen[end]
+        v = np.zeros(n)
+        for yj, qj in zip(y, basis):
+            v += yj * qj
+        pairs.append((theta, v))
+    return pairs
 
 
 def arpack_lambda_n(x: Graph) -> float:

@@ -2,7 +2,8 @@
 pyproject.toml declares every third-party module the tests import, scipy
 stays unloaded until a graph needs it, no package module calls ARPACK or
 a dense eigensolver, no check relies on assert, each build rule is stated
-in one module, and every exported keyword is passed outside tests."""
+in one module, every exported keyword is passed outside tests, and a
+refusal that names a caller's int prints it at any size."""
 
 import ast
 import inspect
@@ -14,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import expanderlab
+from expanderlab import bounds, graph_core, numtheory, ramanujan_base
+from expanderlab.errors import ValidationError
 from helpers import script_env
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -324,3 +327,27 @@ def test_every_exported_keyword_is_passed_outside_tests():
                 unpassed.append(f"{name}.{param.name}")
     assert checked >= 5
     assert sorted(unpassed) == sorted(_UNPASSED_BY_DESIGN)
+
+
+_HUGE = 10**5000 + 1  # 5001 digits, past the interpreter's 4300-digit limit
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: numtheory.is_prime(_HUGE), id="is_prime"),
+    pytest.param(lambda: numtheory.prev_prime(-_HUGE), id="prev_prime"),
+    pytest.param(lambda: numtheory.next_prime(-_HUGE), id="next_prime"),
+    pytest.param(lambda: ramanujan_base.smallest_modulus(_HUGE, 10),
+                 id="smallest_modulus"),
+    pytest.param(lambda: ramanujan_base.four_square_generators(_HUGE),
+                 id="four_square_generators"),
+    pytest.param(lambda: expanderlab.construct(7, -_HUGE), id="construct"),
+    pytest.param(lambda: numtheory.legendre(5, -_HUGE), id="legendre"),
+    pytest.param(lambda: graph_core.from_edge_list(3, [(0, _HUGE)]),
+                 id="from_edge_list"),
+    pytest.param(lambda: bounds.rh_exponent(10, _HUGE), id="rh_exponent"),
+])
+def test_refusals_name_an_int_past_the_digit_limit(call):
+    # Each message formats the caller's int; in decimal it would raise the
+    # interpreter's ValueError instead of the refusal.
+    with pytest.raises(ValidationError, match="<16610-bit (negative )?integer>"):
+        call()

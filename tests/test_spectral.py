@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import math
@@ -7,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expanderlab import (
@@ -55,6 +56,7 @@ from helpers import (
     proof_matrices,
     random_regular,
     script_env,
+    stored_basis_ritz_pairs,
     two_triangles,
     weyl_check,
 )
@@ -745,8 +747,7 @@ def test_bipartite_lanczos_stops_on_breakdown(monkeypatch):
                 yield step
         return run
 
-    for name in ("_lanczos", "_replay"):
-        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
+    monkeypatch.setattr(spectral, "_lanczos", counted(spectral._lanczos))
     s = extreme_eigs(complete_bipartite(33))
     assert steps == [1, 1]
     assert s.lambda2 == 0.0 and s.residual <= 1e-14
@@ -929,7 +930,8 @@ def test_replayed_pass_keeps_every_lanczos_vector(construct_1000, lps37):
     # The vector pass takes alpha_j, beta_j and mu_j from the recording
     # pass instead of reducing again; every q_j must keep its bits, on A of
     # construct(7, 1000) over its 264 steps and on the half-size B B^T of
-    # X^{5,37}, and the operator is applied once per vector but the last.
+    # X^{5,37}; the rerun ends with its record, and the operator is
+    # applied once per vector.
     a = construct_1000[7][0].adjacency_sparse()
     operators = [((lambda z: a @ z), a.shape[0], 7.0, 264),
                  (*_half_size_operator(lps37), 36.0, 120)]
@@ -946,11 +948,42 @@ def test_replayed_pass_keeps_every_lanczos_vector(construct_1000, lps37):
             applied.append(1)
             return matvec(z)
 
-        replayed = spectral._replay(counting, q,
-                                    [scalars for _, scalars in fresh])
-        for (want, _), got in zip(fresh, replayed, strict=True):
-            assert np.array_equal(got, want)
-        assert len(applied) == steps - 1
+        replayed = spectral._lanczos(counting, q, scale,
+                                     [scalars for _, scalars in fresh])
+        for (want, scalars), (got, *again) in zip(fresh, replayed,
+                                                  strict=True):
+            assert np.array_equal(got, want) and again == scalars
+        assert len(applied) == steps
+
+
+@pytest.mark.parametrize("operator", ["C6", "petersen", "X513+1", "X513-half"])
+def test_ritz_vectors_are_sums_over_a_stored_basis(operator, construct_1000,
+                                                   x513, monkeypatch):
+    # The second pass of _ritz_pairs rebuilds each q_j from the first
+    # pass's scalars instead of storing it; its Ritz vectors must equal,
+    # bit for bit, the same sums over the basis one run stored, and
+    # neither run may touch the start vector the other reads.
+    if operator == "X513-half":
+        (matvec, n), scale, ends = _half_size_operator(x513), 36.0, (-1,)
+    else:
+        x = {"C6": cycle(6), "petersen": petersen(),
+             "X513+1": construct_1000[7][0]}[operator]
+        a = x.adjacency_sparse()
+        matvec, n, ends = (lambda z: a @ z), x.n, (-1, 0)
+        scale = float(regularity(x))
+    want = stored_basis_ritz_pairs(matvec, n, scale, ends)
+    lanczos, starts = spectral._lanczos, []
+
+    def kept(matvec, q, *args):
+        starts.append((q, q.tobytes()))
+        return lanczos(matvec, q, *args)
+
+    monkeypatch.setattr(spectral, "_lanczos", kept)
+    got = _ritz_pairs(matvec, n, scale, ends)
+    for (theta, v), (want_theta, want_v) in zip(got, want, strict=True):
+        assert theta == want_theta and v.tobytes() == want_v.tobytes()
+    assert len(starts) == 2 and starts[0][0] is starts[1][0]
+    assert all(q.tobytes() == before for q, before in starts)
 
 
 def _assert_same_pair(d: np.ndarray, e: np.ndarray, i: int) -> None:
@@ -1001,9 +1034,10 @@ def test_tridiagonal_pair_raises_on_lapack_failure(routine, monkeypatch):
 
 def test_lanczos_operator_and_tridiagonal_counts(construct_1000, monkeypatch):
     # The first pass applies the operator once per step and solves one
-    # tridiagonal per unfrozen end every _CHECK_EVERY steps; the replay
-    # applies it once per step but the last, whose product no Ritz vector
-    # uses.
+    # tridiagonal per unfrozen end every _CHECK_EVERY steps; the vector
+    # pass reruns the same recurrence over the same steps, so it applies
+    # the operator as often, the last product included, which no Ritz
+    # vector uses.
     from scipy.linalg import lapack
 
     dstebz = lapack.dstebz
@@ -1024,8 +1058,7 @@ def test_lanczos_operator_and_tridiagonal_counts(construct_1000, monkeypatch):
         solves.append(len(args[0]))
         return dstebz(*args)
 
-    for name in ("_lanczos", "_replay"):
-        monkeypatch.setattr(spectral, name, counted(getattr(spectral, name)))
+    monkeypatch.setattr(spectral, "_lanczos", counted(spectral._lanczos))
     monkeypatch.setattr(lapack, "dstebz", counted_dstebz)
     for x, steps, checks in ((construct_1000[7][0], 264, 40),
                              (construct(8, 10000)[0], 376, 60),
@@ -1033,7 +1066,7 @@ def test_lanczos_operator_and_tridiagonal_counts(construct_1000, monkeypatch):
         applied.clear()
         solves.clear()
         extreme_eigs(x)
-        assert applied == [steps, steps - 1]
+        assert applied == [steps, steps]
         assert len(solves) == checks and max(solves) == steps
 
 
@@ -1117,3 +1150,85 @@ def test_certificate_from_json_rejects_malformed(edit):
     text = bad if isinstance(bad, str) else json.dumps(bad)
     with pytest.raises(ValidationError):
         SpectralCertificate.from_json(text)
+
+
+# A from_json call on text under 1 KB traces at most this many bytes; the
+# largest peak over the fuzzed examples below was 18 KB.
+_FROM_JSON_BUDGET = 64 * 1024
+_ODD_VALUES = st.sampled_from([None, True, False, 0, -1, 2**63, 10**300, 1.5,
+                               "", "3", "λ", [], [1], [{}], {}, {"k": 1}])
+_NUMBERS = st.sampled_from(["NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+                            "9" * 5000, "-" + "9" * 5000, "9" * 400, "0.5"])
+_PROVENANCES = st.sampled_from([{}, "lps", 5, None, [1], [[]], [None],
+                                [{"step": "lps"}, 3], [{"step": "é"}]])
+
+
+@functools.cache
+def _k4_certificate() -> dict:
+    return json.loads(certify(k4()).to_json())
+
+
+@st.composite
+def _mutated_certificates(draw):
+    """K4's certificate text, indented as to_json writes it or compact,
+    after one mutation: a field of the wrong type, a bool for k or n, a
+    number literal out of JSON or float range or past the digit limit
+    (top-level or nested), non-ASCII text inserted anywhere, a missing or
+    extra key, or a provenance that is not a list of objects, among them
+    one nested past the recursion limit."""
+    d = dict(_k4_certificate())
+    name = draw(st.sampled_from(sorted(d)))
+    kind = draw(st.sampled_from(["none", "type", "bool", "number", "text",
+                                 "missing", "extra", "provenance"]))
+    literal = None
+    if kind == "type":
+        d[name] = draw(_ODD_VALUES)
+    elif kind == "bool":
+        d[draw(st.sampled_from(["k", "n"]))] = draw(st.booleans())
+    elif kind == "number":
+        literal = draw(_NUMBERS)
+        where = draw(st.sampled_from(["top", "bounds", "provenance"]))
+        if where == "top":
+            d[name] = "@@"
+        else:
+            d[where] = [{"value": "@@"}]
+    elif kind == "missing":
+        del d[name]
+    elif kind == "extra":
+        d[draw(st.text(max_size=6))] = draw(_ODD_VALUES)
+    elif kind == "provenance":
+        if draw(st.booleans()):
+            d["provenance"] = draw(_PROVENANCES)
+        else:
+            d["provenance"], literal = "@@", "[" * 5000 + "]" * 5000
+    text = json.dumps(d, sort_keys=True, indent=draw(st.sampled_from([2, None])))
+    if literal is not None:
+        text = text.replace('"@@"', literal)
+    if kind == "text":
+        at = draw(st.integers(0, len(text)))
+        extra = draw(st.text(st.characters(min_codepoint=128), min_size=1,
+                             max_size=4))
+        text = text[:at] + extra + text[at:]
+    return text
+
+
+@settings(max_examples=300)
+@given(_mutated_certificates())
+def test_certificate_from_json_fuzzed(text):
+    # Any text gives a certificate, which reads back from its own JSON,
+    # or ValidationError, nothing else; under 1 KB it stays in budget.
+    small = len(text.encode("utf-8")) < 1024
+    if small:
+        tracemalloc.start()
+    try:
+        try:
+            cert = SpectralCertificate.from_json(text)
+        except ValidationError:
+            cert = None
+        peak = tracemalloc.get_traced_memory()[1] if small else 0
+    finally:
+        if small:
+            tracemalloc.stop()
+    assert peak <= _FROM_JSON_BUDGET
+    if cert is not None:
+        assert SpectralCertificate.from_json(cert.to_json()) == cert
